@@ -2,8 +2,8 @@
 
 from .errors import (ContractionFailure, EmptyFeasibleGrid, GeometryError,
                      InfeasibleCandidate, NoConsistentRegime, NonPositiveLambda,
-                     ParseError, SingularSystem, SmallnessViolation, SpringRodsError,
-                     ValidationError, ZeroElements)
+                     ParseError, SmallnessViolation, SpringRodsError, ValidationError,
+                     ZeroElements)
 from .experiments import (ConvergenceRecord, ConvergenceStudy, SweepRecord, SweepResult,
                           export_csv, export_svg, run_penalty_convergence,
                           run_stiffness_sweep)
@@ -26,7 +26,7 @@ __all__ = [
     "EmptyFeasibleGrid", "EquilibriumSolution", "Geometry", "GeometryError",
     "InfeasibleCandidate", "Material", "Mesh", "NoConsistentRegime",
     "NonPositiveLambda", "ParseError", "PenaltyLaw", "PenaltyProblem",
-    "PenaltyVariant", "ProblemSpec", "ReducedSystem", "SingularSystem",
+    "PenaltyVariant", "ProblemSpec", "ReducedSystem",
     "SmallnessViolation", "SolverConfig", "SolverDiagnostics", "SpringLaw",
     "SpringRodsError", "SweepRecord", "SweepResult", "ValidationError",
     "ZeroElements", "analytic_solution", "assemble", "build_mesh", "effective_spring",

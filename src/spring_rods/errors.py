@@ -17,10 +17,6 @@ class ZeroElements(SpringRodsError):
     """A mesh was requested with fewer than one element on a rod."""
 
 
-class SingularSystem(SpringRodsError):
-    """A stiffness block failed to factorize; signals an assembly bug."""
-
-
 class NoConsistentRegime(SpringRodsError):
     """Regime enumeration found no KKT-consistent candidate (non-convex input)."""
 

@@ -3,17 +3,20 @@
 Each rod gets a uniform mesh; the outer ends carry homogeneous Dirichlet
 conditions, so the free unknowns are all remaining nodal displacements.  The
 stiffness blocks are tridiagonal and the whole interface behaviour condenses
-exactly onto the two inner-end displacements (g1, g2).
+exactly onto the two inner-end displacements (g1, g2), in closed form: every
+interior-minimized field is the field pinned at both rod ends plus g times
+the linear nodal ramp, so the condensed stiffness is diag(E1/L1, E2/L2) on
+any uniform mesh and the condensed load is the load dotted with the ramp.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from .errors import SingularSystem, ZeroElements
+from .errors import ZeroElements
 from .model import BodyForce, Geometry, Material, spring_gap
 
 _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -109,8 +112,7 @@ def _quadrature_load(nodes: np.ndarray, f, skip_first: bool) -> np.ndarray:
 class DiscreteSystem:
     """Assembled tridiagonal stiffness blocks and load vectors.
 
-    diag/off arrays hold the main and first off-diagonal of each SPD block;
-    the unit-coefficient blocks (Young modulus 1) induce the energy norm.
+    diag/off arrays hold the main and first off-diagonal of each SPD block.
     """
 
     mesh: Mesh
@@ -121,22 +123,6 @@ class DiscreteSystem:
     off2: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
-
-    @property
-    def unit_diag1(self) -> np.ndarray:
-        return self.diag1 / self.material.E1
-
-    @property
-    def unit_off1(self) -> np.ndarray:
-        return self.off1 / self.material.E1
-
-    @property
-    def unit_diag2(self) -> np.ndarray:
-        return self.diag2 / self.material.E2
-
-    @property
-    def unit_off2(self) -> np.ndarray:
-        return self.off2 / self.material.E2
 
     def apply(self, dof: DofVector) -> DofVector:
         """Stiffness matvec (A1 u1, A2 u2)."""
@@ -158,20 +144,6 @@ def _tri_matvec(d: np.ndarray, e: np.ndarray, u: np.ndarray) -> np.ndarray:
         out[:-1] += e * u[1:]
         out[1:] += e * u[:-1]
     return out
-
-
-def _tri_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    if len(d) == 0:
-        return np.zeros(0)
-    if len(d) == 1:
-        return rhs / d
-    ab = np.zeros((2, len(d)))
-    ab[0, 1:] = e
-    ab[1, :] = d
-    try:
-        return solveh_banded(ab, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise SingularSystem(str(exc)) from exc
 
 
 def _rod_blocks(n: int, h: float, E: float, interface_last: bool):
@@ -215,16 +187,20 @@ class ReducedSystem:
     """Exact condensation of the quadratic energy onto (g1, g2).
 
     With the interior unknowns minimized out, the energy equals
-    0.5*g.S g - r.g + offset.  S_unit is the same condensation of the
-    unit-coefficient blocks and measures the energy norm of interface
+    0.5*g.S g - r.g + offset.  S_unit = diag(1/L1, 1/L2) is the same
+    condensation for unit moduli and measures the energy norm of interface
     differences (interior fields with equal loads cancel).
     """
 
     system: DiscreteSystem
     S: np.ndarray
     r: np.ndarray
-    offset: float
     S_unit: np.ndarray
+
+    @cached_property
+    def offset(self) -> float:
+        """Energy of the field pinned at both rod ends (computed once, on demand)."""
+        return -0.5 * self.system.load_dot(recover_full(self, 0.0, 0.0))
 
     def energy(self, g: np.ndarray) -> float:
         return 0.5 * float(g @ self.S @ g) - float(self.r @ g) + self.offset
@@ -237,63 +213,47 @@ class ReducedSystem:
         return float(np.sqrt(dg @ self.S_unit @ dg))
 
 
-def _condense(d: np.ndarray, e: np.ndarray, b: np.ndarray, interface_last: bool):
-    """Schur complement of one rod block onto its interface DOF."""
-    n = len(d)
-    if n == 1:
-        return float(d[0]), float(b[0]), 0.0
-    if interface_last:
-        di, ei, bi = d[:-1], e[:-1], b[:-1]
-        coupling = np.zeros(n - 1)
-        coupling[-1] = e[-1]
-        dg, bg = d[-1], b[-1]
-    else:
-        di, ei, bi = d[1:], e[1:], b[1:]
-        coupling = np.zeros(n - 1)
-        coupling[0] = e[0]
-        dg, bg = d[0], b[0]
-    y = _tri_solve(di, ei, coupling)
-    z = _tri_solve(di, ei, bi)
-    s = float(dg - coupling @ y)
-    r = float(bg - coupling @ z)
-    offset = -0.5 * float(bi @ z)
-    return s, r, offset
+def _ramp_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """n times the nodal linear ramp on the free nodes of each rod.
+
+    The ramp (0 at the clamped end, 1 at the interface) is the discrete
+    harmonic extension of a unit interface value: its stiffness residual
+    vanishes at every interior node.  Integer weights with one division
+    after the dot product avoid rounding each j/n.
+    """
+    return np.arange(1.0, mesh.n1 + 1.0), np.arange(mesh.n2, 0.0, -1.0)
+
+
+def _pinned(b: np.ndarray, h_over_E: float) -> np.ndarray:
+    """Interior nodal values of a rod held at zero at both ends, left to right.
+
+    Node equilibrium makes consecutive element stresses differ by the nodal
+    load, so the stresses are a constant minus the running load sum; zero
+    end values make the stresses sum to zero, which fixes the constant.
+    """
+    carried = np.concatenate(([0.0], np.cumsum(b)))
+    sigma = carried.mean() - carried
+    return h_over_E * np.cumsum(sigma)[:-1]
 
 
 def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
     """Condense both rods onto the interface pair (g1, g2)."""
-    s1, r1, c1 = _condense(system.diag1, system.off1, system.b1, interface_last=True)
-    s2, r2, c2 = _condense(system.diag2, system.off2, system.b2, interface_last=False)
-    u1, _, _ = _condense(system.unit_diag1, system.unit_off1, np.zeros(system.mesh.n1),
-                         interface_last=True)
-    u2, _, _ = _condense(system.unit_diag2, system.unit_off2, np.zeros(system.mesh.n2),
-                         interface_last=False)
-    S = np.diag([s1, s2])
-    if not (s1 > 0.0 and s2 > 0.0):  # pragma: no cover - SPD by construction
-        raise SingularSystem(f"condensed stiffness not positive: {s1}, {s2}")
-    return ReducedSystem(system, S, np.array([r1, r2]), c1 + c2, np.diag([u1, u2]))
+    mesh, mat = system.mesh, system.material
+    geo = mesh.geometry
+    w1, w2 = _ramp_weights(mesh)
+    r = np.array([float(system.b1 @ w1) / mesh.n1, float(system.b2 @ w2) / mesh.n2])
+    return ReducedSystem(system, np.diag([mat.E1 / geo.L1, mat.E2 / geo.L2]), r,
+                         np.diag([1.0 / geo.L1, 1.0 / geo.L2]))
 
 
 def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
     """Interior argmin of the energy for prescribed interface values."""
     sys_ = reduced.system
-
-    def rod(d, e, b, g, interface_last):
-        n = len(d)
-        if n == 1:
-            return np.array([g])
-        if interface_last:
-            rhs = b[:-1].copy()
-            rhs[-1] -= e[-1] * g
-            ui = _tri_solve(d[:-1], e[:-1], rhs)
-            return np.concatenate((ui, [g]))
-        rhs = b[1:].copy()
-        rhs[0] -= e[0] * g
-        ui = _tri_solve(d[1:], e[1:], rhs)
-        return np.concatenate(([g], ui))
-
-    return DofVector(rod(sys_.diag1, sys_.off1, sys_.b1, g1, True),
-                     rod(sys_.diag2, sys_.off2, sys_.b2, g2, False))
+    mesh, mat = sys_.mesh, sys_.material
+    w1, w2 = _ramp_weights(mesh)
+    pinned1 = np.append(_pinned(sys_.b1[:-1], mesh.h1 / mat.E1), 0.0)
+    pinned2 = np.concatenate(([0.0], _pinned(sys_.b2[1:], mesh.h2 / mat.E2)))
+    return DofVector(pinned1 + g1 * (w1 / mesh.n1), pinned2 + g2 * (w2 / mesh.n2))
 
 
 def stress_field(mesh: Mesh, dof: DofVector, material: Material) -> tuple[np.ndarray, np.ndarray]:

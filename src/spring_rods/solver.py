@@ -3,9 +3,12 @@
 The discrete energy restricted to interior-minimized states is a convex,
 piecewise-quadratic function of the interface pair (g1, g2): a quadratic
 part plus the spring potential of the gap, subject to the gap bounds of the
-constraint variant.  `solve_exact` enumerates the finitely many KKT regimes
-and solves each by a direct 2x2 or bordered 3x3 system; the projected
-gradient and fixed-point solvers are independent iterative cross-checks.
+constraint variant.  The condensed stiffness S is diagonal, so every
+regime is a scalar formula in d = W.S^-1 r (the spring-free gap change) and
+the interface compliance C = W.S^-1 W = L1/E1 + L2/E2: a gap bound, the
+curvature breakpoint or a branch gap 2l + d/(1 + k*C).  `solve_exact` takes
+the first KKT-consistent regime; the projected gradient and fixed-point
+solvers are independent iterative cross-checks.
 """
 
 from __future__ import annotations
@@ -108,18 +111,15 @@ def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLa
 # regime enumeration
 
 
-def _bordered_solve(S: np.ndarray, rhs: np.ndarray, target: float) -> tuple[np.ndarray, float]:
-    """Solve S g + mu W = rhs subject to W.g = target; returns (g, mu)."""
-    M = np.zeros((3, 3))
-    M[:2, :2] = S
-    M[:2, 2] = _W
-    M[2, :2] = _W
-    sol = np.linalg.solve(M, np.array([rhs[0], rhs[1], target]))
-    return sol[:2], float(sol[2])
+def _at_gap(S: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
+    """Minimize 0.5 g.S g - rhs.g subject to W.g = t, i.e. at the gap 2l + t.
 
-
-def _rank_one_solve(S: np.ndarray, k: float, r: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(S + k * np.outer(_W, _W), r)
+    This is S^-1 rhs + (t - W.S^-1 rhs)/C * S^-1 W, evaluated along the line
+    g = (g1, g1 + t) so that a zero gap change (g1 = g2) holds exactly.
+    """
+    s1, s2 = np.diag(S)
+    g1 = float(rhs[0] + rhs[1] - s2 * t) / float(s1 + s2)
+    return np.array([g1, g1 + t])
 
 
 def _enumerate_regimes(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
@@ -128,43 +128,38 @@ def _enumerate_regimes(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi:
 
     Returns (g, theta, label, active_bound).  Convexity guarantees that any
     consistent candidate is the global minimizer, so ties at breakpoints or
-    bounds only affect the label.
+    bounds only affect the label.  At a bound the multiplier of W.g = bound
+    - 2l is mu = (d - (bound - 2l))/C - slope(bound).
     """
     S, r = reduced.S, reduced.r
     two_l = 2.0 * l
+    compliance = float(_W @ (_W / np.diag(S)))
+    d = float(_W @ (r / np.diag(S)))
+
+    def mu(bound: float) -> float:
+        return (d - (bound - two_l)) / compliance - spring.potential_slope(bound)
 
     if lo == hi:
-        g, _ = _bordered_solve(S, r - spring.potential_slope(lo) * _W, lo - two_l)
-        return g, lo, "rigid", "both"
+        return _at_gap(S, r, lo - two_l), lo, "rigid", "both"
 
     # gradient zero exactly at the curvature breakpoint (the potential is C1)
-    if lo - _REGIME_TOL <= two_l <= hi + _REGIME_TOL:
-        g, mu = _bordered_solve(S, r, 0.0)
-        if abs(mu) <= _REGIME_TOL:
-            return g, two_l, "breakpoint", None
+    if lo - _REGIME_TOL <= two_l <= hi + _REGIME_TOL and abs(d / compliance) <= _REGIME_TOL:
+        return _at_gap(S, r, 0.0), two_l, "breakpoint", None
 
-    if math.isfinite(lo):
-        slope = spring.potential_slope(lo)
-        g, mu = _bordered_solve(S, r - slope * _W, lo - two_l)
-        if -mu >= -_REGIME_TOL:  # reaction multiplier is -mu at the lower bound
-            label = "contact" if lo == 0.0 else "bound-lower"
-            return g, lo, label, "lower"
+    # reaction multiplier is -mu at the lower bound
+    if math.isfinite(lo) and mu(lo) <= _REGIME_TOL:
+        label = "contact" if lo == 0.0 else "bound-lower"
+        return _at_gap(S, r, lo - two_l), lo, label, "lower"
 
-    if math.isfinite(hi):
-        slope = spring.potential_slope(hi)
-        g, mu = _bordered_solve(S, r - slope * _W, hi - two_l)
-        if mu >= -_REGIME_TOL:
-            return g, hi, "bound-upper", "upper"
+    if math.isfinite(hi) and mu(hi) >= -_REGIME_TOL:
+        return _at_gap(S, r, hi - two_l), hi, "bound-upper", "upper"
 
     for k, label, low_side in ((spring.k1, "compression", True), (spring.k2, "extension", False)):
-        try:
-            g = _rank_one_solve(S, k, r)
-        except np.linalg.LinAlgError:
-            continue
-        theta = two_l + float(_W @ g)
+        t = d / (1.0 + k * compliance)
+        theta = two_l + t
         on_side = theta <= two_l + _REGIME_TOL if low_side else theta >= two_l - _REGIME_TOL
         if on_side and lo - _REGIME_TOL <= theta <= hi + _REGIME_TOL:
-            return g, theta, label, None
+            return _at_gap(S, r, t), theta, label, None
 
     raise NoConsistentRegime(
         f"no consistent regime for bounds [{lo}, {hi}] with k1={spring.k1}, k2={spring.k2}")
@@ -267,7 +262,7 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
     def objective(g):
         return reduced.energy(g) + eff.potential(two_l + float(_W @ g))
 
-    lip = float(np.linalg.eigvalsh(reduced.S)[-1]) + 2.0 * eff.lipschitz
+    lip = float(np.max(np.diag(reduced.S))) + 2.0 * eff.lipschitz
     step = 1.0 / lip
     g = _project_gap(np.zeros(2), lo, hi, two_l)
     value = objective(g)
@@ -301,16 +296,8 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
 def _clamped_qp(S: np.ndarray, rhs: np.ndarray, lo: float, hi: float,
                 two_l: float) -> np.ndarray:
     """Minimize the quadratic with load rhs over the gap bounds."""
-    if lo == hi:
-        g, _ = _bordered_solve(S, rhs, lo - two_l)
-        return g
-    g = np.linalg.solve(S, rhs)
-    theta = two_l + float(_W @ g)
-    if theta < lo:
-        g, _ = _bordered_solve(S, rhs, lo - two_l)
-    elif theta > hi:
-        g, _ = _bordered_solve(S, rhs, hi - two_l)
-    return g
+    free = float(_W @ (rhs / np.diag(S)))
+    return _at_gap(S, rhs, min(max(free, lo - two_l), hi - two_l))
 
 
 def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
@@ -333,7 +320,7 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     l = system.mesh.geometry.l
     two_l = 2.0 * l
     lo, hi = variant.bounds(l)
-    sinv_w = np.linalg.solve(reduced.S, _W)
+    sinv_w = _W / np.diag(reduced.S)
     compliance = float(_W @ sinv_w)
     gap_dir = sinv_w / compliance  # unit gap change along the compliant direction
     omega = cfg.fixed_point_damping

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from scipy.linalg import cholesky_banded
+from scipy.linalg import cholesky_banded, solveh_banded
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw,
                          ZeroElements, assemble, build_mesh, interface_stress,
                          recover_full, schur_reduce, solve_exact, stress_field,
                          theta_of, v_norm, zero_dofs)
+from spring_rods import analytic_solution, make_problem, solve
 from spring_rods.fem import DofVector
 
 GEO = Geometry(-1.0, 1.0, 0.5)
@@ -229,3 +230,90 @@ class TestStress:
             s1, s2 = interface_stress(mesh, sol.u, MAT, BodyForce(6.0, -6.0))
             assert s1 == pytest.approx(-0.75, abs=1e-8)
             assert s2 == pytest.approx(-0.75, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# closed-form condensation and recovery against independent references
+
+CLOSED_GEO = Geometry(-1.3, 0.9, 0.4)
+CLOSED_MAT = Material(1.7, 0.6)
+CLOSED_MESHES = ((1, 1), (3, 7), (64, 5), (4096, 3))
+CLOSED_LOADS = {
+    "constant": BodyForce(2.5, -1.5),
+    "callable": (lambda x: np.sin(3.0 * x) + x * x, lambda x: 1.0 - np.exp(x)),
+}
+
+
+def _tri_apply(d, e, u):
+    out = d * u
+    out[:-1] += e * u[1:]
+    out[1:] += e * u[:-1]
+    return out
+
+
+def interior_reference(d, e, rhs):
+    """Independent solve of a tridiagonal SPD block.
+
+    LAPACK banded Cholesky, refined once with an extended-precision residual:
+    the plain solve carries about cond * eps (~2e-12 at 4095 unknowns) of
+    error, and a dense solve of that size would also need ~270 MB.
+    """
+    if len(d) == 0:
+        return np.zeros(0)
+    ab = np.zeros((2, len(d)))
+    ab[0, 1:] = e
+    ab[1] = d
+    u = solveh_banded(ab, rhs)
+    ld = np.longdouble
+    residual = rhs.astype(ld) - _tri_apply(d.astype(ld), e.astype(ld), u.astype(ld))
+    return u + solveh_banded(ab, residual.astype(float))
+
+
+def closed_case(n1, n2, load):
+    mesh = build_mesh(CLOSED_GEO, n1, n2)
+    system = assemble(mesh, CLOSED_MAT, CLOSED_LOADS[load])
+    return mesh, system, schur_reduce(system)
+
+
+@pytest.mark.parametrize("load", sorted(CLOSED_LOADS))
+@pytest.mark.parametrize("n1,n2", CLOSED_MESHES)
+class TestClosedFormCondensation:
+    def test_stiffness_is_exact_rod_stiffness(self, n1, n2, load):
+        _, _, red = closed_case(n1, n2, load)
+        L1, L2 = CLOSED_GEO.L1, CLOSED_GEO.L2
+        assert np.array_equal(red.S, np.diag([CLOSED_MAT.E1 / L1, CLOSED_MAT.E2 / L2]))
+        assert np.array_equal(red.S_unit, np.diag([1.0 / L1, 1.0 / L2]))
+
+    def test_load_is_ramp_weighted(self, n1, n2, load):
+        mesh, system, red = closed_case(n1, n2, load)
+        ramp1 = (mesh.nodes1[1:] - CLOSED_GEO.a) / CLOSED_GEO.L1
+        ramp2 = (CLOSED_GEO.b - mesh.nodes2[:-1]) / CLOSED_GEO.L2
+        assert red.r == pytest.approx([system.b1 @ ramp1, system.b2 @ ramp2],
+                                      rel=1e-13, abs=1e-14)
+
+    def test_recovery_matches_interior_solve(self, n1, n2, load):
+        _, system, red = closed_case(n1, n2, load)
+        g1, g2 = 0.3, -0.2
+        u = recover_full(red, g1, g2)
+        rhs1 = system.b1[:-1].copy()
+        rhs2 = system.b2[1:].copy()
+        if n1 > 1:
+            rhs1[-1] -= system.off1[-1] * g1
+        if n2 > 1:
+            rhs2[0] -= system.off2[0] * g2
+        want1 = interior_reference(system.diag1[:-1], system.off1[:-1], rhs1)
+        want2 = interior_reference(system.diag2[1:], system.off2[1:], rhs2)
+        assert u.g1 == g1 and u.g2 == g2
+        assert np.max(np.abs(u.rod1[:-1] - want1), initial=0.0) <= 1e-13
+        assert np.max(np.abs(u.rod2[1:] - want2), initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("variant", list(ConstraintVariant))
+def test_fine_mesh_field_matches_continuum_oracle(variant):
+    n = 2 ** 15
+    problem = make_problem(CLOSED_GEO, CLOSED_MAT, SpringLaw(0.3, 0.5, 0.8),
+                           BodyForce(2.5, -1.5), variant)
+    u = solve(problem, (n, n)).u
+    want = analytic_solution(problem).interpolate(build_mesh(CLOSED_GEO, n, n))
+    assert np.max(np.abs(u.rod1 - want.rod1)) <= 1e-11
+    assert np.max(np.abs(u.rod2 - want.rod2)) <= 1e-11

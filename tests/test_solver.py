@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,9 @@ from spring_rods import (BodyForce, ConstraintVariant, ContractionFailure, Geome
                          interface_stress, make_problem, recover_full, schur_reduce,
                          solve, solve_exact, solve_penalized, solve_projected_gradient,
                          solve_qvi_fixed_point, theta_of, v_norm, vi_residual)
+import spring_rods.fem as fem_module
+import spring_rods.solver as solver_module
+from spring_rods import run_stiffness_sweep
 from spring_rods.fem import DofVector
 
 GEO = Geometry(-1.0, 1.0, 0.5)
@@ -230,7 +235,7 @@ class TestProjectedGradient:
         assert sol.theta == pytest.approx(direct.theta, abs=1e-8)
 
     def test_iteration_cap_flag(self):
-        _, system, _, spring = setup_case(1.0, (1.0, -1.0))
+        _, system, _, spring = setup_case(1.0, (1.0, -0.5))
         sol = solve_projected_gradient(system, spring, NP_,
                                        config=SolverConfig(tolerance=1e-300,
                                                            max_iterations=2))
@@ -443,3 +448,83 @@ class TestSolveFrontEnd:
             solve(prob, (4, 4), "fixed-point", penalty=pen)
         with pytest.raises(ValueError):
             solve(prob, (4, 4), "newton")
+
+
+class TestOffsetCache:
+    def test_offset_evaluated_once_per_reduced_system(self, monkeypatch):
+        original = fem_module.recover_full
+        calls = {"fem": [], "solver": []}
+
+        def counting(where):
+            def wrapped(reduced, g1, g2):
+                calls[where].append(reduced)  # keeps each object alive, so ids stay distinct
+                return original(reduced, g1, g2)
+            return wrapped
+
+        # the offset is the only caller that goes through the fem namespace
+        monkeypatch.setattr(fem_module, "recover_full", counting("fem"))
+        monkeypatch.setattr(solver_module, "recover_full", counting("solver"))
+
+        _, system, _, spring = setup_case(1.0, (1.0, -0.5))
+        solve_projected_gradient(system, spring, NP_)
+        base = make_problem(GEO, MAT, spring, BodyForce(6.0, -6.0), NP_)
+        grid = [round(0.1 * i, 10) for i in range(1, 20)]
+        sweep = run_stiffness_sweep(base, base.forces, grid)
+
+        assert len(sweep.records) == 19 and not sweep.failures
+        assert len(calls["solver"]) == 1 + 19
+        systems = {id(reduced) for reduced in calls["solver"]}
+        assert len(systems) == 2  # the gradient solve's and the sweep's
+        offsets = [id(reduced) for reduced in calls["fem"]]
+        assert len(set(offsets)) == len(offsets) and set(offsets) <= systems
+
+
+def _random_problem(rng, variant):
+    l = rng.uniform(0.1, 0.8)
+    L1, L2 = rng.uniform(0.25, 1.5, 2)
+    E1, E2 = rng.uniform(0.5, 4.0, 2)
+    k_max = (E1 + E2) / (2.0 * max(L1, L2))
+    k1, k2 = rng.uniform(0.02, 0.98, 2) * k_max
+    f1, f2 = rng.uniform(-6.0, 6.0, 2)
+    return make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
+                        SpringLaw(k1, k2, 2.0 * l), BodyForce(f1, f2), variant)
+
+
+def _near_tie(problem, width=1e-6):
+    """Whether the problem lies within `width` of a switch between two regimes.
+
+    Computed from the continuum data: the spring-free gap change d and the
+    branch gap 2l + d/(1 + k*C) for the side that d points to.
+    """
+    geo, mat, spring = problem.geometry, problem.material, problem.spring
+    lo, hi = problem.gap_bounds()
+    if lo == hi:
+        return False
+    two_l = 2.0 * geo.l
+    compliance = geo.L1 / mat.E1 + geo.L2 / mat.E2
+    d = (-problem.forces.f1 * geo.L1 ** 2 / (2.0 * mat.E1)
+         + problem.forces.f2 * geo.L2 ** 2 / (2.0 * mat.E2))
+    k = spring.k1 if d < 0.0 else spring.k2
+    branch = two_l + d / (1.0 + k * compliance)
+    switches = [x for x in (lo, hi, two_l) if math.isfinite(x)]
+    return abs(d) <= width or min(abs(branch - x) for x in switches) <= width
+
+
+class TestOracleLabelAgreement:
+    @pytest.mark.parametrize("mesh", [(1, 1), (7, 3)])
+    def test_values_and_regimes_match_oracle(self, mesh):
+        rng = np.random.default_rng(20231)
+        compared = 0
+        for _ in range(300):
+            for variant in ConstraintVariant:
+                problem = _random_problem(rng, variant)
+                sol = solve(problem, mesh)
+                want = analytic_solution(problem)
+                got = (sol.g1, sol.g2, sol.theta, sol.s)
+                expected = (want.g1, want.g2, want.theta, want.s)
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-12), (problem, got)
+                if _near_tie(problem):
+                    continue
+                assert sol.diagnostics.regime == want.regime, problem
+                compared += 1
+        assert compared >= 1150
