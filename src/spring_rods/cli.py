@@ -45,7 +45,6 @@ class RunConfig:
     max_iter: int = 100_000
     outdir: str = "out"
     formats: str = "both"
-    jobs: int = 1
 
     def problem(self) -> ProblemSpec:
         try:
@@ -80,7 +79,6 @@ _KEYMAP = {
     "mesh.n1": "n1", "mesh.n2": "n2",
     "solver.method": "method", "solver.tolerance": "tol", "solver.max_iter": "max_iter",
     "output.dir": "outdir", "output.formats": "formats",
-    "jobs": "jobs",
 }
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -158,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--outdir", help="output directory root")
     common.add_argument("--format", dest="formats", choices=["csv", "svg", "both"],
                         help="artifact formats to write")
-    common.add_argument("--jobs", type=int, help="worker threads for sweeps")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", parents=[common], help="solve one equilibrium")
@@ -214,8 +211,7 @@ def _formats(config: RunConfig) -> set[str]:
 def _cmd_sweep(config: RunConfig) -> int:
     problem = config.problem()
     grid = [round(0.1 * i, 10) for i in range(1, 20)]
-    result = run_stiffness_sweep(problem, problem.forces, grid,
-                                 (config.n1, config.n2), jobs=config.jobs)
+    result = run_stiffness_sweep(problem, problem.forces, grid, (config.n1, config.n2))
     rundir = _run_dir(config, "sweep")
     wanted = _formats(config)
     if "csv" in wanted:

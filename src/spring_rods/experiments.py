@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .errors import SpringRodsError
 from .fem import Mesh, assemble, build_mesh, schur_reduce, v_norm
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
                     ProblemSpec, SpringLaw)
@@ -80,11 +80,12 @@ def _mesh_of(problem: ProblemSpec, mesh) -> Mesh:
 
 
 def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[float],
-                        mesh=(4, 4), jobs: int = 1) -> SweepResult:
+                        mesh=(4, 4)) -> SweepResult:
     """Solve once per stiffness value k (k1 = k2 = k) over a fixed mesh.
 
     The assembled system is stiffness-independent, so assembly and
-    condensation happen once.  Failing grid points are recorded, not fatal.
+    condensation happen once.  A grid point the model rejects is recorded
+    as a failure, not fatal; any other exception propagates.
     """
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -93,38 +94,20 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     reduced = schur_reduce(assemble(m, base.material, forces))
     l = base.geometry.l
 
-    def solve_point(k: float):
-        spring = SpringLaw(k, k, 2.0 * l)
-        # constructing the spec enforces the admissible-stiffness condition
-        ProblemSpec(base.geometry, base.material, spring, forces, base.variant)
-        sol = solve_exact(reduced, spring, base.variant, l)
-        g = np.array([sol.g1, sol.g2])
-        energy = reduced.energy(g) + spring.potential(sol.theta)
-        return SweepRecord(k, sol.g1, sol.g2, sol.theta, sol.s, sol.contact, energy)
-
     records: list[SweepRecord] = []
     failures: list[tuple[float, str]] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_guarded(solve_point), ks))
-    else:
-        outcomes = [_guarded(solve_point)(k) for k in ks]
-    for k, outcome in zip(ks, outcomes):
-        if isinstance(outcome, SweepRecord):
-            records.append(outcome)
-        else:
-            failures.append((k, outcome))
-    return SweepResult(tuple(records), base.variant, forces, tuple(failures))
-
-
-def _guarded(fn):
-    def wrapped(k):
+    for k in ks:
         try:
-            return fn(k)
-        except Exception as exc:
-            return f"{type(exc).__name__}: {exc}"
-
-    return wrapped
+            spring = SpringLaw(k, k, 2.0 * l)
+            # constructing the spec enforces the admissible-stiffness condition
+            ProblemSpec(base.geometry, base.material, spring, forces, base.variant)
+            sol = solve_exact(reduced, spring, base.variant, l)
+        except (SpringRodsError, ValueError) as exc:
+            failures.append((k, f"{type(exc).__name__}: {exc}"))
+            continue
+        energy = reduced.energy(np.array([sol.g1, sol.g2])) + spring.potential(sol.theta)
+        records.append(SweepRecord(k, sol.g1, sol.g2, sol.theta, sol.s, sol.contact, energy))
+    return SweepResult(tuple(records), base.variant, forces, tuple(failures))
 
 
 def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
@@ -254,14 +237,19 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _flat(lo: float, hi: float) -> bool:
+    """True when [lo, hi] is a single value up to round-off."""
+    return hi - lo <= 1e-12 * max(abs(lo), abs(hi))
+
+
 def _svg_chart(series, xlabel: str, ylabel: str) -> str:
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     xmin, xmax = min(xs_all), max(xs_all)
     ymin, ymax = min(ys_all), max(ys_all)
-    if xmax - xmin < 1e-300:
+    if _flat(xmin, xmax):
         xmin, xmax = xmin - 0.5, xmax + 0.5
-    if ymax - ymin < 1e-300:
+    if _flat(ymin, ymax):
         ymin, ymax = ymin - 0.5, ymax + 0.5
 
     def px(x: float) -> float:

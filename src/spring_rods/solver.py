@@ -34,6 +34,9 @@ _REGIME_TOL = 1e-9
 #: Gap below this value counts as contact.
 CONTACT_TOL = 1e-9
 
+#: Step reduction of the projected-gradient descent safeguard.
+_BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -41,7 +44,6 @@ class SolverConfig:
 
     tolerance: float = 1e-8
     max_iterations: int = 100_000
-    backtracking: float = 0.5
     fixed_point_damping: float | None = None  # None: 1/(1 + Lp*C), see solve_qvi_fixed_point
 
     def __post_init__(self):
@@ -276,7 +278,7 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
             new_value = objective(g_new)
             if new_value <= value + 1e-15:
                 break
-            trial_step *= cfg.backtracking
+            trial_step *= _BACKTRACK
         delta = reduced.interface_vnorm(g_new - g)
         g, value = g_new, new_value
         iterations += 1
@@ -372,9 +374,15 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
 
     For each feasible trial v the quantity (A u, v-u) + j(u,v) - j(u,u)
     - (f, v-u) is evaluated, with j the frozen-force gap work; a result
-    above minus tolerance certifies the candidate.
+    above minus tolerance certifies the candidate.  With the force frozen
+    the quantity is linear in d = v - u, namely c.d with c = A u - f plus
+    the force at g1 and minus it at g2, so all trials are one product of
+    the probe matrix with c.  The probes are the gap shifted to each bound
+    (and to the natural length) plus `trials` normal draws of d, each
+    moved back into the gap bounds through its g2 entry.
     """
     mesh = system.mesh
+    n1 = mesh.n1
     l = mesh.geometry.l
     lo, hi = variant.bounds(l)
     theta_u = theta_of(candidate, l)
@@ -383,42 +391,20 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
 
     force = spring.force(theta_u)
     au = system.apply(candidate)
+    c = np.concatenate((au.rod1 - system.b1, au.rod2 - system.b2))
+    c[n1 - 1] += force
+    c[n1] -= force
 
-    def value(v: DofVector) -> float:
-        d = v - candidate
-        elastic = float(au.rod1 @ d.rod1 + au.rod2 @ d.rod2)
-        gap_work = -force * (theta_of(v, l) - theta_u)
-        return elastic + gap_work - system.load_dot(d)
-
-    def shifted(target: float) -> DofVector:
-        rod2 = candidate.rod2.copy()
-        rod2[0] += target - theta_u
-        return DofVector(candidate.rod1.copy(), rod2)
-
-    def clamp(v: DofVector) -> DofVector:
-        t = theta_of(v, l)
-        target = min(max(t, lo), hi)
-        if target != t:
-            rod2 = v.rod2.copy()
-            rod2[0] += target - t
-            return DofVector(v.rod1, rod2)
-        return v
-
-    probes = [shifted(lo)]
-    if math.isfinite(hi):
-        probes.append(shifted(hi))
-    else:
-        probes.append(shifted(theta_u + 1.0))
+    targets = [lo, hi if math.isfinite(hi) else theta_u + 1.0]
     if lo <= 2.0 * l <= hi:
-        probes.append(shifted(2.0 * l))
+        targets.append(2.0 * l)
+    shifted = min(c[n1] * (target - theta_u) for target in targets)
 
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        v = DofVector(candidate.rod1 + rng.normal(0.0, 0.5, mesh.n1),
-                      candidate.rod2 + rng.normal(0.0, 0.5, mesh.n2))
-        probes.append(clamp(v))
-
-    return min(value(v) for v in probes)
+    D = rng.normal(0.0, 0.5, (trials, n1 + mesh.n2))
+    t = theta_u - D[:, n1 - 1] + D[:, n1]
+    D[:, n1] += np.clip(t, lo, hi) - t
+    return float(min(shifted, np.min(D @ c, initial=np.inf)))
 
 
 # ---------------------------------------------------------------------------

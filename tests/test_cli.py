@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,12 @@ class TestParseConfig:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_config("/nonexistent/run.cfg")
+
+    def test_jobs_key_rejected(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mesh.n1 = 8\njobs = 2\n")
+        with pytest.raises(ParseError, match=r":2: unknown key 'jobs'"):
+            parse_config(str(cfg))
 
     def test_every_field_reachable_from_flags(self):
         parser = build_parser()
@@ -137,7 +147,7 @@ class TestSweepCommand:
 
     def test_csv_only_format(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--f1", "1", "--f2", "-1",
-                             "--format", "csv", "--outdir", str(tmp_path), "--jobs", "3")
+                             "--format", "csv", "--outdir", str(tmp_path))
         assert code == 0
         rundir = next(tmp_path.glob("sweep-*"))
         assert (rundir / "sweep.csv").exists()
@@ -198,6 +208,12 @@ class TestUsageErrors:
             main([])
         assert exc.value.code == 2
 
+    def test_jobs_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--help"])
@@ -206,5 +222,16 @@ class TestUsageErrors:
         for flag in ("--a", "--b", "--l", "--e1", "--e2", "--k1", "--k2", "--f1",
                      "--f2", "--variant", "--penalty", "--lambda", "--n-max", "--n1",
                      "--n2", "--method", "--tol", "--max-iter", "--outdir", "--format",
-                     "--jobs", "--config"):
+                     "--config"):
             assert flag in out
+
+
+def test_import_loads_neither_scipy_nor_a_thread_pool():
+    import spring_rods
+
+    src = str(Path(spring_rods.__file__).resolve().parents[1])
+    code = ("import sys, spring_rods; "
+            "print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

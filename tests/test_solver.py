@@ -355,6 +355,71 @@ class TestViResidual:
             assert vi_residual(system, spring, variant, sol.u, trials=300) >= -1e-9
 
 
+def _vi_reference(system, spring, variant, candidate, trials, seed):
+    """Per-probe VI values, one DofVector per probe, in the draw order of the rng.
+
+    Returns the minimum value and the largest term magnitude met, the scale
+    against which round-off differences are measured.
+    """
+    mesh = system.mesh
+    l = mesh.geometry.l
+    lo, hi = variant.bounds(l)
+    theta_u = theta_of(candidate, l)
+    force = spring.force(theta_u)
+    au = system.apply(candidate)
+
+    def shifted(v, target):
+        rod2 = v.rod2.copy()
+        rod2[0] += target - theta_of(v, l)
+        return DofVector(v.rod1.copy(), rod2)
+
+    probes = [shifted(candidate, lo),
+              shifted(candidate, hi if math.isfinite(hi) else theta_u + 1.0)]
+    if lo <= 2.0 * l <= hi:
+        probes.append(shifted(candidate, 2.0 * l))
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        v = DofVector(candidate.rod1 + rng.normal(0.0, 0.5, mesh.n1),
+                      candidate.rod2 + rng.normal(0.0, 0.5, mesh.n2))
+        t = theta_of(v, l)
+        probes.append(shifted(v, min(max(t, lo), hi)) if not lo <= t <= hi else v)
+
+    values, scale = [], 0.0
+    for v in probes:
+        d = v - candidate
+        terms = (float(au.rod1 @ d.rod1 + au.rod2 @ d.rod2),
+                 -force * (theta_of(v, l) - theta_u),
+                 -system.load_dot(d))
+        values.append(sum(terms))
+        scale = max(scale, *map(abs, terms))
+    return min(values), scale
+
+
+class TestViResidualMatchesPerProbeReference:
+    @pytest.mark.parametrize("mesh_sizes", [(1, 1), (3, 7), (64, 5)])
+    @pytest.mark.parametrize("variant", list(ConstraintVariant))
+    def test_exact_and_perturbed_candidates(self, mesh_sizes, variant):
+        geo = Geometry(-1.3, 0.9, 0.4)
+        spring = SpringLaw(0.7, 1.3, 0.8)
+        rng = np.random.default_rng(sum(mesh_sizes))
+        for seed, f in enumerate([(2.0, -3.0), (-1.5, 2.5), (6.0, -6.0)]):
+            system = assemble(build_mesh(geo, *mesh_sizes), Material(1.7, 0.6),
+                              BodyForce(*f))
+            sol = solve_exact(schur_reduce(system), spring, variant, geo.l)
+            # interior noise plus an equal shift of g1 and g2 keeps the gap
+            shift = rng.normal(0.0, 0.1)
+            perturbed = DofVector(sol.u.rod1 + rng.normal(0.0, 0.1, mesh_sizes[0]),
+                                  sol.u.rod2 + rng.normal(0.0, 0.1, mesh_sizes[1]))
+            perturbed.rod1[-1] = sol.u.rod1[-1] + shift
+            perturbed.rod2[0] = sol.u.rod2[0] + shift
+            for candidate in (sol.u, perturbed):
+                for trials in (0, 1, 1000):
+                    want, scale = _vi_reference(system, spring, variant, candidate,
+                                                trials, seed)
+                    got = vi_residual(system, spring, variant, candidate, trials, seed)
+                    assert abs(got - want) <= 1e-12 * scale, (candidate, trials)
+
+
 class TestSolverTriad:
     def test_agreement_with_oracle(self):
         rng = np.random.default_rng(42)
