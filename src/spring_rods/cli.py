@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, SpringRodsError, ValidationError
-from .experiments import export_csv, export_svg, run_penalty_convergence, run_stiffness_sweep
+from .experiments import (_fmt, export_csv, export_svg, run_penalty_convergence,
+                          run_stiffness_sweep)
 from .fem import build_mesh
 from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
                     PenaltyVariant, ProblemSpec, SpringLaw)
@@ -173,10 +174,6 @@ def _run_dir(config: RunConfig, subcommand: str) -> Path:
     return path
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
 def _cmd_solve(config: RunConfig) -> int:
     problem = config.problem()
     penalty = None
@@ -201,6 +198,10 @@ def _cmd_solve(config: RunConfig) -> int:
         out = rundir / "solution.csv"
         out.write_text("\n".join(lines) + "\n", encoding="ascii")
         print(f"wrote {out}")
+    if not sol.diagnostics.converged:
+        print(f"error: {config.method} did not converge in "
+              f"{sol.diagnostics.iterations} iterations", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,7 +18,7 @@ class ZeroElements(SpringRodsError):
 
 
 class NoConsistentRegime(SpringRodsError):
-    """Regime enumeration found no KKT-consistent candidate (non-convex input)."""
+    """The clamped gap minimizer is not a number in the gap bounds (e.g. a NaN spring law)."""
 
 
 class NonPositiveLambda(SpringRodsError):

@@ -188,7 +188,8 @@ _SWEEP_PANELS = {
 }
 
 _CONV_PANELS = {
-    "error": ("n", "log10 error", [("log10(error_vnorm)", None)]),
+    "error": ("n", "log10 error",
+              [("log10(error_vnorm)", lambda r: math.log10(max(r.error, 1e-16)))]),
     "gap": ("n", "spring length", [("theta", lambda r: r.theta)]),
 }
 
@@ -197,30 +198,17 @@ def export_svg(result, path, panel: str) -> Path:
     """Write one standalone SVG chart with a polyline per series."""
     path = Path(path)
     if isinstance(result, SweepResult):
-        if not result.records:
-            raise ValueError("refusing to plot an empty sweep")
-        try:
-            xlabel, ylabel, series_spec = _SWEEP_PANELS[panel]
-        except KeyError:
-            raise ValueError(f"unknown sweep panel {panel!r}") from None
-        xs = [r.k for r in result.records]
-        series = [(name, xs, [pick(r) for r in result.records])
-                  for name, pick in series_spec]
+        kind, panels, xs = "sweep", _SWEEP_PANELS, [r.k for r in result.records]
     elif isinstance(result, ConvergenceStudy):
-        if not result.records:
-            raise ValueError("refusing to plot an empty convergence study")
-        if panel not in _CONV_PANELS:
-            raise ValueError(f"unknown convergence panel {panel!r}")
-        xlabel, ylabel, series_spec = _CONV_PANELS[panel]
-        xs = [float(r.n) for r in result.records]
-        if panel == "error":
-            ys = [math.log10(max(r.error, 1e-16)) for r in result.records]
-            series = [("log10(error_vnorm)", xs, ys)]
-        else:
-            name, pick = series_spec[0]
-            series = [(name, xs, [pick(r) for r in result.records])]
+        kind, panels, xs = "convergence", _CONV_PANELS, [float(r.n) for r in result.records]
     else:
         raise TypeError(f"cannot plot {type(result).__name__}")
+    if not result.records:
+        raise ValueError(f"refusing to plot an empty {kind} result")
+    if panel not in panels:
+        raise ValueError(f"unknown {kind} panel {panel!r}")
+    xlabel, ylabel, series_spec = panels[panel]
+    series = [(name, xs, [pick(r) for r in result.records]) for name, pick in series_spec]
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_svg_chart(series, xlabel, ylabel), encoding="ascii")
     return path

@@ -27,6 +27,9 @@ class Geometry:
     l: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.l))):
+            raise GeometryError(
+                f"geometry must be finite, got a={self.a}, b={self.b}, l={self.l}")
         if not self.l > 0.0:
             raise GeometryError(f"spring half-length must be positive, got l={self.l}")
         if not self.a < -self.l:
@@ -59,8 +62,9 @@ class Material:
     E2: float
 
     def __post_init__(self):
-        if not (self.E1 > 0.0 and self.E2 > 0.0):
-            raise ValueError(f"Young moduli must be positive, got E1={self.E1}, E2={self.E2}")
+        if not (0.0 < self.E1 < math.inf and 0.0 < self.E2 < math.inf):
+            raise ValueError(
+                f"Young moduli must be positive and finite, got E1={self.E1}, E2={self.E2}")
 
 
 @dataclass(frozen=True)
@@ -78,10 +82,12 @@ class SpringLaw:
     natural_length: float
 
     def __post_init__(self):
-        if not (self.k1 > 0.0 and self.k2 > 0.0):
-            raise ValueError(f"stiffnesses must be positive, got k1={self.k1}, k2={self.k2}")
-        if not self.natural_length > 0.0:
-            raise ValueError(f"natural length must be positive, got {self.natural_length}")
+        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
+            raise ValueError(
+                f"stiffnesses must be positive and finite, got k1={self.k1}, k2={self.k2}")
+        if not 0.0 < self.natural_length < math.inf:
+            raise ValueError(
+                f"natural length must be positive and finite, got {self.natural_length}")
 
     @property
     def lipschitz(self) -> float:
@@ -126,8 +132,9 @@ class PenaltyLaw:
     natural_length: float
 
     def __post_init__(self):
-        if not self.natural_length > 0.0:
-            raise ValueError(f"natural length must be positive, got {self.natural_length}")
+        if not 0.0 < self.natural_length < math.inf:
+            raise ValueError(
+                f"natural length must be positive and finite, got {self.natural_length}")
 
     @property
     def lipschitz(self) -> float:

@@ -3,12 +3,13 @@
 The discrete energy restricted to interior-minimized states is a convex,
 piecewise-quadratic function of the interface pair (g1, g2): a quadratic
 part plus the spring potential of the gap, subject to the gap bounds of the
-constraint variant.  The condensed stiffness S is diagonal, so every
-regime is a scalar formula in d = W.S^-1 r (the spring-free gap change) and
-the interface compliance C = W.S^-1 W = L1/E1 + L2/E2: a gap bound, the
-curvature breakpoint or a branch gap 2l + d/(1 + k*C).  `solve_exact` takes
-the first KKT-consistent regime; the projected gradient and fixed-point
-solvers are independent iterative cross-checks.
+constraint variant.  The condensed stiffness S is diagonal, so minimizing
+out (g1, g2) at a fixed gap change t = W.g leaves a convex function of t
+alone, set by d = W.S^-1 r (the spring-free gap change) and the interface
+compliance C = W.S^-1 W = L1/E1 + L2/E2.  `solve_exact` clamps its
+minimizer d/(1 + k*C) into the gap bounds; `_classify` labels the regime of
+every solver's gap.  The projected gradient and fixed-point solvers are
+independent iterative cross-checks.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .model import (ConstraintVariant, PenaltyLaw, PenaltyVariant, ProblemSpec,
 #: Gradient of the gap with respect to (g1, g2).
 _W = np.array([-1.0, 1.0])
 
-#: Tolerance for accepting a KKT regime (gap bounds, multiplier signs).
-_REGIME_TOL = 1e-9
+#: A spring-free gap change below this fraction of the compliance is the breakpoint.
+_BREAKPOINT_TOL = 1e-9
 
 #: Gap below this value counts as contact.
 CONTACT_TOL = 1e-9
@@ -110,7 +111,7 @@ def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLa
 
 
 # ---------------------------------------------------------------------------
-# regime enumeration
+# the exact gap
 
 
 def _at_gap(S: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
@@ -122,49 +123,6 @@ def _at_gap(S: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
     s1, s2 = np.diag(S)
     g1 = float(rhs[0] + rhs[1] - s2 * t) / float(s1 + s2)
     return np.array([g1, g1 + t])
-
-
-def _enumerate_regimes(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-                       l: float):
-    """First KKT-consistent candidate in a fixed preference order.
-
-    Returns (g, theta, label, active_bound).  Convexity guarantees that any
-    consistent candidate is the global minimizer, so ties at breakpoints or
-    bounds only affect the label.  At a bound the multiplier of W.g = bound
-    - 2l is mu = (d - (bound - 2l))/C - slope(bound).
-    """
-    S, r = reduced.S, reduced.r
-    two_l = 2.0 * l
-    compliance = float(_W @ (_W / np.diag(S)))
-    d = float(_W @ (r / np.diag(S)))
-
-    def mu(bound: float) -> float:
-        return (d - (bound - two_l)) / compliance - spring.potential_slope(bound)
-
-    if lo == hi:
-        return _at_gap(S, r, lo - two_l), lo, "rigid", "both"
-
-    # gradient zero exactly at the curvature breakpoint (the potential is C1)
-    if lo - _REGIME_TOL <= two_l <= hi + _REGIME_TOL and abs(d / compliance) <= _REGIME_TOL:
-        return _at_gap(S, r, 0.0), two_l, "breakpoint", None
-
-    # reaction multiplier is -mu at the lower bound
-    if math.isfinite(lo) and mu(lo) <= _REGIME_TOL:
-        label = "contact" if lo == 0.0 else "bound-lower"
-        return _at_gap(S, r, lo - two_l), lo, label, "lower"
-
-    if math.isfinite(hi) and mu(hi) >= -_REGIME_TOL:
-        return _at_gap(S, r, hi - two_l), hi, "bound-upper", "upper"
-
-    for k, label, low_side in ((spring.k1, "compression", True), (spring.k2, "extension", False)):
-        t = d / (1.0 + k * compliance)
-        theta = two_l + t
-        on_side = theta <= two_l + _REGIME_TOL if low_side else theta >= two_l - _REGIME_TOL
-        if on_side and lo - _REGIME_TOL <= theta <= hi + _REGIME_TOL:
-            return _at_gap(S, r, t), theta, label, None
-
-    raise NoConsistentRegime(
-        f"no consistent regime for bounds [{lo}, {hi}] with k1={spring.k1}, k2={spring.k2}")
 
 
 def _kkt_residual(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
@@ -184,26 +142,27 @@ def _kkt_residual(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: floa
     return max(tangential, sign_violation, feas)
 
 
-def _classify(theta: float, lo: float, hi: float, two_l: float) -> tuple[str, str | None]:
+def _classify(theta: float, lo: float, hi: float,
+              two_l: float) -> tuple[float, str, str | None]:
+    """Regime of the gap theta as (theta, label, active_bound).
+
+    A gap within 1e-11 of a bound is snapped to the exact bound value.
+    """
     if lo == hi:
-        return "rigid", "both"
-    if math.isfinite(lo) and abs(theta - lo) <= 1e-11:
-        return ("contact" if lo == 0.0 else "bound-lower"), "lower"
-    if math.isfinite(hi) and abs(theta - hi) <= 1e-11:
-        return "bound-upper", "upper"
+        return lo, "rigid", "both"
+    if abs(theta - lo) <= 1e-11:
+        return lo, ("contact" if lo == 0.0 else "bound-lower"), "lower"
+    if abs(theta - hi) <= 1e-11:
+        return hi, "bound-upper", "upper"
     if abs(theta - two_l) <= 1e-11:
-        return "breakpoint", None
-    return ("compression" if theta < two_l else "extension"), None
+        return theta, "breakpoint", None
+    return theta, ("compression" if theta < two_l else "extension"), None
 
 
-def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,
+def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
             g: np.ndarray, theta: float, label: str, active_bound: str | None,
             method: str, iterations: int, converged: bool = True,
             step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
-    if math.isfinite(lo) and abs(theta - lo) <= 1e-11:
-        theta = lo
-    elif math.isfinite(hi) and abs(theta - hi) <= 1e-11:
-        theta = hi
     s = float(reduced.gradient(g)[0])
     residual = _kkt_residual(reduced, spring, lo, hi, g, theta, active_bound)
     diag = SolverDiagnostics(method, iterations, residual, label, converged, step_ratios)
@@ -212,12 +171,35 @@ def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: 
                                theta <= CONTACT_TOL, active_bound, diag)
 
 
+def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,
+               method: str) -> EquilibriumSolution:
+    """Minimize the reduced energy over the gap change t = W.g.
+
+    Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
+    2l + t, a convex function of t alone, so the minimizer is d/(1 + k*C)
+    clamped into the gap bounds, with k the stiffness on the side d points
+    to.  A d within _BREAKPOINT_TOL*C of zero is the breakpoint t = 0.
+    """
+    S, r = reduced.S, reduced.r
+    two_l = 2.0 * l
+    compliance = float(_W @ (_W / np.diag(S)))
+    d = float(_W @ (r / np.diag(S)))
+    if lo < hi and abs(d / compliance) <= _BREAKPOINT_TOL:
+        t, theta, label, bound = 0.0, two_l, "breakpoint", None
+    else:
+        k = spring.k1 if d < 0.0 else spring.k2
+        t = min(max(d / (1.0 + k * compliance), lo - two_l), hi - two_l)
+        if not lo <= two_l + t <= hi:
+            raise NoConsistentRegime(
+                f"gap {two_l + t} outside [{lo}, {hi}] with k1={spring.k1}, k2={spring.k2}")
+        theta, label, bound = _classify(two_l + t, lo, hi, two_l)
+    return _finish(reduced, spring, lo, hi, _at_gap(S, r, t), theta, label, bound, method, 0)
+
+
 def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVariant,
                 l: float) -> EquilibriumSolution:
-    """Global minimizer of the reduced convex energy by regime enumeration."""
-    lo, hi = variant.bounds(l)
-    g, theta, label, bound = _enumerate_regimes(reduced, spring, lo, hi, l)
-    return _finish(reduced, spring, lo, hi, l, g, theta, label, bound, "exact", 0)
+    """Global minimizer of the reduced convex energy: the clamped scalar gap."""
+    return _solve_gap(reduced, spring, *variant.bounds(l), l, "exact")
 
 
 def solve_penalized(reduced: ReducedSystem, spring: SpringLaw,
@@ -230,10 +212,8 @@ def solve_penalized(reduced: ReducedSystem, spring: SpringLaw,
     potential has slope equal to minus the penalty force.
     """
     l = penalty.base.geometry.l
-    eff = effective_spring(spring, penalty.law, penalty.lam)
-    lo, hi = ConstraintVariant.NON_PENETRATION.bounds(l)
-    g, theta, label, bound = _enumerate_regimes(reduced, eff, lo, hi, l)
-    return _finish(reduced, eff, lo, hi, l, g, theta, label, bound, "penalized", 0)
+    return _solve_gap(reduced, effective_spring(spring, penalty.law, penalty.lam),
+                      *ConstraintVariant.NON_PENETRATION.bounds(l), l, "penalized")
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +265,8 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
         if delta <= cfg.tolerance:
             converged = True
             break
-    theta = two_l + float(_W @ g)
-    label, bound = _classify(theta, lo, hi, two_l)
-    return _finish(reduced, eff, lo, hi, l, g, theta, label, bound,
+    theta, label, bound = _classify(two_l + float(_W @ g), lo, hi, two_l)
+    return _finish(reduced, eff, lo, hi, g, theta, label, bound,
                    "projected-gradient", iterations, converged)
 
 
@@ -358,9 +337,8 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
 
     force = spring.force(two_l + float(_W @ eta))
     g = _clamped_qp(reduced.S, reduced.r + force * _W, lo, hi, two_l)
-    theta = two_l + float(_W @ g)
-    label, bound = _classify(theta, lo, hi, two_l)
-    return _finish(reduced, spring, lo, hi, l, g, theta, label, bound,
+    theta, label, bound = _classify(two_l + float(_W @ g), lo, hi, two_l)
+    return _finish(reduced, spring, lo, hi, g, theta, label, bound,
                    "fixed-point", iterations, converged, tuple(ratios))
 
 

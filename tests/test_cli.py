@@ -132,6 +132,29 @@ class TestSolveCommand:
         assert abs(stdout_value(out, "s") + 0.5) <= 1e-9
 
 
+class TestSolveExitStatus:
+    def test_nonfinite_modulus_is_runtime_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "solve", "--e1", "inf", "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("method, spring", [
+        ("gradient", ()),
+        # k1 != k2 keeps the default damping from landing on the fixed point in one step
+        ("fixed-point", ("--k1", "0.5", "--k2", "1.5")),
+    ])
+    def test_non_converged_solve_fails_but_keeps_output(self, capsys, tmp_path, method,
+                                                        spring):
+        code, out, err = run_cli(capsys, "solve", "--method", method, "--f1", "1",
+                                 "--f2", "-0.5", *spring, "--tol", "1e-300",
+                                 "--max-iter", "2", "--outdir", str(tmp_path))
+        assert code == 1
+        assert err == f"error: {method} did not converge in 2 iterations\n"
+        assert "theta = " in out
+        assert len(list(tmp_path.glob("solve-*/solution.csv"))) == 1
+
+
 class TestSweepCommand:
     def test_artifacts_and_determinism(self, capsys, tmp_path):
         blobs = []

@@ -198,3 +198,24 @@ class TestConstraintVariant:
         for variant in ConstraintVariant:
             lo, hi = variant.bounds(0.5)
             assert lo <= hi
+
+
+_NONFINITE = (math.inf, -math.inf, math.nan)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", _NONFINITE, ids=("inf", "-inf", "nan"))
+    @pytest.mark.parametrize("build, error", [
+        (lambda x: Material(x, 1.0), ValueError),
+        (lambda x: Material(1.0, x), ValueError),
+        (lambda x: SpringLaw(x, 1.0, 1.0), ValueError),
+        (lambda x: SpringLaw(1.0, x, 1.0), ValueError),
+        (lambda x: SpringLaw(1.0, 1.0, x), ValueError),
+        (lambda x: PenaltyLaw(PenaltyVariant.TWO_SIDED, x), ValueError),
+        (lambda x: Geometry(x, 1.0, 0.5), GeometryError),
+        (lambda x: Geometry(-1.0, x, 0.5), GeometryError),
+        (lambda x: Geometry(-1.0, 1.0, x), GeometryError),
+    ], ids=("E1", "E2", "k1", "k2", "spring-length", "penalty-length", "a", "b", "l"))
+    def test_rejected_at_construction(self, build, error, bad):
+        with pytest.raises(error, match="finite"):
+            build(bad)

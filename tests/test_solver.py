@@ -328,6 +328,30 @@ class TestRegimeEnumeration:
             solve_exact(red, BrokenLaw(), NP_, GEO.l)
 
 
+class TestClampTies:
+    """Ties that the clamped gap must resolve as the breakpoint, exactly."""
+
+    @pytest.mark.parametrize("variant", [ConstraintVariant.RIGID_COMPRESSION,
+                                         ConstraintVariant.RIGID_EXTENSION])
+    def test_rigid_variant_at_natural_length_is_breakpoint(self, variant):
+        problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, 1.0),
+                               variant)
+        sol = solve(problem)
+        assert sol.diagnostics.regime == "breakpoint"
+        assert sol.active_bound is None
+        assert sol.diagnostics.regime == analytic_solution(problem).regime
+
+    # d = W.S^-1 r is round-off, not zero, for f = 0.1, 0.3 and 0.7 on this mesh;
+    # s = S11*g1 - r1 keeps the round-off of r, except for the dyadic load f = 1
+    @pytest.mark.parametrize("f, s_tol", [(0.1, 1e-15), (0.3, 1e-15), (0.7, 1e-15),
+                                          (1.0, 0.0)])
+    def test_equal_loads_on_unequal_meshes_keep_the_gap(self, f, s_tol):
+        problem = make_problem(GEO, MAT, SpringLaw(0.4, 0.4, 1.0), BodyForce(f, f), NP_)
+        sol = solve(problem, (3, 7))
+        assert sol.g1 == sol.g2
+        assert abs(sol.s) <= s_tol
+
+
 class TestViResidual:
     def test_certifies_exact_solution(self):
         _, system, red, spring = setup_case(1.0, (1.0, -1.0))
