@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,33 +69,44 @@ class RunConfig:
         return SolverConfig(tolerance=self.tol, max_iterations=self.max_iter)
 
 
-#: config-file keys (dotted) to RunConfig attributes
-_KEYMAP = {
-    "geometry.a": "a", "geometry.b": "b", "geometry.l": "l",
-    "material.e1": "e1", "material.e2": "e2",
-    "spring.k1": "k1", "spring.k2": "k2",
-    "force.f1": "f1", "force.f2": "f2",
-    "constraint.variant": "variant",
-    "penalty.variant": "penalty", "penalty.lambda": "lam", "penalty.n_max": "n_max",
-    "mesh.n1": "n1", "mesh.n2": "n2",
-    "solver.method": "method", "solver.tolerance": "tol", "solver.max_iter": "max_iter",
-    "output.dir": "outdir", "output.formats": "formats",
+#: Each RunConfig attribute as (config-file key, flag, type, choices, help).
+_OPTIONS = {
+    "a": ("geometry.a", "--a", float, None, "left fixed end"),
+    "b": ("geometry.b", "--b", float, None, "right fixed end"),
+    "l": ("geometry.l", "--l", float, None, "spring half-length"),
+    "e1": ("material.e1", "--e1", float, None, "Young modulus of rod 1"),
+    "e2": ("material.e2", "--e2", float, None, "Young modulus of rod 2"),
+    "k1": ("spring.k1", "--k1", float, None, "compression stiffness"),
+    "k2": ("spring.k2", "--k2", float, None, "extension stiffness"),
+    "f1": ("force.f1", "--f1", float, None, "force density on rod 1"),
+    "f2": ("force.f2", "--f2", float, None, "force density on rod 2"),
+    "variant": ("constraint.variant", "--variant", str,
+                tuple(v.value for v in ConstraintVariant), "gap constraint variant"),
+    "penalty": ("penalty.variant", "--penalty", str,
+                tuple(v.value for v in PenaltyVariant), "penalty law variant"),
+    "lam": ("penalty.lambda", "--lambda", float, None,
+            "penalty parameter for a single penalized solve"),
+    "n_max": ("penalty.n_max", "--n-max", int, None, "last index of the penalty schedule"),
+    "n1": ("mesh.n1", "--n1", int, None, "elements on rod 1"),
+    "n2": ("mesh.n2", "--n2", int, None, "elements on rod 2"),
+    "method": ("solver.method", "--method", str, ("exact", "gradient", "fixed-point"),
+               "solver backend"),
+    "tol": ("solver.tolerance", "--tol", float, None, "iterative solver tolerance"),
+    "max_iter": ("solver.max_iter", "--max-iter", int, None,
+                 "iteration cap for iterative solvers"),
+    "outdir": ("output.dir", "--outdir", str, None, "output directory root"),
+    "formats": ("output.formats", "--format", str, ("csv", "svg", "both"),
+                "artifact formats to write"),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _coerce(attr: str, raw: str):
-    kind = _FIELD_TYPES[attr]
-    if kind == "float" or kind == "float | None":
-        return float(raw)
-    if kind == "int":
-        return int(raw)
-    return raw
+_ATTR_OF_KEY = {key: attr for attr, (key, *_) in _OPTIONS.items()}
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Defaults, then config-file keys, then explicit flag overrides."""
+    """Defaults, then config-file keys, then explicit flag overrides.
+
+    File values are converted and checked against the choices of their flag.
+    """
     config = RunConfig()
     if path is not None:
         try:
@@ -110,13 +121,18 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, _, raw = stripped.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in _KEYMAP:
+            if key not in _ATTR_OF_KEY:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
-            attr = _KEYMAP[key]
+            attr = _ATTR_OF_KEY[key]
+            _, _, kind, choices, _ = _OPTIONS[attr]
             try:
-                setattr(config, attr, _coerce(attr, raw))
+                value = kind(raw)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
+            if choices is not None and value not in choices:
+                raise ParseError(f"{path}:{lineno}: bad value {raw!r} for {key} "
+                                 f"(choose from {', '.join(choices)})")
+            setattr(config, attr, value)
     for attr, value in (overrides or {}).items():
         if value is not None:
             setattr(config, attr, value)
@@ -130,33 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with a non-penetration constraint.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat config file with dotted keys")
-    common.add_argument("--a", type=float, help="left fixed end")
-    common.add_argument("--b", type=float, help="right fixed end")
-    common.add_argument("--l", type=float, help="spring half-length")
-    common.add_argument("--e1", type=float, help="Young modulus of rod 1")
-    common.add_argument("--e2", type=float, help="Young modulus of rod 2")
-    common.add_argument("--k1", type=float, help="compression stiffness")
-    common.add_argument("--k2", type=float, help="extension stiffness")
-    common.add_argument("--f1", type=float, help="force density on rod 1")
-    common.add_argument("--f2", type=float, help="force density on rod 2")
-    common.add_argument("--variant", choices=[v.value for v in ConstraintVariant],
-                        help="gap constraint variant")
-    common.add_argument("--penalty", choices=[v.value for v in PenaltyVariant],
-                        help="penalty law variant")
-    common.add_argument("--lambda", dest="lam", type=float,
-                        help="penalty parameter for a single penalized solve")
-    common.add_argument("--n-max", dest="n_max", type=int,
-                        help="last index of the penalty schedule")
-    common.add_argument("--n1", type=int, help="elements on rod 1")
-    common.add_argument("--n2", type=int, help="elements on rod 2")
-    common.add_argument("--method", choices=["exact", "gradient", "fixed-point"],
-                        help="solver backend")
-    common.add_argument("--tol", type=float, help="iterative solver tolerance")
-    common.add_argument("--max-iter", dest="max_iter", type=int,
-                        help="iteration cap for iterative solvers")
-    common.add_argument("--outdir", help="output directory root")
-    common.add_argument("--format", dest="formats", choices=["csv", "svg", "both"],
-                        help="artifact formats to write")
+    for attr, (_, flag, kind, choices, text) in _OPTIONS.items():
+        common.add_argument(flag, dest=attr, type=kind, choices=choices, help=text)
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("solve", parents=[common], help="solve one equilibrium")
@@ -279,17 +270,13 @@ _COMMANDS = {
 }
 
 
-def dispatch(config: RunConfig, subcommand: str) -> int:
-    return _COMMANDS[subcommand](config)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         config = parse_config(args.config, overrides)
-        return dispatch(config, args.command)
+        return _COMMANDS[args.command](config)
     except (SpringRodsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

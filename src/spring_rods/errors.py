@@ -14,7 +14,7 @@ class SmallnessViolation(SpringRodsError):
 
 
 class ZeroElements(SpringRodsError):
-    """A mesh was requested with fewer than one element on a rod."""
+    """A mesh was requested with a non-integer or fewer than one element on a rod."""
 
 
 class NoConsistentRegime(SpringRodsError):

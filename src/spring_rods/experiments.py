@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SpringRodsError
-from .fem import Mesh, assemble, build_mesh, schur_reduce, v_norm
+from .fem import assemble, build_mesh, schur_reduce, v_norm
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
                     ProblemSpec, SpringLaw)
 from .solver import EquilibriumSolution, PenaltyProblem, solve_exact, solve_penalized
@@ -72,15 +72,8 @@ class ConvergenceStudy:
     non_convergence: bool
 
 
-def _mesh_of(problem: ProblemSpec, mesh) -> Mesh:
-    if isinstance(mesh, Mesh):
-        return mesh
-    n1, n2 = mesh
-    return build_mesh(problem.geometry, n1, n2)
-
-
 def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[float],
-                        mesh=(4, 4)) -> SweepResult:
+                        mesh: tuple[int, int] = (4, 4)) -> SweepResult:
     """Solve once per stiffness value k (k1 = k2 = k) over a fixed mesh.
 
     The assembled system is stiffness-independent, so assembly and
@@ -90,7 +83,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("stiffness grid must be strictly increasing")
-    m = _mesh_of(base, mesh)
+    m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, forces))
     l = base.geometry.l
 
@@ -112,7 +105,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
 
 def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
                             n_range: Sequence[int] = range(1, 13),
-                            mesh=(4, 4)) -> ConvergenceStudy:
+                            mesh: tuple[int, int] = (4, 4)) -> ConvergenceStudy:
     """Solve the penalized problems along lambda_n = 2**(3-n) and the rigid limit.
 
     The error is the energy norm of the difference between each penalized
@@ -120,7 +113,7 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
     when the error stops decreasing over the last three records (which is
     expected when the load never activates the penalized side).
     """
-    m = _mesh_of(base, mesh)
+    m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, base.forces))
     l = base.geometry.l
     base_np = base if base.variant is ConstraintVariant.NON_PENETRATION else replace(

@@ -11,6 +11,7 @@ any uniform mesh and the condensed load is the load dotted with the ramp.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,9 +43,10 @@ class Mesh:
 
 
 def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
-    """Partition both rods uniformly; raises ZeroElements for empty meshes."""
-    if n1 < 1 or n2 < 1:
-        raise ZeroElements(f"need at least one element per rod, got n1={n1}, n2={n2}")
+    """Partition both rods uniformly; raises ZeroElements for a non-integer or empty count."""
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n1, n2)):
+        raise ZeroElements(f"need a whole number of at least one element per rod, "
+                           f"got n1={n1}, n2={n2}")
     nodes1 = np.linspace(geometry.a, -geometry.l, n1 + 1)
     nodes2 = np.linspace(geometry.l, geometry.b, n2 + 1)
     return Mesh(geometry, n1, n2, nodes1, nodes2)

@@ -35,9 +35,6 @@ _BREAKPOINT_TOL = 1e-9
 #: Gap below this value counts as contact.
 CONTACT_TOL = 1e-9
 
-#: Step reduction of the projected-gradient descent safeguard.
-_BACKTRACK = 0.5
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -48,8 +45,8 @@ class SolverConfig:
     fixed_point_damping: float | None = None  # None: 1/(1 + Lp*C), see solve_qvi_fixed_point
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValueError(f"need at least one iteration, got {self.max_iterations}")
 
@@ -233,7 +230,12 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
                              variant: ConstraintVariant,
                              penalty: PenaltyProblem | None = None,
                              config: SolverConfig | None = None) -> EquilibriumSolution:
-    """Fixed-step projected gradient on the reduced two-DOF energy."""
+    """Projected gradient on the reduced two-DOF energy with the fixed step 1/L.
+
+    L = max(diag S) + 2*max(k1, k2) is the Lipschitz constant of the reduced
+    gradient, so every step descends.  The iteration stops once a step's
+    energy norm is at most the tolerance.
+    """
     cfg = config or SolverConfig()
     reduced = schur_reduce(system)
     l = system.mesh.geometry.l
@@ -241,26 +243,16 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
     eff = spring if penalty is None else effective_spring(spring, penalty.law, penalty.lam)
     lo, hi = variant.bounds(l)
 
-    def objective(g):
-        return reduced.energy(g) + eff.potential(two_l + float(_W @ g))
-
     lip = float(np.max(np.diag(reduced.S))) + 2.0 * eff.lipschitz
     step = 1.0 / lip
     g = _project_gap(np.zeros(2), lo, hi, two_l)
-    value = objective(g)
     iterations = 0
     converged = False
     while iterations < cfg.max_iterations:
         grad = reduced.gradient(g) + eff.potential_slope(two_l + float(_W @ g)) * _W
-        trial_step = step
-        for _ in range(60):  # descent safeguard; the fixed step already suffices
-            g_new = _project_gap(g - trial_step * grad, lo, hi, two_l)
-            new_value = objective(g_new)
-            if new_value <= value + 1e-15:
-                break
-            trial_step *= _BACKTRACK
+        g_new = _project_gap(g - step * grad, lo, hi, two_l)
         delta = reduced.interface_vnorm(g_new - g)
-        g, value = g_new, new_value
+        g = g_new
         iterations += 1
         if delta <= cfg.tolerance:
             converged = True

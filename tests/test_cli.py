@@ -65,6 +65,25 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=":1"):
             parse_config(str(cfg))
 
+    def test_bad_choice_reports_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output.formats = pdf\n")
+        with pytest.raises(ParseError, match=r":1: bad value 'pdf' for output.formats"):
+            parse_config(str(cfg))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                               "--outdir", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error:") and ":1:" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_file_values_checked_like_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for line in ("constraint.variant = rigid", "penalty.variant = both",
+                     "solver.method = newton", "mesh.n1 = 2.5"):
+            cfg.write_text(f"mesh.n2 = 3\n{line}\n")
+            with pytest.raises(ParseError, match=":2: bad value"):
+                parse_config(str(cfg))
+
     def test_missing_file(self):
         with pytest.raises(ParseError):
             parse_config("/nonexistent/run.cfg")
@@ -133,6 +152,13 @@ class TestSolveCommand:
 
 
 class TestSolveExitStatus:
+    def test_infinite_tolerance_is_runtime_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "solve", "--method", "gradient", "--f1", "3",
+                               "--f2=-1", "--k1", "0.5", "--tol", "inf",
+                               "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "finite" in err
+
     def test_nonfinite_modulus_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--e1", "inf", "--outdir", str(tmp_path))
         assert code == 1
@@ -204,6 +230,18 @@ class TestValidateCommand:
         code, out, _ = run_cli(capsys, "validate", "--f1", "1", "--f2", "-1")
         assert code == 0
         assert "max pairwise deviation" in out
+
+    def test_large_loads_on_rigid_compression(self, capsys):
+        # a projected gradient that halved its step on round-off energy rises
+        # stalled here at a deviation of 8.2e-6 while reporting convergence
+        code, out, err = run_cli(
+            capsys, "validate", "--a=-0.7919920658479289", "--b", "2.173948906448124",
+            "--l", "0.43248452423501815", "--e1", "4.574338390602632",
+            "--e2", "0.6991276097723774", "--k1", "0.7240822668619059",
+            "--k2", "0.08192430271184413", "--f1=-36.32892729437734",
+            "--f2", "79.52678469498397", "--variant", "rigid-compression")
+        assert code == 0, err
+        assert "FAIL" not in err
 
     def test_twenty_seeded_random_configs(self, capsys):
         rng = np.random.default_rng(20)

@@ -41,6 +41,20 @@ class TestBuildMesh:
         with pytest.raises(ZeroElements):
             build_mesh(GEO, 0, 2)
 
+    def test_non_integer_count(self):
+        with pytest.raises(ZeroElements, match="whole number"):
+            build_mesh(GEO, 2.5, 3)
+
+    def test_non_integer_count_through_solve(self):
+        problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, -1.0),
+                               ConstraintVariant.NON_PENETRATION)
+        with pytest.raises(ZeroElements):
+            solve(problem, (2.5, 3))
+
+    def test_numpy_integer_count(self):
+        mesh = build_mesh(GEO, np.int64(3), 2)
+        assert mesh.n1 == 3 and len(mesh.nodes1) == 4
+
 
 class TestAssemble:
     def test_closed_form_entries(self):

@@ -5,7 +5,7 @@ import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, GeometryError,
                          Material, PenaltyLaw, PenaltyVariant, SmallnessViolation,
-                         SpringLaw, make_problem, spring_gap)
+                         SolverConfig, SpringLaw, make_problem, spring_gap)
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -215,7 +215,9 @@ class TestNonFiniteInputs:
         (lambda x: Geometry(x, 1.0, 0.5), GeometryError),
         (lambda x: Geometry(-1.0, x, 0.5), GeometryError),
         (lambda x: Geometry(-1.0, 1.0, x), GeometryError),
-    ], ids=("E1", "E2", "k1", "k2", "spring-length", "penalty-length", "a", "b", "l"))
+        (lambda x: SolverConfig(tolerance=x), ValueError),
+    ], ids=("E1", "E2", "k1", "k2", "spring-length", "penalty-length", "a", "b", "l",
+            "tolerance"))
     def test_rejected_at_construction(self, build, error, bad):
         with pytest.raises(error, match="finite"):
             build(bad)

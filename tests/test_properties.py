@@ -5,8 +5,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw,
-                         analytic_solution, make_problem, solve)
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SolverConfig,
+                         SpringLaw, analytic_solution, make_problem, solve)
 
 
 def _positive(lo, hi):
@@ -33,3 +33,24 @@ def test_exact_solve_matches_continuum_oracle(l, L1, L2, E1, E2, q1, q2, f1, f2,
                          (ref.g1, ref.g2, ref.theta, ref.s)):
         assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
     assert sol.diagnostics.residual <= 1e-8
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(l=_positive(0.05, 1.0), L1=_positive(0.2, 2.0), L2=_positive(0.2, 2.0),
+       E1=_positive(0.5, 50.0), E2=_positive(0.5, 50.0),
+       q1=_positive(0.01, 0.99), q2=_positive(0.01, 0.99),
+       f1=_positive(-100.0, 100.0), f2=_positive(-100.0, 100.0),
+       variant=st.sampled_from(list(ConstraintVariant)),
+       n1=st.integers(1, 16), n2=st.integers(1, 16))
+def test_projected_gradient_matches_continuum_oracle(l, L1, L2, E1, E2, q1, q2, f1, f2,
+                                                     variant, n1, n2):
+    k_max = (E1 + E2) / (2.0 * max(L1, L2))
+    problem = make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
+                           SpringLaw(q1 * k_max, q2 * k_max, 2.0 * l),
+                           BodyForce(f1, f2), variant)
+    sol = solve(problem, (n1, n2), "gradient", SolverConfig(tolerance=1e-10))
+    ref = analytic_solution(problem)
+    assert sol.diagnostics.converged
+    for got, want in zip((sol.g1, sol.g2, sol.theta, sol.s),
+                         (ref.g1, ref.g2, ref.theta, ref.s)):
+        assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
