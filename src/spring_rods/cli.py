@@ -217,6 +217,8 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 
 def _cmd_converge(config: RunConfig) -> int:
+    if config.n_max < 1:
+        raise ValidationError(f"need --n-max of at least 1, got {config.n_max}")
     problem = config.problem()
     law = config.penalty_law()
     study = run_penalty_convergence(problem, law.variant,

@@ -18,11 +18,12 @@ class ZeroElements(SpringRodsError):
 
 
 class NoConsistentRegime(SpringRodsError):
-    """The clamped gap minimizer is not a number in the gap bounds (e.g. a NaN spring law)."""
+    """No finite equilibrium in the gap bounds (e.g. a NaN spring law, or loads
+    so large that the condensed load or the solution overflows)."""
 
 
 class NonPositiveLambda(SpringRodsError):
-    """Penalty parameter must be strictly positive."""
+    """Penalty parameter must be positive and finite."""
 
 
 class ContractionFailure(SpringRodsError):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ZeroElements
+from .errors import NoConsistentRegime, ZeroElements
 from .model import BodyForce, Geometry, Material, spring_gap
 
 _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -239,11 +239,13 @@ def _pinned(b: np.ndarray, h_over_E: float) -> np.ndarray:
 
 
 def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
-    """Condense both rods onto the interface pair (g1, g2)."""
+    """Condense both rods onto (g1, g2); raises NoConsistentRegime if the load overflows."""
     mesh, mat = system.mesh, system.material
     geo = mesh.geometry
     w1, w2 = _ramp_weights(mesh)
     r = np.array([float(system.b1 @ w1) / mesh.n1, float(system.b2 @ w2) / mesh.n2])
+    if not np.all(np.isfinite(r)):
+        raise NoConsistentRegime(f"condensed load {r} is not finite: the loads are too large")
     return ReducedSystem(system, np.diag([mat.E1 / geo.L1, mat.E2 / geo.L2]), r,
                          np.diag([1.0 / geo.L1, 1.0 / geo.L2]))
 

@@ -127,49 +127,42 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     """Feasible grid point of minimal total energy (brute force).
 
     `bounds` is one (lo, hi) interval shared by every free DOF, or a
-    sequence with one interval per DOF; the instance must have at most six
-    DOFs.  By convexity the result lies within one grid step of the true
-    minimizer in every coordinate.
+    sequence with one interval per DOF; at most six DOFs and 2**23 grid
+    points.  The energy is broadcast from the 1-D axes term by term, and
+    the first minimum in C order wins.  By convexity the result lies within
+    one grid step of the true minimizer in every coordinate.
     """
     mesh = system.mesh
-    ndof = mesh.n1 + mesh.n2
+    n1 = mesh.n1
+    ndof = n1 + mesh.n2
     if ndof > 6:
         raise ValueError(f"brute force limited to 6 DOFs, got {ndof}")
     if np.ndim(bounds[0]) == 0:
         bounds = [bounds] * ndof
     if len(bounds) != ndof:
         raise ValueError(f"need one range per DOF, got {len(bounds)} for {ndof}")
-    axes = []
-    for lo_v, hi_v in bounds:
-        count = int(round((hi_v - lo_v) / step)) + 1
-        axes.append(np.linspace(lo_v, hi_v, count))
-    grids = np.meshgrid(*axes, indexing="ij")
-    U = np.stack([g.ravel() for g in grids], axis=1)
+    counts = [int(round((hi_v - lo_v) / step)) + 1 for lo_v, hi_v in bounds]
+    if math.prod(counts) > 2 ** 23:
+        raise ValueError(f"brute force limited to 2**23 grid points, got {math.prod(counts)}")
+    x = np.ix_(*(np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)))
 
     l = mesh.geometry.l
-    theta = spring_gap(l, U[:, mesh.n1 - 1], U[:, mesh.n1])
+    theta = spring_gap(l, x[n1 - 1], x[n1])
     glo, ghi = variant.bounds(l)
     feasible = (theta >= glo - 1e-12) & (theta <= ghi + 1e-12)
     if not np.any(feasible):
         raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
-    U = U[feasible]
-    theta = theta[feasible]
-
-    A = _dense_matrix(system)
-    bvec = np.concatenate((system.b1, system.b2))
-    quad = 0.5 * np.einsum("ni,ni->n", U @ A, U) - U @ bvec
     d = theta - spring.natural_length
     k = np.where(theta < spring.natural_length, spring.k1, spring.k2)
-    energy = quad + 0.5 * k * d * d
-    best = U[int(np.argmin(energy))]
-    return DofVector(best[:mesh.n1].copy(), best[mesh.n1:].copy())
-
-
-def _dense_matrix(system: DiscreteSystem) -> np.ndarray:
-    n1, n2 = system.mesh.n1, system.mesh.n2
-    A = np.zeros((n1 + n2, n1 + n2))
-    A[:n1, :n1] = (np.diag(system.diag1) + np.diag(system.off1, 1)
-                   + np.diag(system.off1, -1))
-    A[n1:, n1:] = (np.diag(system.diag2) + np.diag(system.off2, 1)
-                   + np.diag(system.off2, -1))
-    return A
+    energy = np.zeros(counts)
+    energy += np.where(feasible, 0.5 * k * d * d, np.inf)
+    diag = np.concatenate((system.diag1, system.diag2))
+    b = np.concatenate((system.b1, system.b2))
+    for i in range(ndof):
+        energy += (0.5 * diag[i] * x[i] - b[i]) * x[i]
+    off = np.concatenate((system.off1, [0.0], system.off2))  # no coupling across the gap
+    for i in range(ndof - 1):
+        energy += off[i] * x[i] * x[i + 1]
+    best = np.unravel_index(int(np.argmin(energy)), energy.shape)
+    u = np.array([axis.flat[j] for axis, j in zip(x, best)])
+    return DofVector(u[:n1], u[n1:])

@@ -82,15 +82,19 @@ class EquilibriumSolution:
 
 @dataclass(frozen=True)
 class PenaltyProblem:
-    """A base non-penetration problem stiffened by (1/lam) times a penalty law."""
+    """A base non-penetration problem stiffened by (1/lam) times a penalty law.
+
+    lam must be positive and finite: an infinite lam would drop the penalty.
+    """
 
     base: ProblemSpec
     law: PenaltyLaw
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise NonPositiveLambda(f"penalty parameter must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise NonPositiveLambda(
+                f"penalty parameter must be positive and finite, got {self.lam}")
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
             raise ValueError("penalized problems are posed over the non-penetration set")
 
@@ -160,10 +164,14 @@ def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
             g: np.ndarray, theta: float, label: str, active_bound: str | None,
             method: str, iterations: int, converged: bool = True,
             step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
+    """Recover the field at the gap pair g; a non-finite state raises NoConsistentRegime."""
     s = float(reduced.gradient(g)[0])
+    u = recover_full(reduced, float(g[0]), float(g[1]))
+    if not all(np.all(np.isfinite(v)) for v in (g, s, u.rod1, u.rod2)):
+        raise NoConsistentRegime(f"equilibrium overflows: g1={g[0]}, g2={g[1]}, s={s} "
+                                 f"or the nodal field is not finite")
     residual = _kkt_residual(reduced, spring, lo, hi, g, theta, active_bound)
     diag = SolverDiagnostics(method, iterations, residual, label, converged, step_ratios)
-    u = recover_full(reduced, float(g[0]), float(g[1]))
     return EquilibriumSolution(u, float(g[0]), float(g[1]), theta, s,
                                theta <= CONTACT_TOL, active_bound, diag)
 

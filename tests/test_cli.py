@@ -159,6 +159,22 @@ class TestSolveExitStatus:
         assert code == 1
         assert err.startswith("error:") and "finite" in err
 
+    def test_infinite_lambda_is_runtime_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "solve", "--lambda", "inf", "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_loads_are_runtime_error(self, capsys, tmp_path):
+        # at 8+8 elements the condensed load overflows (at 4+4 it is finite)
+        code, out, err = run_cli(capsys, "solve", "--f1", "1e308", "--f2=-1e308",
+                                 "--n1", "8", "--n2", "8", "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "not finite" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonfinite_modulus_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--e1", "inf", "--outdir", str(tmp_path))
         assert code == 1
@@ -223,6 +239,15 @@ class TestConvergeCommand:
         assert code == 0
         lines = next(tmp_path.glob("converge-*/convergence.csv")).read_text().splitlines()
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_empty_schedule_leaves_no_run_directory(self, capsys, tmp_path, n_max):
+        code, out, err = run_cli(capsys, "converge", "--n-max", n_max,
+                                 "--outdir", str(tmp_path))
+        assert code == 1
+        assert err == f"error: need --n-max of at least 1, got {n_max}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestValidateCommand:

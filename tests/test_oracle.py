@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geomet
                          Material, SpringLaw, analytic_solution, assemble, build_mesh,
                          grid_search_minimizer, make_problem, schur_reduce, solve_exact,
                          theta_of)
+from spring_rods.fem import DofVector
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -174,3 +178,60 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search_minimizer(system, self.spring,
                                   ConstraintVariant.NON_PENETRATION, (-1.0, 1.0), 0.5)
+
+    def test_grid_size_guard(self):
+        system = assemble(self.mesh, MAT, BodyForce(0.0, 0.0))
+        with pytest.raises(ValueError, match="2\\*\\*23 grid points, got 8392609"):
+            # 2897**2 points, just above the cap, rejected before any array is built
+            grid_search_minimizer(system, self.spring,
+                                  ConstraintVariant.NON_PENETRATION, (-1.0, 1.0), 2.0 / 2896)
+
+
+def _loop_energy(system, spring, variant, point):
+    """Total energy of one grid point, inf outside the gap bounds."""
+    n1 = system.mesh.n1
+    dof = DofVector(np.array(point[:n1]), np.array(point[n1:]))
+    l = system.mesh.geometry.l
+    lo, hi = variant.bounds(l)
+    theta = theta_of(dof, l)
+    if not lo - 1e-12 <= theta <= hi + 1e-12:
+        return math.inf
+    return system.energy(dof) + spring.potential(theta)
+
+
+class TestGridSearchMatchesLoop:
+    """The broadcast grid energy against a point-by-point loop in C order."""
+
+    @pytest.mark.parametrize("variant", list(ConstraintVariant))
+    @pytest.mark.parametrize("mesh_sizes", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (3, 3)])
+    def test_same_point_or_tie(self, mesh_sizes, variant):
+        rng = np.random.default_rng([*mesh_sizes, list(ConstraintVariant).index(variant)])
+        n1 = mesh_sizes[0]
+        ndof = sum(mesh_sizes)
+        geo = Geometry(-rng.uniform(0.8, 2.0), rng.uniform(0.8, 2.0), rng.uniform(0.2, 0.6))
+        mat = Material(*rng.uniform(0.5, 3.0, 2))
+        spring = SpringLaw(*rng.uniform(0.05, 0.4, 2), 2.0 * geo.l)
+        forces = BodyForce(*rng.uniform(-4.0, 4.0, 2))
+        system = assemble(build_mesh(geo, *mesh_sizes), mat, forces)
+
+        # 7, 6 or 5 points per axis for 3, 4 or 6 DOFs keeps the loop short
+        points = 7 - (ndof - 2) // 2
+        step = rng.uniform(0.02, 0.1)
+        problem = make_problem(geo, mat, spring, forces, variant)
+        nodal = analytic_solution(problem).interpolate(system.mesh)
+        center = np.concatenate((nodal.rod1, nodal.rod2))
+        lows = center + rng.uniform(-1.0, 0.0, ndof) * (points - 1) * step
+        lows[n1] = lows[n1 - 1]  # a shared interface axis reaches the rigid gap 2l
+        bounds = [(lo, lo + (points - 1) * step) for lo in lows]
+        axes = [np.linspace(lo, hi, points) for lo, hi in bounds]
+
+        best, best_energy = None, math.inf
+        for point in itertools.product(*axes):
+            energy = _loop_energy(system, spring, variant, point)
+            if energy < best_energy:
+                best, best_energy = point, energy
+
+        dof = grid_search_minimizer(system, spring, variant, bounds, step)
+        got = (*dof.rod1, *dof.rod2)
+        assert got == best or (abs(_loop_energy(system, spring, variant, got) - best_energy)
+                               <= 1e-12 * max(1.0, abs(best_energy)))

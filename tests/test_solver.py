@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ContractionFailure, Geometry,
-                         InfeasibleCandidate, Material, NonPositiveLambda, PenaltyLaw,
+                         InfeasibleCandidate, Material, NoConsistentRegime,
+                         NonPositiveLambda, PenaltyLaw,
                          PenaltyProblem, PenaltyVariant, SolverConfig, SpringLaw,
                          analytic_solution, assemble, build_mesh, effective_spring,
                          interface_stress, make_problem, recover_full, schur_reduce,
@@ -169,8 +170,9 @@ class TestSolvePenalized:
         assert sol.contact
 
     def test_nonpositive_lambda(self):
-        with pytest.raises(NonPositiveLambda):
-            PenaltyProblem(self.base(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 0.0)
+        for lam in (0.0, math.inf, math.nan):
+            with pytest.raises(NonPositiveLambda):
+                PenaltyProblem(self.base(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), lam)
 
     def test_base_must_be_non_penetration(self):
         rigid = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(0.0, 0.0),
@@ -537,6 +539,25 @@ class TestSolveFrontEnd:
             solve(prob, (4, 4), "fixed-point", penalty=pen)
         with pytest.raises(ValueError):
             solve(prob, (4, 4), "newton")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflow:
+    @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
+    def test_overflowing_load(self, method):
+        # the condensed load b . ramp overflows at 8+8 elements
+        problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0),
+                               BodyForce(1e308, -1e308), NP_)
+        with pytest.raises(NoConsistentRegime, match="condensed load"):
+            solve(problem, (8, 8), method)
+
+    @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
+    def test_overflowing_field(self, method):
+        # finite condensed load, but the recovered field h/E * stress overflows
+        problem = make_problem(GEO, Material(1e-300, 1e-300), SpringLaw(1e-301, 1e-301, 1.0),
+                               BodyForce(1e10, -1e10), NP_)
+        with pytest.raises(NoConsistentRegime, match="overflows"):
+            solve(problem, (4, 4), method, SolverConfig(max_iterations=50))
 
 
 class TestOffsetCache:
