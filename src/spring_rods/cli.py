@@ -48,22 +48,14 @@ class RunConfig:
     formats: str = "both"
 
     def problem(self) -> ProblemSpec:
-        try:
-            variant = ConstraintVariant(self.variant)
-        except ValueError:
-            raise ValidationError(f"unknown constraint variant {self.variant!r}") from None
         return ProblemSpec(Geometry(self.a, self.b, self.l),
                            Material(self.e1, self.e2),
                            SpringLaw(self.k1, self.k2, 2.0 * self.l),
                            BodyForce(self.f1, self.f2),
-                           variant)
+                           ConstraintVariant(self.variant))
 
     def penalty_law(self) -> PenaltyLaw:
-        try:
-            variant = PenaltyVariant(self.penalty)
-        except ValueError:
-            raise ValidationError(f"unknown penalty variant {self.penalty!r}") from None
-        return PenaltyLaw(variant, 2.0 * self.l)
+        return PenaltyLaw(PenaltyVariant(self.penalty), 2.0 * self.l)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tolerance=self.tol, max_iterations=self.max_iter)
@@ -279,7 +271,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(args.config, overrides)
         return _COMMANDS[args.command](config)
-    except (SpringRodsError, ValueError) as exc:
+    except SpringRodsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -42,5 +42,5 @@ class ParseError(SpringRodsError):
     """Configuration file could not be parsed; message carries line and key."""
 
 
-class ValidationError(SpringRodsError):
-    """Configuration values failed model validation."""
+class ValidationError(SpringRodsError, ValueError):
+    """A value failed validation where it entered the package."""

@@ -7,9 +7,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .errors import SpringRodsError
+from .errors import SpringRodsError, ValidationError
 from .fem import assemble, build_mesh, schur_reduce, v_norm
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
                     ProblemSpec, SpringLaw)
@@ -82,7 +80,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     """
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("stiffness grid must be strictly increasing")
+        raise ValidationError("stiffness grid must be strictly increasing")
     m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, forces))
     l = base.geometry.l
@@ -95,10 +93,10 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
             # constructing the spec enforces the admissible-stiffness condition
             ProblemSpec(base.geometry, base.material, spring, forces, base.variant)
             sol = solve_exact(reduced, spring, base.variant, l)
-        except (SpringRodsError, ValueError) as exc:
+        except SpringRodsError as exc:
             failures.append((k, f"{type(exc).__name__}: {exc}"))
             continue
-        energy = reduced.energy(np.array([sol.g1, sol.g2])) + spring.potential(sol.theta)
+        energy = reduced.energy((sol.g1, sol.g2)) + spring.potential(sol.theta)
         records.append(SweepRecord(k, sol.g1, sol.g2, sol.theta, sol.s, sol.contact, energy))
     return SweepResult(tuple(records), base.variant, forces, tuple(failures))
 
@@ -151,7 +149,7 @@ def export_csv(result, path) -> Path:
     path = Path(path)
     if isinstance(result, SweepResult):
         if not result.records:
-            raise ValueError("refusing to write an empty sweep")
+            raise ValidationError("refusing to write an empty sweep")
         lines = [_SWEEP_HEADER]
         for r in result.records:
             lines.append(",".join([_fmt(r.k), _fmt(r.g1), _fmt(r.g2), _fmt(r.theta),
@@ -159,7 +157,7 @@ def export_csv(result, path) -> Path:
                                    _fmt(r.energy)]))
     elif isinstance(result, ConvergenceStudy):
         if not result.records:
-            raise ValueError("refusing to write an empty convergence study")
+            raise ValidationError("refusing to write an empty convergence study")
         lines = [_CONV_HEADER]
         for r in result.records:
             lines.append(",".join([str(r.n), _fmt(r.lam), _fmt(r.theta),
@@ -197,9 +195,9 @@ def export_svg(result, path, panel: str) -> Path:
     else:
         raise TypeError(f"cannot plot {type(result).__name__}")
     if not result.records:
-        raise ValueError(f"refusing to plot an empty {kind} result")
+        raise ValidationError(f"refusing to plot an empty {kind} result")
     if panel not in panels:
-        raise ValueError(f"unknown {kind} panel {panel!r}")
+        raise ValidationError(f"unknown {kind} panel {panel!r}")
     xlabel, ylabel, series_spec = panels[panel]
     series = [(name, xs, [pick(r) for r in result.records]) for name, pick in series_spec]
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -11,6 +11,7 @@ any uniform mesh and the condensed load is the load dotted with the ramp.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -189,30 +190,28 @@ class ReducedSystem:
     """Exact condensation of the quadratic energy onto (g1, g2).
 
     With the interior unknowns minimized out, the energy equals
-    0.5*g.S g - r.g + offset.  S_unit = diag(1/L1, 1/L2) is the same
-    condensation for unit moduli and measures the energy norm of interface
-    differences (interior fields with equal loads cancel).
+    0.5*(s1*g1^2 + s2*g2^2) - (r1*g1 + r2*g2) + offset: the condensed
+    stiffness is the diagonal S = (s1, s2) = (E1/L1, E2/L2) and the condensed
+    load is r = (r1, r2), both pairs of floats.
     """
 
     system: DiscreteSystem
-    S: np.ndarray
-    r: np.ndarray
-    S_unit: np.ndarray
+    S: tuple[float, float]
+    r: tuple[float, float]
 
     @cached_property
     def offset(self) -> float:
         """Energy of the field pinned at both rod ends (computed once, on demand)."""
         return -0.5 * self.system.load_dot(recover_full(self, 0.0, 0.0))
 
-    def energy(self, g: np.ndarray) -> float:
-        return 0.5 * float(g @ self.S @ g) - float(self.r @ g) + self.offset
+    def energy(self, g) -> float:
+        (g1, g2), (s1, s2), (r1, r2) = g, self.S, self.r
+        return 0.5 * (g1 * s1 * g1 + g2 * s2 * g2) - (r1 * g1 + r2 * g2) + self.offset
 
-    def gradient(self, g: np.ndarray) -> np.ndarray:
-        return self.S @ g - self.r
-
-    def interface_vnorm(self, dg: np.ndarray) -> float:
-        """Energy norm of the harmonic field with interface jump dg."""
-        return float(np.sqrt(dg @ self.S_unit @ dg))
+    def interface_vnorm(self, dg) -> float:
+        """Energy norm sqrt(dg1^2/L1 + dg2^2/L2) of the harmonic field with interface jump dg."""
+        (dg1, dg2), geo = dg, self.system.mesh.geometry
+        return math.sqrt(dg1 * (1.0 / geo.L1) * dg1 + dg2 * (1.0 / geo.L2) * dg2)
 
 
 def _ramp_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -243,11 +242,10 @@ def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
     mesh, mat = system.mesh, system.material
     geo = mesh.geometry
     w1, w2 = _ramp_weights(mesh)
-    r = np.array([float(system.b1 @ w1) / mesh.n1, float(system.b2 @ w2) / mesh.n2])
-    if not np.all(np.isfinite(r)):
+    r = (float(system.b1 @ w1) / mesh.n1, float(system.b2 @ w2) / mesh.n2)
+    if not all(map(math.isfinite, r)):
         raise NoConsistentRegime(f"condensed load {r} is not finite: the loads are too large")
-    return ReducedSystem(system, np.diag([mat.E1 / geo.L1, mat.E2 / geo.L2]), r,
-                         np.diag([1.0 / geo.L1, 1.0 / geo.L2]))
+    return ReducedSystem(system, (mat.E1 / geo.L1, mat.E2 / geo.L2), r)
 
 
 def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:

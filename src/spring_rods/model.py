@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import GeometryError, SmallnessViolation
+from .errors import GeometryError, SmallnessViolation, ValidationError
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class Material:
 
     def __post_init__(self):
         if not (0.0 < self.E1 < math.inf and 0.0 < self.E2 < math.inf):
-            raise ValueError(
+            raise ValidationError(
                 f"Young moduli must be positive and finite, got E1={self.E1}, E2={self.E2}")
 
 
@@ -83,10 +83,10 @@ class SpringLaw:
 
     def __post_init__(self):
         if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
-            raise ValueError(
+            raise ValidationError(
                 f"stiffnesses must be positive and finite, got k1={self.k1}, k2={self.k2}")
         if not 0.0 < self.natural_length < math.inf:
-            raise ValueError(
+            raise ValidationError(
                 f"natural length must be positive and finite, got {self.natural_length}")
 
     @property
@@ -133,7 +133,7 @@ class PenaltyLaw:
 
     def __post_init__(self):
         if not 0.0 < self.natural_length < math.inf:
-            raise ValueError(
+            raise ValidationError(
                 f"natural length must be positive and finite, got {self.natural_length}")
 
     @property
@@ -167,7 +167,7 @@ class BodyForce:
 
     def __post_init__(self):
         if not (math.isfinite(self.f1) and math.isfinite(self.f2)):
-            raise ValueError(f"force densities must be finite, got f1={self.f1}, f2={self.f2}")
+            raise ValidationError(f"force densities must be finite, got f1={self.f1}, f2={self.f2}")
 
 
 class ConstraintVariant(Enum):

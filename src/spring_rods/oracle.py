@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyFeasibleGrid
+from .errors import EmptyFeasibleGrid, NoConsistentRegime, ValidationError
 from .fem import DiscreteSystem, DofVector, Mesh
 from .model import ConstraintVariant, ProblemSpec, SpringLaw, spring_gap
 
@@ -97,7 +97,10 @@ def _scalar_regime(theta_free: float, compliance: float, spring: SpringLaw,
 
 
 def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
-    """Closed-form equilibrium for a validated problem with constant loads."""
+    """Closed-form equilibrium for a validated problem with constant loads.
+
+    Raises NoConsistentRegime when the closed form overflows.
+    """
     geo, mat, spring = problem.geometry, problem.material, problem.spring
     f1, f2 = problem.forces.f1, problem.forces.f2
     a, b, l = geo.a, geo.b, geo.l
@@ -107,6 +110,8 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     compliance = L1 / mat.E1 + L2 / mat.E2
     theta_free = two_l - f1 * L1 ** 2 / (2.0 * mat.E1) + f2 * L2 ** 2 / (2.0 * mat.E2)
     lo, hi = problem.gap_bounds()
+    if not (math.isfinite(compliance) and math.isfinite(theta_free)):
+        raise NoConsistentRegime(f"closed form overflows: free gap {theta_free}")
 
     s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
 
@@ -119,6 +124,8 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     u2_coeffs = ((-s * b + 0.5 * f2 * (L2 ** 2 - l ** 2)) / mat.E2,
                  (s + f2 * l) / mat.E2,
                  -f2 / (2.0 * mat.E2))
+    if not all(map(math.isfinite, (s, g1, g2, *u1_coeffs, *u2_coeffs))):
+        raise NoConsistentRegime(f"closed form overflows: s={s}, g1={g1}, g2={g2}")
     return AnalyticSolution(problem, u1_coeffs, u2_coeffs, g1, g2, theta, s, regime)
 
 
@@ -136,14 +143,14 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     n1 = mesh.n1
     ndof = n1 + mesh.n2
     if ndof > 6:
-        raise ValueError(f"brute force limited to 6 DOFs, got {ndof}")
+        raise ValidationError(f"brute force limited to 6 DOFs, got {ndof}")
     if np.ndim(bounds[0]) == 0:
         bounds = [bounds] * ndof
     if len(bounds) != ndof:
-        raise ValueError(f"need one range per DOF, got {len(bounds)} for {ndof}")
+        raise ValidationError(f"need one range per DOF, got {len(bounds)} for {ndof}")
     counts = [int(round((hi_v - lo_v) / step)) + 1 for lo_v, hi_v in bounds]
     if math.prod(counts) > 2 ** 23:
-        raise ValueError(f"brute force limited to 2**23 grid points, got {math.prod(counts)}")
+        raise ValidationError(f"brute force limited to 2**23 grid points, got {math.prod(counts)}")
     x = np.ix_(*(np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)))
 
     l = mesh.geometry.l

@@ -3,13 +3,13 @@
 The discrete energy restricted to interior-minimized states is a convex,
 piecewise-quadratic function of the interface pair (g1, g2): a quadratic
 part plus the spring potential of the gap, subject to the gap bounds of the
-constraint variant.  The condensed stiffness S is diagonal, so minimizing
-out (g1, g2) at a fixed gap change t = W.g leaves a convex function of t
-alone, set by d = W.S^-1 r (the spring-free gap change) and the interface
-compliance C = W.S^-1 W = L1/E1 + L2/E2.  `solve_exact` clamps its
-minimizer d/(1 + k*C) into the gap bounds; `_classify` labels the regime of
-every solver's gap.  The projected gradient and fixed-point solvers are
-independent iterative cross-checks.
+constraint variant.  The condensed stiffness S = (s1, s2) is diagonal, so
+minimizing out (g1, g2) at a fixed gap change t = g2 - g1 leaves a convex
+function of t alone, set by d = r2/s2 - r1/s1 (the spring-free gap change)
+and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2.  `solve_exact`
+clamps its minimizer d/(1 + k*C) into the gap bounds; `_classify` labels the
+regime of every solver's gap.  The projected gradient and fixed-point
+solvers are independent iterative cross-checks.  All work on plain floats.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ContractionFailure, InfeasibleCandidate, NoConsistentRegime,
-                     NonPositiveLambda)
+                     NonPositiveLambda, ValidationError)
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce, theta_of)
 from .model import (ConstraintVariant, PenaltyLaw, PenaltyVariant, ProblemSpec,
                     SpringLaw)
 
-#: Gradient of the gap with respect to (g1, g2).
-_W = np.array([-1.0, 1.0])
+_Pair = tuple[float, float]
 
 #: A spring-free gap change below this fraction of the compliance is the breakpoint.
 _BREAKPOINT_TOL = 1e-9
@@ -46,9 +45,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
-            raise ValueError(f"need at least one iteration, got {self.max_iterations}")
+            raise ValidationError(f"need at least one iteration, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class PenaltyProblem:
             raise NonPositiveLambda(
                 f"penalty parameter must be positive and finite, got {self.lam}")
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
-            raise ValueError("penalized problems are posed over the non-penetration set")
+            raise ValidationError("penalized problems are posed over the non-penetration set")
 
 
 def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLaw:
@@ -115,23 +114,25 @@ def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLa
 # the exact gap
 
 
-def _at_gap(S: np.ndarray, rhs: np.ndarray, t: float) -> np.ndarray:
-    """Minimize 0.5 g.S g - rhs.g subject to W.g = t, i.e. at the gap 2l + t.
+def _at_gap(S: _Pair, rhs: _Pair, t: float) -> _Pair:
+    """Minimize 0.5 g.S g - rhs.g subject to g2 - g1 = t, i.e. at the gap 2l + t.
 
-    This is S^-1 rhs + (t - W.S^-1 rhs)/C * S^-1 W, evaluated along the line
-    g = (g1, g1 + t) so that a zero gap change (g1 = g2) holds exactly.
+    Along the line g = (g1, g1 + t) the minimizer is g1 = (rhs1 + rhs2 - s2*t)
+    / (s1 + s2); forming g2 as g1 + t keeps a zero gap change exact.
     """
-    s1, s2 = np.diag(S)
-    g1 = float(rhs[0] + rhs[1] - s2 * t) / float(s1 + s2)
-    return np.array([g1, g1 + t])
+    (s1, s2), (r1, r2) = S, rhs
+    g1 = (r1 + r2 - s2 * t) / (s1 + s2)
+    return g1, g1 + t
 
 
 def _kkt_residual(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-                  g: np.ndarray, theta: float, active_bound: str | None) -> float:
-    grad = reduced.gradient(g) + spring.potential_slope(theta) * _W
+                  g: _Pair, theta: float, active_bound: str | None) -> float:
+    (g1, g2), (s1, s2), (r1, r2) = g, reduced.S, reduced.r
+    slope = spring.potential_slope(theta)
+    grad1, grad2 = s1 * g1 - r1 - slope, s2 * g2 - r2 + slope
     feas = max(0.0, lo - theta) + max(0.0, theta - (hi if math.isfinite(hi) else theta))
-    mu = float(grad @ _W) / 2.0
-    tangential = float(np.max(np.abs(grad - mu * _W)))
+    mu = (grad2 - grad1) / 2.0
+    tangential = max(abs(grad1 + mu), abs(grad2 - mu))
     if active_bound == "lower":
         sign_violation = max(0.0, -mu)
     elif active_bound == "upper":
@@ -161,24 +162,25 @@ def _classify(theta: float, lo: float, hi: float,
 
 
 def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-            g: np.ndarray, theta: float, label: str, active_bound: str | None,
+            g: _Pair, theta: float, label: str, active_bound: str | None,
             method: str, iterations: int, converged: bool = True,
             step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
     """Recover the field at the gap pair g; a non-finite state raises NoConsistentRegime."""
-    s = float(reduced.gradient(g)[0])
-    u = recover_full(reduced, float(g[0]), float(g[1]))
-    if not all(np.all(np.isfinite(v)) for v in (g, s, u.rod1, u.rod2)):
-        raise NoConsistentRegime(f"equilibrium overflows: g1={g[0]}, g2={g[1]}, s={s} "
+    g1, g2 = g
+    s = reduced.S[0] * g1 - reduced.r[0]
+    u = recover_full(reduced, g1, g2)
+    if not (all(map(math.isfinite, (g1, g2, s)))
+            and np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all()):
+        raise NoConsistentRegime(f"equilibrium overflows: g1={g1}, g2={g2}, s={s} "
                                  f"or the nodal field is not finite")
     residual = _kkt_residual(reduced, spring, lo, hi, g, theta, active_bound)
     diag = SolverDiagnostics(method, iterations, residual, label, converged, step_ratios)
-    return EquilibriumSolution(u, float(g[0]), float(g[1]), theta, s,
-                               theta <= CONTACT_TOL, active_bound, diag)
+    return EquilibriumSolution(u, g1, g2, theta, s, theta <= CONTACT_TOL, active_bound, diag)
 
 
 def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,
                method: str) -> EquilibriumSolution:
-    """Minimize the reduced energy over the gap change t = W.g.
+    """Minimize the reduced energy over the gap change t = g2 - g1.
 
     Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
     2l + t, a convex function of t alone, so the minimizer is d/(1 + k*C)
@@ -187,8 +189,8 @@ def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, 
     """
     S, r = reduced.S, reduced.r
     two_l = 2.0 * l
-    compliance = float(_W @ (_W / np.diag(S)))
-    d = float(_W @ (r / np.diag(S)))
+    compliance = 1.0 / S[0] + 1.0 / S[1]
+    d = r[1] / S[1] - r[0] / S[0]
     if lo < hi and abs(d / compliance) <= _BREAKPOINT_TOL:
         t, theta, label, bound = 0.0, two_l, "breakpoint", None
     else:
@@ -225,13 +227,13 @@ def solve_penalized(reduced: ReducedSystem, spring: SpringLaw,
 # projected gradient
 
 
-def _project_gap(g: np.ndarray, lo: float, hi: float, two_l: float) -> np.ndarray:
-    """Clamp the gap into [lo, hi] along the gap direction, rest unchanged."""
-    theta = two_l + float(_W @ g)
-    target = min(max(theta, lo), hi)
-    if target != theta:
-        g = g + 0.5 * (target - theta) * _W
-    return g
+def _project_gap(g: _Pair, lo: float, hi: float, two_l: float) -> _Pair:
+    """Clamp the gap into [lo, hi] keeping g1 + g2; the clamped gap is set, never added."""
+    g1, g2 = g
+    t = min(max(g2 - g1, lo - two_l), hi - two_l)
+    if t == g2 - g1:
+        return g
+    return 0.5 * (g1 + g2 - t), 0.5 * (g1 + g2 + t)
 
 
 def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
@@ -251,22 +253,23 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
     eff = spring if penalty is None else effective_spring(spring, penalty.law, penalty.lam)
     lo, hi = variant.bounds(l)
 
-    lip = float(np.max(np.diag(reduced.S))) + 2.0 * eff.lipschitz
-    step = 1.0 / lip
-    g = _project_gap(np.zeros(2), lo, hi, two_l)
+    (s1, s2), (r1, r2) = reduced.S, reduced.r
+    step = 1.0 / (max(s1, s2) + 2.0 * eff.lipschitz)
+    g1, g2 = _project_gap((0.0, 0.0), lo, hi, two_l)
     iterations = 0
     converged = False
     while iterations < cfg.max_iterations:
-        grad = reduced.gradient(g) + eff.potential_slope(two_l + float(_W @ g)) * _W
-        g_new = _project_gap(g - step * grad, lo, hi, two_l)
-        delta = reduced.interface_vnorm(g_new - g)
-        g = g_new
+        slope = eff.potential_slope(two_l + (g2 - g1))
+        new1, new2 = _project_gap((g1 - step * (s1 * g1 - r1 - slope),
+                                   g2 - step * (s2 * g2 - r2 + slope)), lo, hi, two_l)
+        delta = reduced.interface_vnorm((new1 - g1, new2 - g2))
+        g1, g2 = new1, new2
         iterations += 1
         if delta <= cfg.tolerance:
             converged = True
             break
-    theta, label, bound = _classify(two_l + float(_W @ g), lo, hi, two_l)
-    return _finish(reduced, eff, lo, hi, g, theta, label, bound,
+    theta, label, bound = _classify(two_l + (g2 - g1), lo, hi, two_l)
+    return _finish(reduced, eff, lo, hi, (g1, g2), theta, label, bound,
                    "projected-gradient", iterations, converged)
 
 
@@ -274,10 +277,9 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
 # fixed point on the frozen-gap problems
 
 
-def _clamped_qp(S: np.ndarray, rhs: np.ndarray, lo: float, hi: float,
-                two_l: float) -> np.ndarray:
+def _clamped_qp(S: _Pair, rhs: _Pair, lo: float, hi: float, two_l: float) -> _Pair:
     """Minimize the quadratic with load rhs over the gap bounds."""
-    free = float(_W @ (rhs / np.diag(S)))
+    free = rhs[1] / S[1] - rhs[0] / S[0]
     return _at_gap(S, rhs, min(max(free, lo - two_l), hi - two_l))
 
 
@@ -301,26 +303,27 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     l = system.mesh.geometry.l
     two_l = 2.0 * l
     lo, hi = variant.bounds(l)
-    sinv_w = _W / np.diag(reduced.S)
-    compliance = float(_W @ sinv_w)
-    gap_dir = sinv_w / compliance  # unit gap change along the compliant direction
+    S, (r1, r2) = reduced.S, reduced.r
+    compliance = 1.0 / S[0] + 1.0 / S[1]
+    # unit gap change along the compliant direction S^-1 W
+    dir1, dir2 = (-1.0 / S[0]) / compliance, (1.0 / S[1]) / compliance
     omega = cfg.fixed_point_damping
     if omega is None:
         omega = 1.0 / (1.0 + spring.lipschitz * compliance)
 
-    eta = np.zeros(2)
+    eta1 = eta2 = 0.0
     prev_step = None
     ratios: list[float] = []
     growth = 0
     iterations = 0
     converged = False
     while iterations < cfg.max_iterations:
-        gap_eta = two_l + float(_W @ eta)
+        gap_eta = two_l + (eta2 - eta1)
         force = spring.force(gap_eta)
-        g = _clamped_qp(reduced.S, reduced.r + force * _W, lo, hi, two_l)
-        gap_g = two_l + float(_W @ g)
-        eta_new = g + (1.0 - omega) * (gap_eta - gap_g) * gap_dir
-        step = reduced.interface_vnorm(eta_new - eta)
+        g1, g2 = _clamped_qp(S, (r1 - force, r2 + force), lo, hi, two_l)
+        m = (1.0 - omega) * (gap_eta - (two_l + (g2 - g1)))
+        new1, new2 = g1 + m * dir1, g2 + m * dir2
+        step = reduced.interface_vnorm((new1 - eta1, new2 - eta2))
         iterations += 1
         if prev_step is not None and prev_step > 0.0:
             ratio = step / prev_step
@@ -329,15 +332,15 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
             if growth >= 3:
                 raise ContractionFailure(
                     f"step norms grew for 3 iterations (last ratio {ratio:.3f})")
-        eta = eta_new
+        eta1, eta2 = new1, new2
         if step <= cfg.tolerance:
             converged = True
             break
         prev_step = step
 
-    force = spring.force(two_l + float(_W @ eta))
-    g = _clamped_qp(reduced.S, reduced.r + force * _W, lo, hi, two_l)
-    theta, label, bound = _classify(two_l + float(_W @ g), lo, hi, two_l)
+    force = spring.force(two_l + (eta2 - eta1))
+    g = _clamped_qp(S, (r1 - force, r2 + force), lo, hi, two_l)
+    theta, label, bound = _classify(two_l + (g[1] - g[0]), lo, hi, two_l)
     return _finish(reduced, spring, lo, hi, g, theta, label, bound,
                    "fixed-point", iterations, converged, tuple(ratios))
 
@@ -405,6 +408,6 @@ def solve(problem: ProblemSpec, mesh_sizes: tuple[int, int] = (4, 4),
                                         penalty, config)
     if method == "fixed-point":
         if penalty is not None:
-            raise ValueError("the fixed-point solver does not take a penalty term")
+            raise ValidationError("the fixed-point solver does not take a penalty term")
         return solve_qvi_fixed_point(system, problem.spring, problem.variant, config)
-    raise ValueError(f"unknown method {method!r}")
+    raise ValidationError(f"unknown method {method!r}")

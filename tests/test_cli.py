@@ -175,6 +175,13 @@ class TestSolveExitStatus:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_gradient_keeps_contact_at_huge_loads(self, capsys):
+        code, out, _ = run_cli(capsys, "solve", "--method", "gradient", "--f1", "1e17",
+                               "--f2=-1e17", "--format", "svg")
+        assert code == 0
+        assert "regime = contact" in out
+        assert stdout_value(out, "g1") == 0.5 and stdout_value(out, "theta") == 0.0
+
     def test_nonfinite_modulus_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--e1", "inf", "--outdir", str(tmp_path))
         assert code == 1

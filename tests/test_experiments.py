@@ -64,6 +64,15 @@ class TestStiffnessSweep:
         assert result.failures[0][0] == 2.5
         assert "Smallness" in result.failures[0][1]
 
+    def test_plain_value_error_propagates(self, monkeypatch):
+        # only package errors mark a grid point as failed; anything else is a bug
+        def broken(*args):
+            raise ValueError("not a model rejection")
+
+        monkeypatch.setattr(experiments_module, "solve_exact", broken)
+        with pytest.raises(ValueError, match="not a model rejection"):
+            run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), GRID)
+
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):
             run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), [0.5, 0.5])

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, GeometryError,
-                         Material, PenaltyLaw, PenaltyVariant, SmallnessViolation,
-                         SolverConfig, SpringLaw, make_problem, spring_gap)
+from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
+                         GeometryError, Material, PenaltyLaw, PenaltyProblem,
+                         PenaltyVariant, SmallnessViolation, SolverConfig, SpringLaw,
+                         SpringRodsError, SweepResult, ValidationError, assemble, build_mesh,
+                         export_csv, export_svg, grid_search_minimizer, make_problem,
+                         run_stiffness_sweep, solve, spring_gap)
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -221,3 +224,51 @@ class TestNonFiniteInputs:
     def test_rejected_at_construction(self, build, error, bad):
         with pytest.raises(error, match="finite"):
             build(bad)
+
+
+def _system(n1, n2):
+    return assemble(build_mesh(GEO, n1, n2), MAT, BodyForce(1.0, -1.0))
+
+
+_NP = ConstraintVariant.NON_PENETRATION
+_EMPTY_SWEEP = SweepResult((), _NP, BodyForce(1.0, -1.0))
+_PENALTY = PenaltyProblem(benchmark_problem(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 1.0)
+
+#: Every place a bad value is rejected with ValidationError, by module.
+_VALIDATION_SITES = {
+    "model-modulus": lambda path: Material(-1.0, 1.0),
+    "model-stiffness": lambda path: SpringLaw(1.0, 0.0, 1.0),
+    "model-spring-length": lambda path: SpringLaw(1.0, 1.0, -1.0),
+    "model-penalty-length": lambda path: PenaltyLaw(PenaltyVariant.TWO_SIDED, 0.0),
+    "model-force": lambda path: BodyForce(math.nan, 0.0),
+    "solver-tolerance": lambda path: SolverConfig(tolerance=0.0),
+    "solver-iterations": lambda path: SolverConfig(max_iterations=0),
+    "solver-penalty-variant": lambda path: PenaltyProblem(
+        benchmark_problem(variant=ConstraintVariant.FULLY_RIGID), _PENALTY.law, 1.0),
+    "solver-fixed-point-penalty": lambda path: solve(
+        benchmark_problem(), (2, 2), "fixed-point", penalty=_PENALTY),
+    "solver-method": lambda path: solve(benchmark_problem(), (2, 2), "newton"),
+    "oracle-dofs": lambda path: grid_search_minimizer(
+        _system(4, 3), SpringLaw(1.0, 1.0, 1.0), _NP, (-1.0, 1.0), 0.5),
+    "oracle-ranges": lambda path: grid_search_minimizer(
+        _system(1, 1), SpringLaw(1.0, 1.0, 1.0), _NP, [(-1.0, 1.0)] * 3, 0.5),
+    "oracle-points": lambda path: grid_search_minimizer(
+        _system(3, 3), SpringLaw(1.0, 1.0, 1.0), _NP, (-1.0, 1.0), 0.1),
+    "experiments-grid": lambda path: run_stiffness_sweep(
+        benchmark_problem(), BodyForce(1.0, -1.0), [1.0, 0.5]),
+    "experiments-empty-sweep-csv": lambda path: export_csv(_EMPTY_SWEEP, path),
+    "experiments-empty-study-csv": lambda path: export_csv(
+        ConvergenceStudy((), ConstraintVariant.FULLY_RIGID, None, False), path),
+    "experiments-empty-svg": lambda path: export_svg(_EMPTY_SWEEP, path, "gap"),
+    "experiments-svg-panel": lambda path: export_svg(
+        run_stiffness_sweep(benchmark_problem(), BodyForce(1.0, -1.0), [1.0]), path, "pressure"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_VALIDATION_SITES))
+def test_bad_values_raise_the_package_error(site, tmp_path):
+    path = tmp_path / "out"
+    with pytest.raises(SpringRodsError) as info:
+        _VALIDATION_SITES[site](path)
+    assert type(info.value) is ValidationError and isinstance(info.value, ValueError)
+    assert not path.exists()

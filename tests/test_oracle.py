@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geometry,
-                         Material, SpringLaw, analytic_solution, assemble, build_mesh,
-                         grid_search_minimizer, make_problem, schur_reduce, solve_exact,
-                         theta_of)
+                         Material, NoConsistentRegime, SpringLaw, analytic_solution,
+                         assemble, build_mesh, grid_search_minimizer, make_problem,
+                         schur_reduce, solve_exact, theta_of)
 from spring_rods.fem import DofVector
 
 GEO = Geometry(-1.0, 1.0, 0.5)
@@ -110,6 +110,15 @@ class TestAnalyticSolution:
         interp = analytic_solution(prob).interpolate(mesh)
         assert np.allclose(sol.u.rod1, interp.rod1, atol=1e-12)
         assert np.allclose(sol.u.rod2, interp.rod2, atol=1e-12)
+
+
+    def test_overflow_raises(self):
+        # the moduli make L/E and f*L^2/E overflow; the closed form used to
+        # return g1 = nan, s = -inf labelled contact
+        prob = make_problem(GEO, Material(1e-300, 1e-300), SpringLaw(1e-301, 1e-301, 1.0),
+                            BodyForce(1e10, -1e10), ConstraintVariant.NON_PENETRATION)
+        with pytest.raises(NoConsistentRegime, match="overflows"):
+            analytic_solution(prob)
 
 
 class TestGridSearch:

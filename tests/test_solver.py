@@ -236,6 +236,17 @@ class TestProjectedGradient:
                                        SolverConfig(tolerance=1e-11))
         assert sol.theta == pytest.approx(direct.theta, abs=1e-8)
 
+    def test_contact_survives_huge_loads(self):
+        # the iterates are ~1e16 while the contact gap change is -1: moving
+        # both ends by half the gap error rounded the contact away
+        prob = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1e17, -1e17), NP_)
+        exact = solve(prob, (4, 4), "exact")
+        sol = solve(prob, (4, 4), "gradient")
+        assert sol.diagnostics.regime == exact.diagnostics.regime == "contact"
+        assert sol.theta == 0.0 and sol.contact
+        assert sol.g1 == exact.g1 == 0.5
+        assert sol.g2 == exact.g2 == -0.5
+
     def test_iteration_cap_flag(self):
         _, system, _, spring = setup_case(1.0, (1.0, -0.5))
         sol = solve_projected_gradient(system, spring, NP_,
@@ -638,3 +649,71 @@ class TestOracleLabelAgreement:
                 assert sol.diagnostics.regime == want.regime, problem
                 compared += 1
         assert compared >= 1150
+
+
+# ---------------------------------------------------------------------------
+# pinned results: a rewrite of the interface arithmetic must not move a bit
+
+PIN_GEO = Geometry(-1.3, 0.9, 0.4)
+PIN_MAT = Material(1.7, 0.6)
+PIN_SPRING = SpringLaw(0.3, 0.7, 0.8)
+_V = ConstraintVariant
+_P = PenaltyVariant
+
+#: name -> (variant, loads, mesh, method, (penalty variant, lam) or None)
+PIN_CASES = {
+    "contact": (NP_, (8.0, -8.0), (3, 7), "exact", None),
+    "compression-1x1": (NP_, (1.0, -0.5), (1, 1), "exact", None),
+    "extension-64x5": (NP_, (-1.0, 1.5), (64, 5), "exact", None),
+    "bound-lower": (_V.RIGID_COMPRESSION, (2.5, -1.5), (3, 7), "exact", None),
+    "bound-upper": (_V.RIGID_EXTENSION, (-2.0, 2.0), (3, 7), "exact", None),
+    "rigid": (_V.FULLY_RIGID, (2.5, -1.5), (3, 7), "exact", None),
+    "penalty-compression": (NP_, (2.5, -1.5), (3, 7), "exact", (_P.COMPRESSION_ONLY, 0.01)),
+    "penalty-extension": (NP_, (-2.0, 3.0), (64, 5), "exact", (_P.EXTENSION_ONLY, 0.5)),
+    "penalty-two-sided": (NP_, (2.5, -1.5), (1, 1), "exact", (_P.TWO_SIDED, 1e-3)),
+    "fixed-point": (NP_, (2.5, -1.5), (3, 7), "fixed-point", None),
+    "fixed-point-upper": (_V.RIGID_EXTENSION, (-2.0, 2.0), (64, 5), "fixed-point", None),
+    "gradient": (NP_, (2.5, -1.5), (3, 7), "gradient", None),
+    "gradient-contact": (NP_, (8.0, -8.0), (64, 5), "gradient", None),
+}
+
+#: name -> (regime, iterations, float.hex of g1, g2, theta, s)
+PINNED = {
+    "contact": ("contact", 0, "0x1.a85574c3f5afbp-1", "0x1.d77b654b82c20p-6",
+                "0x0.0p+0", "-0x1.046b8e8cb539cp+1"),
+    "compression-1x1": ("compression", 0, "0x1.98da0de54714fp-3", "-0x1.6395d2c00b66cp-5",
+                        "0x1.1d29b8f4471e0p-1", "-0x1.2aa61b265f8ecp-4"),
+    "extension-64x5": ("extension", 0, "-0x1.11fba1f993d88p-3", "0x1.2f44fa3842cb6p-3",
+                       "0x1.14f4e05307a15p+0", "0x1.9413a0894972ap-3"),
+    "bound-lower": ("bound-lower", 0, "0x1.f14424d5a3e9fp-3", "0x1.f14424d5a3e9fp-3",
+                    "0x1.999999999999ap-1", "-0x1.552e0b0ce45fcp-1"),
+    "bound-upper": ("bound-upper", 0, "-0x1.093568fa798dcp-3", "-0x1.093568fa798dcp-3",
+                    "0x1.999999999999ap-1", "0x1.4f9005e4be10fp-1"),
+    "rigid": ("rigid", 0, "0x1.f14424d5a3e9fp-3", "0x1.f14424d5a3e9fp-3",
+              "0x1.999999999999ap-1", "-0x1.552e0b0ce45fcp-1"),
+    "penalty-compression": ("compression", 0, "0x1.f683837b8ca7dp-3", "0x1.e9019497991dep-3",
+                            "0x1.96391de09cb72p-1", "-0x1.52b3ac93e1228p-1"),
+    "penalty-extension": ("extension", 0, "-0x1.1ebb9d86ad74bp-3", "0x1.86ad74a7fc23ap-4",
+                          "0x1.090f17c8223dap+0", "0x1.4565fb4d33c79p-1"),
+    "penalty-two-sided": ("compression", 0, "0x1.f1cbbabf2df2cp-3", "0x1.f06eb8dc8d021p-3",
+                          "0x1.99425920f15d7p-1", "-0x1.54ee04422a4d6p-1"),
+    "fixed-point": ("compression", 16, "0x1.f90d5c78ac909p-2", "-0x1.35faa7dab6f66p-3",
+                    "0x1.3e51059a564f0p-3", "-0x1.8c0669c657a50p-3"),
+    "fixed-point-upper": ("bound-upper", 2, "-0x1.093568fa798dep-3", "-0x1.093568fa798dep-3",
+                          "0x1.999999999999ap-1", "0x1.4f9005e4be110p-1"),
+    # the projected gradient's values are only as exact as its tolerance
+    "gradient": ("compression", 28),
+    "gradient-contact": ("contact", 29),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_pinned_results(name):
+    variant, loads, mesh_sizes, method, penalty = PIN_CASES[name]
+    prob = make_problem(PIN_GEO, PIN_MAT, PIN_SPRING, BodyForce(*loads), variant)
+    if penalty is not None:
+        penalty = PenaltyProblem(prob, PenaltyLaw(penalty[0], 0.8), penalty[1])
+    sol = solve(prob, mesh_sizes, method, penalty=penalty)
+    regime, iterations, *values = PINNED[name]
+    assert (sol.diagnostics.regime, sol.diagnostics.iterations) == (regime, iterations)
+    assert [x.hex() for x in (sol.g1, sol.g2, sol.theta, sol.s)][:len(values)] == values
