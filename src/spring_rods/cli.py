@@ -132,32 +132,42 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the subcommand is a positional choice, options go before or after it."""
     parser = argparse.ArgumentParser(
         prog="spring-rods",
         description="Equilibrium of two elastic rods coupled by a nonlinear spring "
                     "with a non-penetration constraint.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat config file with dotted keys")
+    parser.add_argument("command", choices=_COMMANDS,
+                        help="; ".join(f"{name}: {text}" for name, (_, text)
+                                       in _COMMANDS.items()))
+    parser.add_argument("--config", help="flat config file with dotted keys")
     for attr, (_, flag, kind, choices, text) in _OPTIONS.items():
-        common.add_argument(flag, dest=attr, type=kind, choices=choices, help=text)
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common], help="solve one equilibrium")
-    sub.add_parser("sweep", parents=[common], help="stiffness sweep")
-    sub.add_parser("converge", parents=[common], help="penalty convergence study")
-    sub.add_parser("validate", parents=[common],
-                   help="cross-check all solvers against the closed form")
+        parser.add_argument(flag, dest=attr, type=kind, choices=choices, help=text)
     return parser
 
 
-def _run_dir(config: RunConfig, subcommand: str) -> Path:
+def _run_dir(config: RunConfig, command: str) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{time.time_ns() % 1_000_000:06d}"
-    path = Path(config.outdir) / f"{subcommand}-{stamp}"
+    path = Path(config.outdir) / f"{command}-{stamp}"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _formats(config: RunConfig) -> set[str]:
+    return {"csv", "svg"} if config.formats == "both" else {config.formats}
+
+
+def _write_study(config: RunConfig, command: str, result, csv_name: str, panels) -> None:
+    rundir = _run_dir(config, command)
+    wanted = _formats(config)
+    if "csv" in wanted:
+        print(f"wrote {export_csv(result, rundir / csv_name)}")
+    if "svg" in wanted:
+        for panel in panels:
+            print(f"wrote {export_svg(result, rundir / f'{panel}.svg', panel)}")
+
+
+def _cmd_solve(config: RunConfig, command: str) -> int:
     problem = config.problem()
     penalty = None
     if config.lam is not None:
@@ -171,7 +181,7 @@ def _cmd_solve(config: RunConfig) -> int:
     print(f"s = {_fmt(sol.s)}")
     print(f"contact = {'true' if sol.contact else 'false'}")
     if "csv" in _formats(config):
-        rundir = _run_dir(config, "solve")
+        rundir = _run_dir(config, command)
         mesh = build_mesh(problem.geometry, config.n1, config.n2)
         lines = ["rod,x,u"]
         for x, u in zip(mesh.nodes1, np.concatenate(([0.0], sol.u.rod1))):
@@ -188,41 +198,23 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _formats(config: RunConfig) -> set[str]:
-    return {"csv", "svg"} if config.formats == "both" else {config.formats}
-
-
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: RunConfig, command: str) -> int:
     problem = config.problem()
     grid = [round(0.1 * i, 10) for i in range(1, 20)]
     result = run_stiffness_sweep(problem, problem.forces, grid, (config.n1, config.n2))
-    rundir = _run_dir(config, "sweep")
-    wanted = _formats(config)
-    if "csv" in wanted:
-        print(f"wrote {export_csv(result, rundir / 'sweep.csv')}")
-    if "svg" in wanted:
-        for panel in ("displacements", "stress", "gap"):
-            print(f"wrote {export_svg(result, rundir / f'{panel}.svg', panel)}")
+    _write_study(config, command, result, "sweep.csv", ("displacements", "stress", "gap"))
     for k, message in result.failures:
         print(f"note: k={k} failed: {message}", file=sys.stderr)
     return 0
 
 
-def _cmd_converge(config: RunConfig) -> int:
+def _cmd_converge(config: RunConfig, command: str) -> int:
     if config.n_max < 1:
         raise ValidationError(f"need --n-max of at least 1, got {config.n_max}")
     problem = config.problem()
-    law = config.penalty_law()
-    study = run_penalty_convergence(problem, law.variant,
-                                    range(1, config.n_max + 1),
-                                    (config.n1, config.n2))
-    rundir = _run_dir(config, "converge")
-    wanted = _formats(config)
-    if "csv" in wanted:
-        print(f"wrote {export_csv(study, rundir / 'convergence.csv')}")
-    if "svg" in wanted:
-        for panel in ("error", "gap"):
-            print(f"wrote {export_svg(study, rundir / f'{panel}.svg', panel)}")
+    study = run_penalty_convergence(problem, config.penalty_law().variant,
+                                    range(1, config.n_max + 1), (config.n1, config.n2))
+    _write_study(config, command, study, "convergence.csv", ("error", "gap"))
     last = study.records[-1]
     print(f"final error = {_fmt(last.error)} at n = {last.n}")
     if study.non_convergence:
@@ -231,7 +223,7 @@ def _cmd_converge(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_validate(config: RunConfig) -> int:
+def _cmd_validate(config: RunConfig, command: str) -> int:
     problem = config.problem()
     cfg = SolverConfig(tolerance=min(config.tol, 1e-9), max_iterations=config.max_iter)
     mesh_sizes = (config.n1, config.n2)
@@ -256,21 +248,21 @@ def _cmd_validate(config: RunConfig) -> int:
     return 0
 
 
+#: Each subcommand as (handler(config, name), help text); name prefixes the run directory.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "converge": _cmd_converge,
-    "validate": _cmd_validate,
+    "solve": (_cmd_solve, "solve one equilibrium"),
+    "sweep": (_cmd_sweep, "stiffness sweep"),
+    "converge": (_cmd_converge, "penalty convergence study"),
+    "validate": (_cmd_validate, "cross-check all solvers against the closed form"),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         config = parse_config(args.config, overrides)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config, args.command)
     except SpringRodsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

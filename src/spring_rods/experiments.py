@@ -221,15 +221,19 @@ def _flat(lo: float, hi: float) -> bool:
     return hi - lo <= 1e-12 * max(abs(lo), abs(hi))
 
 
+def _axis_range(values) -> tuple[float, float]:
+    """Range of `values`; a flat one is widened by 0.5 each way, or by half its
+    magnitude where 0.5 is lost to round-off."""
+    lo, hi = min(values), max(values)
+    if not _flat(lo, hi):
+        return lo, hi
+    pad = 0.5 if (hi + 0.5) - (lo - 0.5) > hi - lo else 0.5 * max(abs(lo), abs(hi))
+    return lo - pad, hi + pad
+
+
 def _svg_chart(series, xlabel: str, ylabel: str) -> str:
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    xmin, xmax = min(xs_all), max(xs_all)
-    ymin, ymax = min(ys_all), max(ys_all)
-    if _flat(xmin, xmax):
-        xmin, xmax = xmin - 0.5, xmax + 0.5
-    if _flat(ymin, ymax):
-        ymin, ymax = ymin - 0.5, ymax + 0.5
+    xmin, xmax = _axis_range([x for _, xs, _ in series for x in xs])
+    ymin, ymax = _axis_range([y for _, _, ys in series for y in ys])
 
     def px(x: float) -> float:
         return _ML + (x - xmin) / (xmax - xmin) * (_SVG_W - _ML - _MR)

@@ -106,24 +106,27 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     a, b, l = geo.a, geo.b, geo.l
     L1, L2 = geo.L1, geo.L2
     two_l = 2.0 * l
-
-    compliance = L1 / mat.E1 + L2 / mat.E2
-    theta_free = two_l - f1 * L1 ** 2 / (2.0 * mat.E1) + f2 * L2 ** 2 / (2.0 * mat.E2)
     lo, hi = problem.gap_bounds()
-    if not (math.isfinite(compliance) and math.isfinite(theta_free)):
-        raise NoConsistentRegime(f"closed form overflows: free gap {theta_free}")
 
-    s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
+    try:
+        compliance = L1 / mat.E1 + L2 / mat.E2
+        theta_free = two_l - f1 * L1 ** 2 / (2.0 * mat.E1) + f2 * L2 ** 2 / (2.0 * mat.E2)
+        if not (math.isfinite(compliance) and math.isfinite(theta_free)):
+            raise NoConsistentRegime(f"closed form overflows: free gap {theta_free}")
 
-    g1 = L1 / mat.E1 * s + f1 * L1 ** 2 / (2.0 * mat.E1)
-    g2 = -L2 / mat.E2 * s + f2 * L2 ** 2 / (2.0 * mat.E2)
+        s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
 
-    u1_coeffs = ((-s * a + 0.5 * f1 * ((a + l) ** 2 - l ** 2)) / mat.E1,
-                 (s - f1 * l) / mat.E1,
-                 -f1 / (2.0 * mat.E1))
-    u2_coeffs = ((-s * b + 0.5 * f2 * (L2 ** 2 - l ** 2)) / mat.E2,
-                 (s + f2 * l) / mat.E2,
-                 -f2 / (2.0 * mat.E2))
+        g1 = L1 / mat.E1 * s + f1 * L1 ** 2 / (2.0 * mat.E1)
+        g2 = -L2 / mat.E2 * s + f2 * L2 ** 2 / (2.0 * mat.E2)
+
+        u1_coeffs = ((-s * a + 0.5 * f1 * ((a + l) ** 2 - l ** 2)) / mat.E1,
+                     (s - f1 * l) / mat.E1,
+                     -f1 / (2.0 * mat.E1))
+        u2_coeffs = ((-s * b + 0.5 * f2 * (L2 ** 2 - l ** 2)) / mat.E2,
+                     (s + f2 * l) / mat.E2,
+                     -f2 / (2.0 * mat.E2))
+    except OverflowError as exc:  # float ** raises where * would give inf
+        raise NoConsistentRegime(f"closed form overflows: {exc}") from None
     if not all(map(math.isfinite, (s, g1, g2, *u1_coeffs, *u2_coeffs))):
         raise NoConsistentRegime(f"closed form overflows: s={s}, g1={g1}, g2={g2}")
     return AnalyticSolution(problem, u1_coeffs, u2_coeffs, g1, g2, theta, s, regime)

@@ -15,12 +15,13 @@ solvers are independent iterative cross-checks.  All work on plain floats.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractionFailure, InfeasibleCandidate, NoConsistentRegime,
-                     NonPositiveLambda, ValidationError)
+from .errors import (ContractionFailure, GeometryError, InfeasibleCandidate,
+                     NoConsistentRegime, NonPositiveLambda, ValidationError)
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce, theta_of)
 from .model import (ConstraintVariant, PenaltyLaw, PenaltyVariant, ProblemSpec,
@@ -46,8 +47,13 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if not isinstance(self.max_iterations, numbers.Integral):
+            raise ValidationError(f"iteration cap must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValidationError(f"need at least one iteration, got {self.max_iterations}")
+        if self.fixed_point_damping is not None and not 0.0 < self.fixed_point_damping <= 1.0:
+            raise ValidationError(f"fixed-point damping must lie in (0, 1], "
+                                  f"got {self.fixed_point_damping}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,7 @@ class PenaltyProblem:
     """A base non-penetration problem stiffened by (1/lam) times a penalty law.
 
     lam must be positive and finite: an infinite lam would drop the penalty.
+    The law must act around the spring's natural length 2l.
     """
 
     base: ProblemSpec
@@ -96,6 +103,11 @@ class PenaltyProblem:
                 f"penalty parameter must be positive and finite, got {self.lam}")
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
             raise ValidationError("penalized problems are posed over the non-penetration set")
+        if not math.isclose(self.law.natural_length, self.base.geometry.natural_length,
+                            rel_tol=0.0, abs_tol=1e-12):
+            raise GeometryError(
+                f"penalty law natural length {self.law.natural_length} does not match "
+                f"the geometric gap {self.base.geometry.natural_length}")
 
 
 def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLaw:

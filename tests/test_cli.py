@@ -225,6 +225,16 @@ class TestSweepCommand:
         assert (rundir / "sweep.csv").exists()
         assert not list(rundir.glob("*.svg"))
 
+    def test_flat_stress_at_huge_loads_still_plots(self, capsys, tmp_path):
+        # s = -2.5e16 at every k: the flat stress range must still be widened
+        code, out, err = run_cli(capsys, "sweep", "--f1", "1e17", "--f2=-1e17",
+                                 "--outdir", str(tmp_path))
+        assert (code, err) == (0, "")
+        rundir = next(tmp_path.glob("sweep-*"))
+        assert sorted(p.name for p in rundir.iterdir()) == [
+            "displacements.svg", "gap.svg", "stress.svg", "sweep.csv"]
+        assert out.count("wrote ") == 4
+
 
 class TestConvergeCommand:
     def test_artifacts_and_determinism(self, capsys, tmp_path):
@@ -306,6 +316,23 @@ class TestUsageErrors:
             main(["sweep", "--jobs", "2"])
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_options_may_precede_the_command(self, capsys):
+        before = run_cli(capsys, "--f1", "1", "--f2=-1", "--format", "svg", "solve")
+        after = run_cli(capsys, "solve", "--f1", "1", "--f2=-1", "--format", "svg")
+        assert before == after
+        assert before[0] == 0
+
+    def test_help_describes_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # argparse may wrap the help text after a hyphen
+        out = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
+        for text in ("solve: solve one equilibrium", "sweep: stiffness sweep",
+                     "converge: penalty convergence study",
+                     "validate: cross-check all solvers against the closed form"):
+            assert text in out
 
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

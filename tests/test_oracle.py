@@ -120,6 +120,13 @@ class TestAnalyticSolution:
         with pytest.raises(NoConsistentRegime, match="overflows"):
             analytic_solution(prob)
 
+    def test_overflowing_square_raises(self):
+        # L1 ** 2 raises OverflowError instead of returning inf
+        prob = make_problem(Geometry(-1e200, 1e200, 0.5), MAT, SpringLaw(1e-201, 1e-201, 1.0),
+                            BodyForce(1.0, -1.0), ConstraintVariant.NON_PENETRATION)
+        with pytest.raises(NoConsistentRegime, match="overflows"):
+            analytic_solution(prob)
+
 
 class TestGridSearch:
     def setup_method(self):

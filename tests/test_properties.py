@@ -54,3 +54,59 @@ def test_projected_gradient_matches_continuum_oracle(l, L1, L2, E1, E2, q1, q2, 
     for got, want in zip((sol.g1, sol.g2, sol.theta, sol.s),
                          (ref.g1, ref.g2, ref.theta, ref.s)):
         assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+
+# the draws of test_exact_solve_matches_continuum_oracle, shared by the symmetry tests
+_DRAWS = dict(l=_positive(0.05, 1.0), L1=_positive(0.2, 2.0), L2=_positive(0.2, 2.0),
+              E1=_positive(0.5, 5.0), E2=_positive(0.5, 5.0),
+              q1=_positive(0.01, 0.99), q2=_positive(0.01, 0.99),
+              f1=_positive(-10.0, 10.0), f2=_positive(-10.0, 10.0),
+              variant=st.sampled_from(list(ConstraintVariant)),
+              n1=st.integers(1, 16), n2=st.integers(1, 16))
+
+
+def _interface(l, L1, L2, E1, E2, k1, k2, f1, f2, variant, n1, n2):
+    problem = make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
+                           SpringLaw(k1, k2, 2.0 * l), BodyForce(f1, f2), variant)
+    sol = solve(problem, (n1, n2))
+    return sol.g1, sol.g2, sol.theta, sol.s
+
+
+def _assert_close(got, want):
+    for x, y in zip(got, want):
+        assert abs(x - y) <= 1e-12 * max(1.0, abs(y)), (got, want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(**_DRAWS)
+def test_mirror_symmetry(l, L1, L2, E1, E2, q1, q2, f1, f2, variant, n1, n2):
+    # reflecting x -> -x swaps the rods and reverses the loads and displacements
+    k_max = (E1 + E2) / (2.0 * max(L1, L2))
+    g1, g2, theta, s = _interface(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2,
+                                  variant, n1, n2)
+    mirrored = _interface(l, L2, L1, E2, E1, q1 * k_max, q2 * k_max, -f2, -f1,
+                          variant, n2, n1)
+    _assert_close(mirrored, (-g2, -g1, theta, s))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(**_DRAWS)
+def test_scaling_moduli_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, f1, f2, variant,
+                                            n1, n2):
+    # the energy scales by c, so the displacements stay and the stress scales by c
+    c, k_max = 2.5, (E1 + E2) / (2.0 * max(L1, L2))
+    g1, g2, theta, s = _interface(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2,
+                                  variant, n1, n2)
+    scaled = _interface(l, L1, L2, c * E1, c * E2, c * q1 * k_max, c * q2 * k_max,
+                        c * f1, c * f2, variant, n1, n2)
+    _assert_close(scaled, (g1, g2, theta, c * s))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(m1=st.integers(1, 16), m2=st.integers(1, 16), **_DRAWS)
+def test_interface_state_is_mesh_invariant(l, L1, L2, E1, E2, q1, q2, f1, f2, variant,
+                                           n1, n2, m1, m2):
+    # linear elements are nodally exact for constant loads
+    k_max = (E1 + E2) / (2.0 * max(L1, L2))
+    spec = (l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant)
+    _assert_close(_interface(*spec, n1 + m1, n2 + m2), _interface(*spec, n1, n2))

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ContractionFailure, Geometry,
-                         InfeasibleCandidate, Material, NoConsistentRegime,
+                         GeometryError, InfeasibleCandidate, Material, NoConsistentRegime,
                          NonPositiveLambda, PenaltyLaw,
-                         PenaltyProblem, PenaltyVariant, SolverConfig, SpringLaw,
+                         PenaltyProblem, PenaltyVariant, SolverConfig, SpringLaw, ValidationError,
                          analytic_solution, assemble, build_mesh, effective_spring,
                          interface_stress, make_problem, recover_full, schur_reduce,
                          solve, solve_exact, solve_penalized, solve_projected_gradient,
@@ -180,6 +180,15 @@ class TestSolvePenalized:
         with pytest.raises(ValueError):
             PenaltyProblem(rigid, PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 1.0)
 
+    @pytest.mark.parametrize("natural_length", [0.3, 1.0 + 1e-9, 7.0])
+    def test_law_must_act_around_the_spring_length(self, natural_length):
+        # effective_spring reads only the variant, so a law centred elsewhere
+        # would be solved as if it were centred at 2l = 1
+        law = PenaltyLaw(PenaltyVariant.TWO_SIDED, natural_length)
+        with pytest.raises(GeometryError, match="natural length"):
+            PenaltyProblem(self.base(), law, 1.0)
+        PenaltyProblem(self.base(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0 + 1e-13), 1.0)
+
     def test_effective_spring_sides(self):
         spring = SpringLaw(1.0, 0.5, 1.0)
         comp = effective_spring(spring, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 0.25)
@@ -315,6 +324,21 @@ class TestFixedPoint:
                 sol = solve_qvi_fixed_point(system, spring, variant)
                 assert sol.g1 == pytest.approx(exact.g1, abs=1e-7)
                 assert sol.g2 == pytest.approx(exact.g2, abs=1e-7)
+
+
+def test_solver_config_rejects_bad_damping_and_iteration_cap():
+    # damping 0 froze the fixed-point iterate and reported it converged;
+    # a NaN cap ran no iteration at all
+    for damping in (0.0, -0.5, 1.5, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="damping"):
+            SolverConfig(fixed_point_damping=damping)
+    for cap in (math.nan, 2.5, 100.0):
+        with pytest.raises(ValidationError, match="integer"):
+            SolverConfig(max_iterations=cap)
+    assert SolverConfig(max_iterations=np.int64(3), fixed_point_damping=1e-3)
+    _, system, _, spring = setup_case(0.5, (1.0, -1.0))
+    sol = solve_qvi_fixed_point(system, spring, NP_, SolverConfig(fixed_point_damping=1.0))
+    assert sol.theta == pytest.approx(5.0 / 6.0, abs=1e-8)
 
 
 class TestRegimeEnumeration:
