@@ -20,6 +20,8 @@ from .fem import DiscreteSystem, DofVector, Mesh
 from .model import ConstraintVariant, ProblemSpec, SpringLaw, spring_gap
 
 _SELECT_TOL = 1e-12
+#: Grid points per block of grid_search_minimizer: each temporary stays within 256 KB.
+_BLOCK_POINTS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,10 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
 
     `bounds` is one (lo, hi) interval shared by every free DOF, or a
     sequence with one interval per DOF; at most six DOFs and 2**23 grid
-    points.  The energy is broadcast from the 1-D axes term by term, and
-    the first minimum in C order wins.  By convexity the result lies within
-    one grid step of the true minimizer in every coordinate.
+    points, a cap that bounds the run time.  The energy is evaluated term by
+    term in fixed-size blocks of the C-order grid, so memory per call is
+    constant, and the first minimum in C order wins.  By convexity the result
+    lies within one grid step of the true minimizer in every coordinate.
     """
     mesh = system.mesh
     n1 = mesh.n1
@@ -154,25 +157,37 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     counts = [int(round((hi_v - lo_v) / step)) + 1 for lo_v, hi_v in bounds]
     if math.prod(counts) > 2 ** 23:
         raise ValidationError(f"brute force limited to 2**23 grid points, got {math.prod(counts)}")
-    x = np.ix_(*(np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)))
+    axes = [np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)]
 
     l = mesh.geometry.l
-    theta = spring_gap(l, x[n1 - 1], x[n1])
     glo, ghi = variant.bounds(l)
-    feasible = (theta >= glo - 1e-12) & (theta <= ghi + 1e-12)
-    if not np.any(feasible):
-        raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
-    d = theta - spring.natural_length
-    k = np.where(theta < spring.natural_length, spring.k1, spring.k2)
-    energy = np.zeros(counts)
-    energy += np.where(feasible, 0.5 * k * d * d, np.inf)
     diag = np.concatenate((system.diag1, system.diag2))
     b = np.concatenate((system.b1, system.b2))
-    for i in range(ndof):
-        energy += (0.5 * diag[i] * x[i] - b[i]) * x[i]
     off = np.concatenate((system.off1, [0.0], system.off2))  # no coupling across the gap
-    for i in range(ndof - 1):
-        energy += off[i] * x[i] * x[i + 1]
-    best = np.unravel_index(int(np.argmin(energy)), energy.shape)
-    u = np.array([axis.flat[j] for axis, j in zip(x, best)])
+    # a block fixes the indices before axis `cut`, takes `rows` of that axis
+    # and every later axis whole; blocks run in C order
+    cut = next(i for i in range(ndof) if math.prod(counts[i + 1:]) <= _BLOCK_POINTS)
+    rows = _BLOCK_POINTS // math.prod(counts[cut + 1:])
+    best, best_energy = None, math.inf
+    for lead in np.ndindex(*counts[:cut]):
+        for start in range(0, counts[cut], rows):
+            x = np.ix_(*(axis[j:j + 1] for axis, j in zip(axes, lead)),
+                       axes[cut][start:start + rows], *axes[cut + 1:])
+            theta = spring_gap(l, x[n1 - 1], x[n1])
+            feasible = (theta >= glo - 1e-12) & (theta <= ghi + 1e-12)
+            d = theta - spring.natural_length
+            k = np.where(theta < spring.natural_length, spring.k1, spring.k2)
+            energy = np.zeros([axis.size for axis in x])
+            energy += np.where(feasible, 0.5 * k * d * d, np.inf)
+            for i in range(ndof):
+                energy += (0.5 * diag[i] * x[i] - b[i]) * x[i]
+            for i in range(ndof - 1):
+                energy += off[i] * x[i] * x[i + 1]
+            j = int(np.argmin(energy))
+            if energy.flat[j] < best_energy:  # strict: an earlier block keeps a tie
+                best_energy = energy.flat[j]
+                best = [axis.flat[i] for axis, i in zip(x, np.unravel_index(j, energy.shape))]
+    if best is None:
+        raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
+    u = np.array(best)
     return DofVector(u[:n1], u[n1:])

@@ -45,15 +45,15 @@ class SolverConfig:
     fixed_point_damping: float | None = None  # None: 1/(1 + Lp*C), see solve_qvi_fixed_point
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if not (isinstance(self.tolerance, numbers.Real) and 0.0 < self.tolerance < math.inf):
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if not isinstance(self.max_iterations, numbers.Integral):
             raise ValidationError(f"iteration cap must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValidationError(f"need at least one iteration, got {self.max_iterations}")
-        if self.fixed_point_damping is not None and not 0.0 < self.fixed_point_damping <= 1.0:
-            raise ValidationError(f"fixed-point damping must lie in (0, 1], "
-                                  f"got {self.fixed_point_damping}")
+        damping = self.fixed_point_damping
+        if damping is not None and not (isinstance(damping, numbers.Real) and 0.0 < damping <= 1.0):
+            raise ValidationError(f"fixed-point damping must lie in (0, 1], got {damping!r}")
 
 
 @dataclass(frozen=True)

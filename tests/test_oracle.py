@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geomet
                          Material, NoConsistentRegime, SpringLaw, analytic_solution,
                          assemble, build_mesh, grid_search_minimizer, make_problem,
                          schur_reduce, solve_exact, theta_of)
+from spring_rods import oracle
 from spring_rods.fem import DofVector
 
 GEO = Geometry(-1.0, 1.0, 0.5)
@@ -251,3 +253,102 @@ class TestGridSearchMatchesLoop:
         got = (*dof.rod1, *dof.rod2)
         assert got == best or (abs(_loop_energy(system, spring, variant, got) - best_energy)
                                <= 1e-12 * max(1.0, abs(best_energy)))
+
+
+def _seeded_loop_problem(mesh_sizes, variant):
+    """The problem TestGridSearchMatchesLoop draws for these arguments."""
+    rng = np.random.default_rng([*mesh_sizes, list(ConstraintVariant).index(variant)])
+    n1 = mesh_sizes[0]
+    ndof = sum(mesh_sizes)
+    geo = Geometry(-rng.uniform(0.8, 2.0), rng.uniform(0.8, 2.0), rng.uniform(0.2, 0.6))
+    mat = Material(*rng.uniform(0.5, 3.0, 2))
+    spring = SpringLaw(*rng.uniform(0.05, 0.4, 2), 2.0 * geo.l)
+    forces = BodyForce(*rng.uniform(-4.0, 4.0, 2))
+    system = assemble(build_mesh(geo, *mesh_sizes), mat, forces)
+    points = 7 - (ndof - 2) // 2
+    step = rng.uniform(0.02, 0.1)
+    nodal = analytic_solution(make_problem(geo, mat, spring, forces, variant)).interpolate(
+        system.mesh)
+    center = np.concatenate((nodal.rod1, nodal.rod2))
+    lows = center + rng.uniform(-1.0, 0.0, ndof) * (points - 1) * step
+    lows[n1] = lows[n1 - 1]
+    bounds = [(lo, lo + (points - 1) * step) for lo in lows]
+    return system, spring, variant, bounds, step
+
+
+def _same_dof(a, b):
+    return np.array_equal(a.rod1, b.rod1) and np.array_equal(a.rod2, b.rod2)
+
+
+class TestGridSearchBlocks:
+    """Small blocks put seams all over the grid; the chosen point must not move."""
+
+    @pytest.mark.parametrize("block", [5, 11, 100])
+    @pytest.mark.parametrize("variant", list(ConstraintVariant))
+    @pytest.mark.parametrize("mesh_sizes", [(1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (3, 3)])
+    def test_seeded_loop_problems(self, monkeypatch, mesh_sizes, variant, block):
+        args = _seeded_loop_problem(mesh_sizes, variant)
+        default = grid_search_minimizer(*args)
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", block)
+        assert _same_dof(grid_search_minimizer(*args), default)
+
+    @pytest.mark.parametrize("rows", [2, 7])
+    @pytest.mark.parametrize("variant", [ConstraintVariant.NON_PENETRATION,
+                                         ConstraintVariant.RIGID_COMPRESSION,
+                                         ConstraintVariant.RIGID_EXTENSION])
+    def test_certify_shape(self, monkeypatch, variant, rows):
+        # 1+1 elements, step 4e-3 over +-1.0 around the solution, off the grid nodes
+        rng = np.random.default_rng([rows, list(ConstraintVariant).index(variant)])
+        for _ in range(3):
+            k = rng.uniform(0.05, 0.9)
+            prob = problem(k, tuple(rng.uniform(-6.0, 6.0, 2)), variant)
+            sol = analytic_solution(prob)
+            shift = rng.uniform(-0.5, 0.5, 2) * 4e-3
+            bounds = [(g + s - 1.0, g + s + 1.0) for g, s in zip((sol.g1, sol.g2), shift)]
+            args = (assemble(build_mesh(GEO, 1, 1), MAT, prob.forces), prob.spring,
+                    variant, bounds, 4e-3)
+            default = grid_search_minimizer(*args)
+            monkeypatch.setattr(oracle, "_BLOCK_POINTS", rows * 501)
+            assert _same_dof(grid_search_minimizer(*args), default)
+            monkeypatch.undo()
+
+    def test_feasible_only_in_last_block(self, monkeypatch):
+        # rigid extension needs g1 >= g2: only g1 = 1.0, the last row, reaches g2 = 1.0
+        system = assemble(build_mesh(GEO, 1, 1), MAT, BodyForce(0.0, 0.0))
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 2)
+        dof = grid_search_minimizer(system, SpringLaw(1.0, 1.0, 1.0),
+                                    ConstraintVariant.RIGID_EXTENSION,
+                                    [(0.0, 1.0), (1.0, 1.1)], 0.1)
+        assert (dof.g1, dof.g2) == (1.0, 1.0)
+
+    def test_no_feasible_block(self, monkeypatch):
+        system = assemble(build_mesh(GEO, 1, 1), MAT, BodyForce(0.0, 0.0))
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 3)
+        with pytest.raises(EmptyFeasibleGrid):
+            grid_search_minimizer(system, SpringLaw(1.0, 1.0, 1.0),
+                                  ConstraintVariant.NON_PENETRATION,
+                                  [(2.0, 3.0), (0.0, 0.5)], 0.25)
+
+    @pytest.mark.parametrize("block", [4, oracle._BLOCK_POINTS])
+    def test_tie_across_blocks_keeps_c_order_first(self, monkeypatch, block):
+        # without loads the energy is even, and on these dyadic axes it is
+        # exact: (-0.25, -0.25) in row 1 and (0.25, 0.25) in row 2 tie
+        system = assemble(build_mesh(GEO, 1, 1), MAT, BodyForce(0.0, 0.0))
+        spring, variant = SpringLaw(1.0, 1.0, 1.0), ConstraintVariant.NON_PENETRATION
+        assert (_loop_energy(system, spring, variant, (-0.25, -0.25))
+                == _loop_energy(system, spring, variant, (0.25, 0.25)))
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", block)  # 4: one row per block
+        dof = grid_search_minimizer(system, spring, variant, (-0.75, 0.75), 0.5)
+        assert (dof.g1, dof.g2) == (-0.25, -0.25)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 2001**2 points; a full-grid evaluation peaked at about 190 MB
+        system = assemble(build_mesh(GEO, 1, 1), MAT, BodyForce(1.0, -1.0))
+        tracemalloc.start()
+        try:
+            grid_search_minimizer(system, SpringLaw(1.0, 1.0, 1.0),
+                                  ConstraintVariant.NON_PENETRATION, (-1.0, 1.0), 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

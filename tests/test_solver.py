@@ -341,6 +341,15 @@ def test_solver_config_rejects_bad_damping_and_iteration_cap():
     assert sol.theta == pytest.approx(5.0 / 6.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("kwargs", [{"tolerance": "1e-8"}, {"fixed_point_damping": "0.5"}],
+                         ids=("tolerance", "damping"))
+def test_solver_config_rejects_non_numbers(kwargs):
+    # a str used to reach `<` and escape as a bare TypeError
+    with pytest.raises(ValidationError) as info:
+        SolverConfig(**kwargs)
+    assert not isinstance(info.value, TypeError)
+
+
 class TestRegimeEnumeration:
     def test_invalid_law_raises(self):
         # a law that evaluates to nan satisfies no regime's consistency checks
