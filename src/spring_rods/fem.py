@@ -1,12 +1,16 @@
 """Piecewise-affine finite elements on the two rods.
 
 Each rod gets a uniform mesh; the outer ends carry homogeneous Dirichlet
-conditions, so the free unknowns are all remaining nodal displacements.  The
-stiffness blocks are tridiagonal and the whole interface behaviour condenses
-exactly onto the two inner-end displacements (g1, g2), in closed form: every
-interior-minimized field is the field pinned at both rod ends plus g times
-the linear nodal ramp, so the condensed stiffness is diag(E1/L1, E2/L2) on
-any uniform mesh and the condensed load is the load dotted with the ramp.
+conditions, so the free unknowns are all remaining nodal displacements.  On
+a uniform mesh each rod's tridiagonal stiffness block is the scalar E/h times
+a fixed stencil, so only that scalar is stored; the node coordinates and the
+diagonals are built on demand for the callers that read them.  The whole
+interface behaviour condenses exactly onto the two inner-end displacements
+(g1, g2), in closed form: every interior-minimized field is the field pinned
+at both rod ends plus g times the linear nodal ramp, so the condensed
+stiffness is diag(E1/L1, E2/L2) on any uniform mesh and the condensed load is
+the load dotted with the ramp.  Field recovery writes each rod's field in
+place into one output array.
 """
 
 from __future__ import annotations
@@ -26,13 +30,22 @@ _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform meshes of [a, -l] (n1 elements) and [l, b] (n2 elements)."""
+    """Uniform meshes of [a, -l] (n1 elements) and [l, b] (n2 elements).
+
+    The node coordinates are built on first access.
+    """
 
     geometry: Geometry
     n1: int
     n2: int
-    nodes1: np.ndarray
-    nodes2: np.ndarray
+
+    @cached_property
+    def nodes1(self) -> np.ndarray:
+        return np.linspace(self.geometry.a, -self.geometry.l, self.n1 + 1)
+
+    @cached_property
+    def nodes2(self) -> np.ndarray:
+        return np.linspace(self.geometry.l, self.geometry.b, self.n2 + 1)
 
     @property
     def h1(self) -> float:
@@ -42,15 +55,24 @@ class Mesh:
     def h2(self) -> float:
         return self.geometry.L2 / self.n2
 
+    @cached_property
+    def _ramp_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """n times the nodal linear ramp on the free nodes of each rod.
+
+        The ramp (0 at the clamped end, 1 at the interface) is the discrete
+        harmonic extension of a unit interface value: its stiffness residual
+        vanishes at every interior node.  Integer weights with one division
+        after the dot product avoid rounding each j/n.
+        """
+        return np.arange(1.0, self.n1 + 1.0), np.arange(self.n2, 0.0, -1.0)
+
 
 def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
     """Partition both rods uniformly; raises ZeroElements for a non-integer or empty count."""
     if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n1, n2)):
         raise ZeroElements(f"need a whole number of at least one element per rod, "
                            f"got n1={n1}, n2={n2}")
-    nodes1 = np.linspace(geometry.a, -geometry.l, n1 + 1)
-    nodes2 = np.linspace(geometry.l, geometry.b, n2 + 1)
-    return Mesh(geometry, n1, n2, nodes1, nodes2)
+    return Mesh(geometry, n1, n2)
 
 
 @dataclass(frozen=True)
@@ -113,24 +135,41 @@ def _quadrature_load(nodes: np.ndarray, f, skip_first: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Assembled tridiagonal stiffness blocks and load vectors.
+    """Stiffness and load vectors of both rods.
 
-    diag/off arrays hold the main and first off-diagonal of each SPD block.
+    Each rod's stiffness block is its scalar E/h (`stiff1`, `stiff2`) times
+    the stencil (-1, 2, -1), with 1 on the diagonal at the interface node;
+    diag/off are the main and first off-diagonal of each SPD block, built on
+    each access.
     """
 
     mesh: Mesh
     material: Material
-    diag1: np.ndarray
-    off1: np.ndarray
-    diag2: np.ndarray
-    off2: np.ndarray
+    stiff1: float
+    stiff2: float
     b1: np.ndarray
     b2: np.ndarray
 
+    @property
+    def diag1(self) -> np.ndarray:
+        return _diagonal(self.mesh.n1, self.stiff1, -1)
+
+    @property
+    def off1(self) -> np.ndarray:
+        return np.full(self.mesh.n1 - 1, -self.stiff1)
+
+    @property
+    def diag2(self) -> np.ndarray:
+        return _diagonal(self.mesh.n2, self.stiff2, 0)
+
+    @property
+    def off2(self) -> np.ndarray:
+        return np.full(self.mesh.n2 - 1, -self.stiff2)
+
     def apply(self, dof: DofVector) -> DofVector:
         """Stiffness matvec (A1 u1, A2 u2)."""
-        return DofVector(_tri_matvec(self.diag1, self.off1, dof.rod1),
-                         _tri_matvec(self.diag2, self.off2, dof.rod2))
+        return DofVector(_rod_matvec(self.stiff1, dof.rod1, -1),
+                         _rod_matvec(self.stiff2, dof.rod2, 0))
 
     def load_dot(self, dof: DofVector) -> float:
         return float(self.b1 @ dof.rod1 + self.b2 @ dof.rod2)
@@ -141,29 +180,27 @@ class DiscreteSystem:
         return 0.5 * float(dof.rod1 @ au.rod1 + dof.rod2 @ au.rod2) - self.load_dot(dof)
 
 
-def _tri_matvec(d: np.ndarray, e: np.ndarray, u: np.ndarray) -> np.ndarray:
-    out = d * u
-    if len(e):
-        out[:-1] += e * u[1:]
-        out[1:] += e * u[:-1]
+def _diagonal(n: int, k: float, interface: int) -> np.ndarray:
+    d = np.full(n, 2.0 * k)
+    d[interface] = k
+    return d
+
+
+def _rod_matvec(k: float, u: np.ndarray, interface: int) -> np.ndarray:
+    """k times the (-1, 2, -1) stencil applied to u, with 1 at the interface node."""
+    out = (2.0 * k) * u
+    out[interface] = k * u[interface]
+    out[:-1] += -k * u[1:]
+    out[1:] += -k * u[:-1]
     return out
 
 
-def _rod_blocks(n: int, h: float, E: float, interface_last: bool):
-    d = np.full(n, 2.0 * E / h)
-    d[-1 if interface_last else 0] = E / h
-    e = np.full(n - 1, -E / h)
-    return d, e
-
-
 def assemble(mesh: Mesh, material: Material, forces) -> DiscreteSystem:
-    """Build stiffness blocks and consistent loads.
+    """Build the rod stiffnesses and consistent loads.
 
     `forces` is either a BodyForce (constant densities, integrated exactly)
     or a pair of callables integrated with two-point Gauss per element.
     """
-    d1, e1 = _rod_blocks(mesh.n1, mesh.h1, material.E1, interface_last=True)
-    d2, e2 = _rod_blocks(mesh.n2, mesh.h2, material.E2, interface_last=False)
     if isinstance(forces, BodyForce):
         b1 = _constant_load(mesh.n1, mesh.h1, forces.f1, interface_last=True)
         b2 = _constant_load(mesh.n2, mesh.h2, forces.f2, interface_last=False)
@@ -171,7 +208,7 @@ def assemble(mesh: Mesh, material: Material, forces) -> DiscreteSystem:
         f1, f2 = forces
         b1 = _quadrature_load(mesh.nodes1, f1, skip_first=True)
         b2 = _quadrature_load(mesh.nodes2, f2, skip_first=False)
-    return DiscreteSystem(mesh, material, d1, e1, d2, e2, b1, b2)
+    return DiscreteSystem(mesh, material, material.E1 / mesh.h1, material.E2 / mesh.h2, b1, b2)
 
 
 def v_norm(mesh: Mesh, dof: DofVector) -> float:
@@ -214,48 +251,63 @@ class ReducedSystem:
         return math.sqrt(dg1 * (1.0 / geo.L1) * dg1 + dg2 * (1.0 / geo.L2) * dg2)
 
 
-def _ramp_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """n times the nodal linear ramp on the free nodes of each rod.
-
-    The ramp (0 at the clamped end, 1 at the interface) is the discrete
-    harmonic extension of a unit interface value: its stiffness residual
-    vanishes at every interior node.  Integer weights with one division
-    after the dot product avoid rounding each j/n.
-    """
-    return np.arange(1.0, mesh.n1 + 1.0), np.arange(mesh.n2, 0.0, -1.0)
-
-
-def _pinned(b: np.ndarray, h_over_E: float) -> np.ndarray:
-    """Interior nodal values of a rod held at zero at both ends, left to right.
+def _pinned(b: np.ndarray, h_over_E: float, carried: np.ndarray, out: np.ndarray) -> None:
+    """Write the interior nodal values of a rod held at zero at both ends into out.
 
     Node equilibrium makes consecutive element stresses differ by the nodal
     load, so the stresses are a constant minus the running load sum; zero
     end values make the stresses sum to zero, which fixes the constant.
+    `carried` (one entry more than b) receives the running sums.
     """
-    carried = np.concatenate(([0.0], np.cumsum(b)))
-    sigma = carried.mean() - carried
-    return h_over_E * np.cumsum(sigma)[:-1]
+    carried[0] = 0.0
+    np.cumsum(b, out=carried[1:])
+    np.subtract(carried.mean(), carried[:-1], out=out)
+    np.cumsum(out, out=out)
+    out *= h_over_E
+
+
+def _ramp_dot(b: np.ndarray, w: np.ndarray, n: int) -> float:
+    """b . w / n; if the sum overflows, b is scaled by a power of two first (exact)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = float(b @ w) / n
+        if not math.isfinite(r):
+            e = math.frexp(float(np.max(np.abs(b))))[1]
+            r = float(np.ldexp(float(np.ldexp(b, -e) @ w) / n, e))
+    return r
 
 
 def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
     """Condense both rods onto (g1, g2); raises NoConsistentRegime if the load overflows."""
     mesh, mat = system.mesh, system.material
     geo = mesh.geometry
-    w1, w2 = _ramp_weights(mesh)
-    r = (float(system.b1 @ w1) / mesh.n1, float(system.b2 @ w2) / mesh.n2)
+    w1, w2 = mesh._ramp_weights
+    r = (_ramp_dot(system.b1, w1, mesh.n1), _ramp_dot(system.b2, w2, mesh.n2))
     if not all(map(math.isfinite, r)):
         raise NoConsistentRegime(f"condensed load {r} is not finite: the loads are too large")
     return ReducedSystem(system, (mat.E1 / geo.L1, mat.E2 / geo.L2), r)
 
 
 def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
-    """Interior argmin of the energy for prescribed interface values."""
+    """Interior argmin of the energy for prescribed interface values.
+
+    Each rod's field is written into one output array; one scratch array
+    holds first the running load sums and then g times the ramp.
+    """
     sys_ = reduced.system
     mesh, mat = sys_.mesh, sys_.material
-    w1, w2 = _ramp_weights(mesh)
-    pinned1 = np.append(_pinned(sys_.b1[:-1], mesh.h1 / mat.E1), 0.0)
-    pinned2 = np.concatenate(([0.0], _pinned(sys_.b2[1:], mesh.h2 / mat.E2)))
-    return DofVector(pinned1 + g1 * (w1 / mesh.n1), pinned2 + g2 * (w2 / mesh.n2))
+    w1, w2 = mesh._ramp_weights
+    n1, n2 = mesh.n1, mesh.n2
+    scratch = np.empty(max(n1, n2))
+    u1, u2 = np.empty(n1), np.empty(n2)
+    _pinned(sys_.b1[:-1], mesh.h1 / mat.E1, scratch[:n1], u1[:-1])
+    u1[-1] = 0.0
+    _pinned(sys_.b2[1:], mesh.h2 / mat.E2, scratch[:n2], u2[1:])
+    u2[0] = 0.0
+    for u, g, w, n in ((u1, g1, w1, n1), (u2, g2, w2, n2)):
+        ramp = np.divide(w, n, out=scratch[:n])
+        ramp *= g
+        u += ramp
+    return DofVector(u1, u2)
 
 
 def stress_field(mesh: Mesh, dof: DofVector, material: Material) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,21 @@ come into contact but never interpenetrate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import GeometryError, SmallnessViolation, ValidationError
+from .errors import GeometryError, SmallnessViolation, SpringRodsError, ValidationError
+
+
+def _real(name: str, value, lo: float, hi: float, error: type[SpringRodsError]) -> None:
+    """Raise `error` unless value is a real number (not a bool), finite, and lo < value < hi."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    if not lo < value < hi:
+        raise error(f"{name} must lie in ({lo}, {hi}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -27,15 +38,9 @@ class Geometry:
     l: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.a, self.b, self.l))):
-            raise GeometryError(
-                f"geometry must be finite, got a={self.a}, b={self.b}, l={self.l}")
-        if not self.l > 0.0:
-            raise GeometryError(f"spring half-length must be positive, got l={self.l}")
-        if not self.a < -self.l:
-            raise GeometryError(f"left rod is empty: need a < -l, got a={self.a}, l={self.l}")
-        if not self.l < self.b:
-            raise GeometryError(f"right rod is empty: need l < b, got b={self.b}, l={self.l}")
+        _real("spring half-length l", self.l, 0.0, math.inf, GeometryError)
+        _real("left end a", self.a, -math.inf, -self.l, GeometryError)
+        _real("right end b", self.b, self.l, math.inf, GeometryError)
 
     @property
     def L1(self) -> float:
@@ -62,9 +67,8 @@ class Material:
     E2: float
 
     def __post_init__(self):
-        if not (0.0 < self.E1 < math.inf and 0.0 < self.E2 < math.inf):
-            raise ValidationError(
-                f"Young moduli must be positive and finite, got E1={self.E1}, E2={self.E2}")
+        _real("Young modulus E1", self.E1, 0.0, math.inf, ValidationError)
+        _real("Young modulus E2", self.E2, 0.0, math.inf, ValidationError)
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,9 @@ class SpringLaw:
     natural_length: float
 
     def __post_init__(self):
-        if not (0.0 < self.k1 < math.inf and 0.0 < self.k2 < math.inf):
-            raise ValidationError(
-                f"stiffnesses must be positive and finite, got k1={self.k1}, k2={self.k2}")
-        if not 0.0 < self.natural_length < math.inf:
-            raise ValidationError(
-                f"natural length must be positive and finite, got {self.natural_length}")
+        _real("stiffness k1", self.k1, 0.0, math.inf, ValidationError)
+        _real("stiffness k2", self.k2, 0.0, math.inf, ValidationError)
+        _real("natural length", self.natural_length, 0.0, math.inf, ValidationError)
 
     @property
     def lipschitz(self) -> float:
@@ -132,9 +133,7 @@ class PenaltyLaw:
     natural_length: float
 
     def __post_init__(self):
-        if not 0.0 < self.natural_length < math.inf:
-            raise ValidationError(
-                f"natural length must be positive and finite, got {self.natural_length}")
+        _real("natural length", self.natural_length, 0.0, math.inf, ValidationError)
 
     @property
     def lipschitz(self) -> float:
@@ -166,8 +165,8 @@ class BodyForce:
     f2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.f1) and math.isfinite(self.f2)):
-            raise ValidationError(f"force densities must be finite, got f1={self.f1}, f2={self.f2}")
+        _real("force density f1", self.f1, -math.inf, math.inf, ValidationError)
+        _real("force density f2", self.f2, -math.inf, math.inf, ValidationError)
 
 
 class ConstraintVariant(Enum):

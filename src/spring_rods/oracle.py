@@ -105,7 +105,7 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     """
     geo, mat, spring = problem.geometry, problem.material, problem.spring
     f1, f2 = problem.forces.f1, problem.forces.f2
-    a, b, l = geo.a, geo.b, geo.l
+    l = geo.l
     L1, L2 = geo.L1, geo.L2
     two_l = 2.0 * l
     lo, hi = problem.gap_bounds()
@@ -118,13 +118,19 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
 
         s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
 
-        g1 = L1 / mat.E1 * s + f1 * L1 ** 2 / (2.0 * mat.E1)
-        g2 = -L2 / mat.E2 * s + f2 * L2 ** 2 / (2.0 * mat.E2)
+        # The rod balances (E1/L1)*g1 = s + f1*L1/2 and (E2/L2)*g2 = -s + f2*L2/2
+        # sum to an equation free of s, whose large terms would cancel; with
+        # g2 - g1 = theta - 2l it fixes g1.
+        S1, S2 = mat.E1 / L1, mat.E2 / L2
+        g1 = (0.5 * (f1 * L1 + f2 * L2) - S2 * (theta - two_l)) / (S1 + S2)
+        g2 = g1 + (theta - two_l)
 
-        u1_coeffs = ((-s * a + 0.5 * f1 * ((a + l) ** 2 - l ** 2)) / mat.E1,
+        # u1(x) = g1 + (s*(x + l) - f1*(x + l)^2/2)/E1 and
+        # u2(x) = g2 + (s*(x - l) - f2*(x - l)^2/2)/E2, expanded about x = 0
+        u1_coeffs = (g1 + (s * l - 0.5 * f1 * l * l) / mat.E1,
                      (s - f1 * l) / mat.E1,
                      -f1 / (2.0 * mat.E1))
-        u2_coeffs = ((-s * b + 0.5 * f2 * (L2 ** 2 - l ** 2)) / mat.E2,
+        u2_coeffs = (g2 - (s * l + 0.5 * f2 * l * l) / mat.E2,
                      (s + f2 * l) / mat.E2,
                      -f2 / (2.0 * mat.E2))
     except OverflowError as exc:  # float ** raises where * would give inf

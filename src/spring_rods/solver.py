@@ -25,7 +25,7 @@ from .errors import (ContractionFailure, GeometryError, InfeasibleCandidate,
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce, theta_of)
 from .model import (ConstraintVariant, PenaltyLaw, PenaltyVariant, ProblemSpec,
-                    SpringLaw)
+                    SpringLaw, _real)
 
 _Pair = tuple[float, float]
 
@@ -45,15 +45,13 @@ class SolverConfig:
     fixed_point_damping: float | None = None  # None: 1/(1 + Lp*C), see solve_qvi_fixed_point
 
     def __post_init__(self):
-        if not (isinstance(self.tolerance, numbers.Real) and 0.0 < self.tolerance < math.inf):
-            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        _real("tolerance", self.tolerance, 0.0, math.inf, ValidationError)
         if not isinstance(self.max_iterations, numbers.Integral):
             raise ValidationError(f"iteration cap must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"need at least one iteration, got {self.max_iterations}")
-        damping = self.fixed_point_damping
-        if damping is not None and not (isinstance(damping, numbers.Real) and 0.0 < damping <= 1.0):
-            raise ValidationError(f"fixed-point damping must lie in (0, 1], got {damping!r}")
+        _real("iteration cap", self.max_iterations, 0, math.inf, ValidationError)
+        if self.fixed_point_damping is not None:  # in (0, 1]
+            _real("fixed-point damping", self.fixed_point_damping, 0.0,
+                  math.nextafter(1.0, math.inf), ValidationError)
 
 
 @dataclass(frozen=True)
@@ -98,9 +96,7 @@ class PenaltyProblem:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
-            raise NonPositiveLambda(
-                f"penalty parameter must be positive and finite, got {self.lam}")
+        _real("penalty parameter", self.lam, 0.0, math.inf, NonPositiveLambda)
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
             raise ValidationError("penalized problems are posed over the non-penetration set")
         if not math.isclose(self.law.natural_length, self.base.geometry.natural_length,

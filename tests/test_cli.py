@@ -167,9 +167,10 @@ class TestSolveExitStatus:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_loads_are_runtime_error(self, capsys, tmp_path):
-        # at 8+8 elements the condensed load overflows (at 4+4 it is finite)
-        code, out, err = run_cli(capsys, "solve", "--f1", "1e308", "--f2=-1e308",
-                                 "--n1", "8", "--n2", "8", "--outdir", str(tmp_path))
+        # a rod of length 1e10 at 1e300: the condensed load f1*L1/2 overflows
+        code, out, err = run_cli(capsys, "solve", "--a=-1e10", "--k1", "1e-11", "--k2", "1e-11",
+                                 "--f1", "1e300", "--f2=-1e300",
+                                 "--n1", "64", "--n2", "64", "--outdir", str(tmp_path))
         assert code == 1
         assert err.startswith("error:") and "not finite" in err
         assert out == ""

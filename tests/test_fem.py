@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky_banded, solveh_banded
@@ -325,3 +327,19 @@ def test_fine_mesh_field_matches_continuum_oracle(variant):
     want = analytic_solution(problem).interpolate(build_mesh(CLOSED_GEO, n, n))
     assert np.max(np.abs(u.rod1 - want.rod1)) <= 1e-11
     assert np.max(np.abs(u.rod2 - want.rod2)) <= 1e-11
+
+
+def test_fine_mesh_solve_allocation_budget():
+    # an exact solve keeps the two load vectors, the two ramps, the two field
+    # arrays and one scratch array: 7 arrays of n doubles, checked against 8
+    n = 2 ** 15
+    problem = make_problem(CLOSED_GEO, CLOSED_MAT, SpringLaw(0.3, 0.5, 0.8),
+                           BodyForce(2.5, -1.5), ConstraintVariant.NON_PENETRATION)
+    solve(problem, (n, n))
+    tracemalloc.start()
+    try:
+        solve(problem, (n, n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * n

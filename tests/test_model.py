@@ -226,6 +226,20 @@ class TestNonFiniteInputs:
             build(bad)
 
 
+@pytest.mark.parametrize("bad", ["1", None, True], ids=("str", "None", "bool"))
+@pytest.mark.parametrize("build", [
+    lambda x: Material(x, 1.0),
+    lambda x: SpringLaw(1.0, x, 1.0),
+    lambda x: Geometry(-1.0, x, 0.5),
+    lambda x: BodyForce(x, 0.0),
+    lambda x: PenaltyLaw(PenaltyVariant.TWO_SIDED, x),
+], ids=("Material", "SpringLaw", "Geometry", "BodyForce", "PenaltyLaw"))
+def test_non_numbers_raise_the_package_error(build, bad):
+    # these used to leak TypeError from a comparison or from math.isfinite
+    with pytest.raises(SpringRodsError, match="real number"):
+        build(bad)
+
+
 def _system(n1, n2):
     return assemble(build_mesh(GEO, n1, n2), MAT, BodyForce(1.0, -1.0))
 

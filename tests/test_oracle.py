@@ -129,6 +129,12 @@ class TestAnalyticSolution:
         with pytest.raises(NoConsistentRegime, match="overflows"):
             analytic_solution(prob)
 
+    def test_large_loads_keep_the_interface_values(self):
+        # g1 used to be L1/E1*s + f1*L1^2/(2 E1): two terms of 1.25e16 that
+        # cancelled to 0 instead of 0.5
+        sol = analytic_solution(problem(1.0, (1e17, -1e17)))
+        assert (sol.g1, sol.g2, sol.theta, sol.s) == (0.5, -0.5, 0.0, -2.5e16)
+
 
 class TestGridSearch:
     def setup_method(self):

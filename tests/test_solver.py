@@ -589,11 +589,20 @@ class TestSolveFrontEnd:
 class TestOverflow:
     @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
     def test_overflowing_load(self, method):
-        # the condensed load b . ramp overflows at 8+8 elements
+        # every nodal load f1*h1 = 1.5625e308 is finite, but the condensed
+        # load r1 = f1*L1/2 = 5e309 is not
+        problem = make_problem(Geometry(-1e10 - 0.5, 1.0, 0.5), MAT,
+                               SpringLaw(1e-11, 1e-11, 1.0), BodyForce(1e300, -1e300), NP_)
+        with pytest.raises(NoConsistentRegime, match="condensed load"):
+            solve(problem, (64, 64), method)
+
+    @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
+    def test_representable_load_with_overflowing_sum(self, method):
+        # at 8+8 the integer-weighted sum b . (n * ramp) overflows, r = 2.5e307 does not
         problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0),
                                BodyForce(1e308, -1e308), NP_)
-        with pytest.raises(NoConsistentRegime, match="condensed load"):
-            solve(problem, (8, 8), method)
+        coarse, fine = solve(problem, (4, 4), method), solve(problem, (8, 8), method)
+        assert (fine.g1, fine.g2, fine.s) == (coarse.g1, coarse.g2, coarse.s) == (0.5, -0.5, -2.5e307)
 
     @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
     def test_overflowing_field(self, method):
