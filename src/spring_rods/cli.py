@@ -19,6 +19,7 @@ from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw
 from .oracle import analytic_solution
 from .solver import PenaltyProblem, SolverConfig, solve
 
+#: Floor of the validate tolerance; each column's tolerance grows with its load scale.
 _TRIAD_TOL = 1e-6
 
 
@@ -235,17 +236,24 @@ def _cmd_validate(config: RunConfig, command: str) -> int:
     exact = analytic_solution(problem)
     rows = [(name, (sol.g1, sol.g2, sol.theta, sol.s)) for name, sol in states]
     rows.append(("closed-form", (exact.g1, exact.g2, exact.theta, exact.s)))
-    deviation = max(abs(x - y)
-                    for i, (_, p) in enumerate(rows)
-                    for _, q in rows[i + 1:]
-                    for x, y in zip(p, q))
     for name, vals in rows:
         print(f"{name:>12}: " + "  ".join(_fmt(v) for v in vals))
-    print(f"max pairwise deviation = {_fmt(deviation)}")
-    if deviation > _TRIAD_TOL:
-        print(f"FAIL: deviation above {_TRIAD_TOL}", file=sys.stderr)
-        return 1
-    return 0
+    # the rows carry a few roundings of loads of size f*L (stress) and f*L^2/E
+    # (displacements), so each column's tolerance scales with its own load
+    geo, mat, f = problem.geometry, problem.material, problem.forces
+    disp = abs(f.f1) * geo.L1 * geo.L1 / mat.E1 + abs(f.f2) * geo.L2 * geo.L2 / mat.E2
+    stress = abs(f.f1) * geo.L1 + abs(f.f2) * geo.L2
+    rounding = 64 * (config.n1 + config.n2) * sys.float_info.epsilon
+    deviations = [max(col) - min(col) for col in zip(*(vals for _, vals in rows))]
+    print(f"max pairwise deviation = {_fmt(max(deviations))}")
+    failed = False
+    for column, dev, scale in zip(("g1", "g2", "theta", "s"), deviations,
+                                  (disp, disp, disp, stress)):
+        tol = max(_TRIAD_TOL, rounding * scale)
+        if dev > tol:
+            print(f"FAIL: {column} deviation {_fmt(dev)} above {_fmt(tol)}", file=sys.stderr)
+            failed = True
+    return 1 if failed else 0
 
 
 #: Each subcommand as (handler(config, name), help text); name prefixes the run directory.

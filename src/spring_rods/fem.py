@@ -68,8 +68,12 @@ class Mesh:
 
 
 def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
-    """Partition both rods uniformly; raises ZeroElements for a non-integer or empty count."""
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in (n1, n2)):
+    """Partition both rods uniformly.
+
+    Raises ZeroElements for a non-integer or empty count; a bool is not a count.
+    """
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+               for n in (n1, n2)):
         raise ZeroElements(f"need a whole number of at least one element per rod, "
                            f"got n1={n1}, n2={n2}")
     return Mesh(geometry, n1, n2)

@@ -176,7 +176,8 @@ def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
     """Recover the field at the gap pair g; a non-finite state raises NoConsistentRegime."""
     g1, g2 = g
     s = reduced.S[0] * g1 - reduced.r[0]
-    u = recover_full(reduced, g1, g2)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        u = recover_full(reduced, g1, g2)
     if not (all(map(math.isfinite, (g1, g2, s)))
             and np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all()):
         raise NoConsistentRegime(f"equilibrium overflows: g1={g1}, g2={g2}, s={s} "
@@ -285,53 +286,46 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
 # fixed point on the frozen-gap problems
 
 
-def _clamped_qp(S: _Pair, rhs: _Pair, lo: float, hi: float, two_l: float) -> _Pair:
-    """Minimize the quadratic with load rhs over the gap bounds."""
-    free = rhs[1] / S[1] - rhs[0] / S[0]
-    return _at_gap(S, rhs, min(max(free, lo - two_l), hi - two_l))
-
-
 def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
                           variant: ConstraintVariant,
                           config: SolverConfig | None = None) -> EquilibriumSolution:
-    """Outer iteration on the gap-frozen problems.
+    """Outer relaxation of the gap change t on the gap-frozen problems.
 
     Each inner problem replaces the spring potential by the affine work of
-    the frozen spring force, i.e. a pure load change of +/- force on the two
-    interface equations.  The inner solution depends on the outer state only
-    through its gap, so damping is applied to the gap coordinate alone (full
-    steps orthogonal to it are exact).  Undamped, the gap iteration has
-    slope -Lp*C with C the interface compliance, which cycles once Lp*C
-    reaches 1; the default damping 1/(1 + Lp*C) zeroes the within-regime
-    slope and keeps observed step-norm ratios below the contraction
-    estimate.
+    the force frozen at the gap 2l + t, a load change of +/- force on the
+    interface equations, so its gap change is d + C*force clamped into the
+    gap bounds (d and C as in `_solve_gap`): a scalar map, relaxed as
+    t += omega*(inner(t) - t).  Undamped it has slope -Lp*C, which cycles
+    once Lp*C reaches 1; the default damping 1/(1 + Lp*C) zeroes the
+    within-regime slope.  A step is the energy norm between the `_at_gap`
+    pairs of consecutive t, the first measured from the zero pair.
     """
     cfg = config or SolverConfig()
     reduced = schur_reduce(system)
     l = system.mesh.geometry.l
     two_l = 2.0 * l
     lo, hi = variant.bounds(l)
-    S, (r1, r2) = reduced.S, reduced.r
+    S, r = reduced.S, reduced.r
     compliance = 1.0 / S[0] + 1.0 / S[1]
-    # unit gap change along the compliant direction S^-1 W
-    dir1, dir2 = (-1.0 / S[0]) / compliance, (1.0 / S[1]) / compliance
+    d = r[1] / S[1] - r[0] / S[0]
     omega = cfg.fixed_point_damping
     if omega is None:
         omega = 1.0 / (1.0 + spring.lipschitz * compliance)
 
-    eta1 = eta2 = 0.0
+    def inner(t: float) -> float:
+        return min(max(d + compliance * spring.force(two_l + t), lo - two_l), hi - two_l)
+
+    t = 0.0
+    g = (0.0, 0.0)
     prev_step = None
     ratios: list[float] = []
     growth = 0
     iterations = 0
     converged = False
     while iterations < cfg.max_iterations:
-        gap_eta = two_l + (eta2 - eta1)
-        force = spring.force(gap_eta)
-        g1, g2 = _clamped_qp(S, (r1 - force, r2 + force), lo, hi, two_l)
-        m = (1.0 - omega) * (gap_eta - (two_l + (g2 - g1)))
-        new1, new2 = g1 + m * dir1, g2 + m * dir2
-        step = reduced.interface_vnorm((new1 - eta1, new2 - eta2))
+        t += omega * (inner(t) - t)
+        new = _at_gap(S, r, t)
+        step = reduced.interface_vnorm((new[0] - g[0], new[1] - g[1]))
         iterations += 1
         if prev_step is not None and prev_step > 0.0:
             ratio = step / prev_step
@@ -340,16 +334,15 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
             if growth >= 3:
                 raise ContractionFailure(
                     f"step norms grew for 3 iterations (last ratio {ratio:.3f})")
-        eta1, eta2 = new1, new2
+        g = new
         if step <= cfg.tolerance:
             converged = True
             break
         prev_step = step
 
-    force = spring.force(two_l + (eta2 - eta1))
-    g = _clamped_qp(S, (r1 - force, r2 + force), lo, hi, two_l)
-    theta, label, bound = _classify(two_l + (g[1] - g[0]), lo, hi, two_l)
-    return _finish(reduced, spring, lo, hi, g, theta, label, bound,
+    t = inner(t)
+    theta, label, bound = _classify(two_l + t, lo, hi, two_l)
+    return _finish(reduced, spring, lo, hi, _at_gap(S, r, t), theta, label, bound,
                    "fixed-point", iterations, converged, tuple(ratios))
 
 

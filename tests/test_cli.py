@@ -2,11 +2,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spring_rods.cli as cli_module
 from spring_rods.cli import RunConfig, build_parser, main, parse_config
 from spring_rods.errors import ParseError
 
@@ -165,7 +167,6 @@ class TestSolveExitStatus:
         assert err.startswith("error:") and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_loads_are_runtime_error(self, capsys, tmp_path):
         # a rod of length 1e10 at 1e300: the condensed load f1*L1/2 overflows
         code, out, err = run_cli(capsys, "solve", "--a=-1e10", "--k1", "1e-11", "--k2", "1e-11",
@@ -182,6 +183,20 @@ class TestSolveExitStatus:
         assert code == 0
         assert "regime = contact" in out
         assert stdout_value(out, "g1") == 0.5 and stdout_value(out, "theta") == 0.0
+
+    @pytest.mark.parametrize("problem", [
+        (),
+        ("--a=-1.3", "--b", "0.9", "--l", "0.4", "--e1", "1.7", "--e2", "0.6",
+         "--k1", "0.3", "--k2", "0.5"),
+    ], ids=("symmetric", "asymmetric"))
+    def test_fixed_point_keeps_contact_at_huge_loads(self, capsys, problem):
+        # the asymmetric case printed regime = compression, theta = -0.2 and exited 0
+        args = ("--f1", "1e17", "--f2=-1e17", *problem, "--format", "svg")
+        code, out, _ = run_cli(capsys, "solve", "--method", "fixed-point", *args)
+        assert code == 0
+        assert "regime = contact" in out and stdout_value(out, "theta") == 0.0
+        _, exact, _ = run_cli(capsys, "solve", "--method", "exact", *args)
+        assert out.splitlines()[1:] == exact.splitlines()[1:]
 
     def test_nonfinite_modulus_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--e1", "inf", "--outdir", str(tmp_path))
@@ -285,6 +300,28 @@ class TestValidateCommand:
             "--f2", "79.52678469498397", "--variant", "rigid-compression")
         assert code == 0, err
         assert "FAIL" not in err
+
+    def test_large_loads_pass_within_the_rounding_of_the_loads(self, capsys):
+        # all three solvers give g1 = 1.5 against the closed form's 0.5: one
+        # rounding of the 1e17-scale condensed load over the interface stiffness
+        code, out, err = run_cli(capsys, "validate", "--f1", "1e17", "--f2=-1e17",
+                                 "--n1", "3", "--n2", "7")
+        assert (code, err) == (0, "")
+        assert stdout_value(out, "max pairwise deviation") == 4.0
+
+    def test_deviation_beyond_the_scaled_tolerance_fails(self, capsys, monkeypatch):
+        # at 3+7 and 1e17 the displacement tolerance is 64*10*eps*5e16 = 7.1e3
+        real = cli_module.solve
+
+        def shifted(problem, mesh_sizes, method, *args):
+            sol = real(problem, mesh_sizes, method, *args)
+            return replace(sol, g1=sol.g1 + 1e4) if method == "fixed-point" else sol
+
+        monkeypatch.setattr(cli_module, "solve", shifted)
+        code, _, err = run_cli(capsys, "validate", "--f1", "1e17", "--f2=-1e17",
+                               "--n1", "3", "--n2", "7")
+        assert code == 1
+        assert err.startswith("FAIL: g1 deviation 1.00010000000e+04 above 7.1")
 
     def test_twenty_seeded_random_configs(self, capsys):
         rng = np.random.default_rng(20)

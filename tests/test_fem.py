@@ -47,6 +47,15 @@ class TestBuildMesh:
         with pytest.raises(ZeroElements, match="whole number"):
             build_mesh(GEO, 2.5, 3)
 
+    def test_bool_count(self):
+        # True is an Integral; accepted, it leaked a TypeError from assembly
+        problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, -1.0),
+                               ConstraintVariant.NON_PENETRATION)
+        with pytest.raises(ZeroElements, match="whole number"):
+            solve(problem, (True, 4))
+        with pytest.raises(ZeroElements):
+            build_mesh(GEO, 2, False)
+
     def test_non_integer_count_through_solve(self):
         problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, -1.0),
                                ConstraintVariant.NON_PENETRATION)

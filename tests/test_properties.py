@@ -1,12 +1,17 @@
-"""Property tests over the whole valid parameter space."""
+"""Property tests over the whole valid parameter space, and a fuzz test beyond it."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SolverConfig,
-                         SpringLaw, analytic_solution, make_problem, solve)
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
+                         PenaltyProblem, PenaltyVariant, ProblemSpec, SolverConfig,
+                         SpringLaw, SpringRodsError, analytic_solution, make_problem, solve)
 
 
 def _positive(lo, hi):
@@ -113,3 +118,49 @@ def test_interface_state_is_mesh_invariant(l, L1, L2, E1, E2, q1, q2, f1, f2, va
     k_max = (E1 + E2) / (2.0 * max(L1, L2))
     spec = (l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant)
     _assert_close(_interface(*spec, n1 + m1, n2 + m2), _interface(*spec, n1, n2))
+
+
+#: Every input of one solve with its valid value; None lengths follow 2l.
+_FUZZ_BASE = dict(a=-1.3, b=0.9, l=0.4, E1=1.7, E2=0.6, k1=0.3, k2=0.5, spring_length=None,
+                  f1=2.5, f2=-1.5, penalty_length=None, lam=0.5, tolerance=1e-8,
+                  max_iterations=200, fixed_point_damping=None, n1=4, n2=4)
+_FUZZ_CHANGES = [(name, value) for name in _FUZZ_BASE
+                 for value in (math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, 0, -0.0,
+                               "1", None, True, 1.5)]
+
+
+def _solve_fuzzed(v, constraint, method):
+    """Solve with the inputs v; a PenaltyVariant constraint penalizes non-penetration."""
+    two_l = 2.0 * v["l"] if type(v["l"]) is float else 0.8
+    spring_length, penalty_length = (two_l if v[key] is None else v[key]
+                                     for key in ("spring_length", "penalty_length"))
+    penalized = isinstance(constraint, PenaltyVariant)
+    problem = ProblemSpec(Geometry(v["a"], v["b"], v["l"]), Material(v["E1"], v["E2"]),
+                          SpringLaw(v["k1"], v["k2"], spring_length),
+                          BodyForce(v["f1"], v["f2"]),
+                          ConstraintVariant.NON_PENETRATION if penalized else constraint)
+    penalty = None
+    if penalized:
+        penalty = PenaltyProblem(problem, PenaltyLaw(constraint, penalty_length),
+                                 v["lam"])
+    config = SolverConfig(v["tolerance"], v["max_iterations"], v["fixed_point_damping"])
+    return solve(problem, (v["n1"], v["n2"]), method, config, penalty)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(changes=st.lists(st.sampled_from(_FUZZ_CHANGES), min_size=1, max_size=2),
+       constraint=st.sampled_from((*ConstraintVariant, *PenaltyVariant)))
+def test_any_input_raises_a_package_error_or_solves_finitely(changes, constraint):
+    # underflow is not trapped: a subnormal result (l = 1e-308, E = 1e308) is benign
+    for mesh in ((1, 1), (4, 4), (64, 64)):
+        v = {**_FUZZ_BASE, "n1": mesh[0], "n2": mesh[1], **dict(changes)}
+        for method in ("exact", "gradient", "fixed-point"):
+            with np.errstate(over="raise", invalid="raise", divide="raise"), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    sol = _solve_fuzzed(v, constraint, method)
+                except SpringRodsError:
+                    continue
+            assert all(map(math.isfinite, (sol.g1, sol.g2, sol.theta, sol.s)))
+            assert np.isfinite(sol.u.rod1).all() and np.isfinite(sol.u.rod2).all()

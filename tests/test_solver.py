@@ -585,7 +585,6 @@ class TestSolveFrontEnd:
             solve(prob, (4, 4), "newton")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflow:
     @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
     def test_overflowing_load(self, method):
@@ -611,6 +610,23 @@ class TestOverflow:
                                BodyForce(1e10, -1e10), NP_)
         with pytest.raises(NoConsistentRegime, match="overflows"):
             solve(problem, (4, 4), method, SolverConfig(max_iterations=50))
+
+
+@pytest.mark.parametrize("scale", [1e17, 1e307])
+@pytest.mark.parametrize("geo, mat, spring", [
+    (GEO, MAT, SpringLaw(1.0, 1.0, 1.0)),
+    (Geometry(-1.3, 0.9, 0.4), Material(1.7, 0.6), SpringLaw(0.3, 0.5, 0.8)),
+], ids=("symmetric", "asymmetric"))
+def test_fixed_point_keeps_contact_at_huge_loads(geo, mat, spring, scale):
+    # the gap was recomputed as 2l + (g2 - g1) from rod ends of size f*L^2/E,
+    # which rounded contact into compression at theta = -0.2 (asymmetric, 1e17)
+    prob = make_problem(geo, mat, spring, BodyForce(scale, -scale), NP_)
+    exact = solve(prob, (4, 4), "exact")
+    sol = solve(prob, (4, 4), "fixed-point")
+    assert sol.diagnostics.regime == exact.diagnostics.regime == "contact"
+    assert sol.diagnostics.converged
+    assert sol.theta == 0.0 and sol.contact
+    assert (sol.g1, sol.s) == (exact.g1, exact.s)
 
 
 class TestOffsetCache:
