@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -132,8 +134,12 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return config
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser: the subcommand is a positional choice, options go before or after it."""
+    """One parser: the subcommand is a positional choice, options go before or after it.
+
+    Built once per process: `parse_args` returns a fresh namespace each call.
+    """
     parser = argparse.ArgumentParser(
         prog="spring-rods",
         description="Equilibrium of two elastic rods coupled by a nonlinear spring "
@@ -270,9 +276,16 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         config = parse_config(args.config, overrides)
-        return _COMMANDS[args.command][0](config, args.command)
+        status = _COMMANDS[args.command][0](config, args.command)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
+        return status
     except SpringRodsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader of stdout left early: the Python docs' recipe points stdout
+        # at devnull, so the flush at exit cannot fail again, and exits 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

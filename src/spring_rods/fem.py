@@ -261,12 +261,14 @@ def _pinned(b: np.ndarray, h_over_E: float, carried: np.ndarray, out: np.ndarray
     Node equilibrium makes consecutive element stresses differ by the nodal
     load, so the stresses are a constant minus the running load sum; zero
     end values make the stresses sum to zero, which fixes the constant.
-    `carried` (one entry more than b) receives the running sums.
+    `carried` (one entry more than b) receives the running sums.  The bare
+    ufunc calls are what `mean` and `cumsum` run after their Python wrappers
+    (the same pairwise sum, division and running sum), so the bits match.
     """
     carried[0] = 0.0
-    np.cumsum(b, out=carried[1:])
-    np.subtract(carried.mean(), carried[:-1], out=out)
-    np.cumsum(out, out=out)
+    np.add.accumulate(b, out=carried[1:])
+    np.subtract(float(np.add.reduce(carried)) / carried.size, carried[:-1], out=out)
+    np.add.accumulate(out, out=out)
     out *= h_over_E
 
 

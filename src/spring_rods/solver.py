@@ -253,7 +253,8 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
 
     L = max(diag S) + 2*max(k1, k2) is the Lipschitz constant of the reduced
     gradient, so every step descends.  The iteration stops once a step's
-    energy norm is at most the tolerance.
+    energy norm is at most the tolerance, or unconverged once it is NaN: an
+    iterate is then inf or NaN, and no later step makes it finite again.
     """
     cfg = config or SolverConfig()
     reduced = schur_reduce(system)
@@ -276,6 +277,8 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
         iterations += 1
         if delta <= cfg.tolerance:
             converged = True
+            break
+        if math.isnan(delta):
             break
     theta, label, bound = _classify(two_l + (g2 - g1), lo, hi, two_l)
     return _finish(reduced, eff, lo, hi, (g1, g2), theta, label, bound,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spring_rods.cli as cli_module
+from spring_rods import solve
 from spring_rods.cli import RunConfig, build_parser, main, parse_config
 from spring_rods.errors import ParseError
 
@@ -382,6 +383,56 @@ class TestUsageErrors:
                      "--n2", "--method", "--tol", "--max-iter", "--outdir", "--format",
                      "--config"):
             assert flag in out
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_carries_over_between_calls(self, capsys, tmp_path):
+        load = ("--f1", "6", "--f2=-6", "--k1", "0.3", "--k2", "0.3")
+        code, out, _ = run_cli(capsys, "solve", *load, "--lambda", "0.25", "--method",
+                               "gradient", "--format", "csv", "--outdir", str(tmp_path))
+        assert code == 0 and "method = projected-gradient" in out
+        penalized_g1 = stdout_value(out, "g1")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--method", "newton"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "solve", *load, "--outdir", str(tmp_path))
+        assert code == 0 and "method = exact" in out
+        exact = solve(RunConfig(f1=6.0, f2=-6.0, k1=0.3, k2=0.3).problem(), (4, 4))
+        assert stdout_value(out, "g1") == pytest.approx(exact.g1, abs=1e-12)
+        assert abs(penalized_g1 - exact.g1) > 1e-3
+        code, out, _ = run_cli(capsys, "sweep", *load, "--outdir", str(tmp_path))
+        assert code == 0
+        rundir = next(tmp_path.glob("sweep-*"))
+        assert sorted(p.name for p in rundir.iterdir()) == [
+            "displacements.svg", "gap.svg", "stress.svg", "sweep.csv"]
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=("unbuffered", "buffered"))
+def test_closed_stdout_exits_1_without_traceback(unbuffered):
+    # the child reads stdin to its end before main writes, so closing stdout
+    # and then stdin guarantees that every write meets a closed pipe
+    import spring_rods
+
+    src = str(Path(spring_rods.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = ("import sys; sys.stdin.read(); from spring_rods.cli import main; "
+            "sys.exit(main(['solve', '--method', 'fixed-point', '--f1', '1e17', "
+            "'--f2=-1e17', '--format', 'svg']))")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": src})
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 def test_import_loads_neither_scipy_nor_a_thread_pool():

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -352,3 +353,55 @@ def test_fine_mesh_solve_allocation_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 8 * n
+
+
+PIN_GEO = Geometry(-1.3, 0.9, 0.4)
+PIN_MAT = Material(1.7, 0.6)
+
+
+def _poly1(x):
+    return 3.0 * x * x - x + 0.5
+
+
+def _poly2(x):
+    return -2.0 * x * x * x + 0.25 * x - 1.0
+
+
+#: Each load as (forces, scale); the prescribed interface values scale with it.
+PIN_LOADS = {
+    "constant": (BodyForce(2.5, -1.5), 1.0),
+    "callable": ((_poly1, _poly2), 1.0),
+    "constant-1e17": (BodyForce(1e17, -1e17), 1e17),
+    "callable-1e17": ((lambda x: 1e17 * _poly1(x), lambda x: 1e17 * _poly2(x)), 1e17),
+}
+
+#: First 128 bits of the sha256 of the recovered little-endian rod1 and rod2 bytes.
+PINNED_FIELDS = {
+    ((1, 1), "constant"): "b51fd4fba7d129029d1a936694c2ec55",
+    ((1, 1), "callable"): "b51fd4fba7d129029d1a936694c2ec55",
+    ((1, 1), "constant-1e17"): "92b9eb3d34a7c99ac84a9a0e40a78b17",
+    ((1, 1), "callable-1e17"): "92b9eb3d34a7c99ac84a9a0e40a78b17",
+    ((3, 7), "constant"): "099461161bebd371097dd05da62dd807",
+    ((3, 7), "callable"): "145bc644a6d9c3c86a2673ee5709e54d",
+    ((3, 7), "constant-1e17"): "46f600401a2bb823254cf9cacf558cf0",
+    ((3, 7), "callable-1e17"): "9f260b6ebd0e6b354eb819081caabfcf",
+    ((64, 5), "constant"): "94c4e3aa2182fc63f7c638c45fafb7b8",
+    ((64, 5), "callable"): "46d9841214519cf6822b90a7e0377c97",
+    ((64, 5), "constant-1e17"): "34b9ffe59cb3e20556cf7fbf9038382c",
+    ((64, 5), "callable-1e17"): "e33d8eb547d05ada3ac90671772c0bd4",
+    ((4096, 4096), "constant"): "ade64378526186f6d1c620c51c9863ac",
+    ((4096, 4096), "callable"): "2de97338876faeecc88b79da8ada27ae",
+    ((4096, 4096), "constant-1e17"): "0f0578ffdfaa69548c2a2e5b3097c730",
+    ((4096, 4096), "callable-1e17"): "b6a3764997b3599932d3080c949b21de",
+}
+
+
+@pytest.mark.parametrize("sizes, load", PINNED_FIELDS, ids=lambda v: str(v).replace(" ", ""))
+def test_recovered_field_bits_are_pinned(sizes, load):
+    # the field is sums and running sums of the loads in a fixed order, so
+    # any reordering of that arithmetic shows up in the last bits
+    forces, scale = PIN_LOADS[load]
+    reduced = schur_reduce(assemble(build_mesh(PIN_GEO, *sizes), PIN_MAT, forces))
+    u = recover_full(reduced, 0.375 * scale, -1.0625 * scale)
+    blob = u.rod1.astype("<f8").tobytes() + u.rod2.astype("<f8").tobytes()
+    assert hashlib.sha256(blob).hexdigest()[:32] == PINNED_FIELDS[sizes, load]

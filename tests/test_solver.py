@@ -611,6 +611,28 @@ class TestOverflow:
         with pytest.raises(NoConsistentRegime, match="overflows"):
             solve(problem, (4, 4), method, SolverConfig(max_iterations=50))
 
+    def test_gradient_stops_on_a_nan_step(self, monkeypatch):
+        # the first step overflows the iterates; a NaN step norm ends the loop
+        # at once instead of after all max_iterations of the default config
+        steps = []
+        real = fem_module.ReducedSystem.interface_vnorm
+        monkeypatch.setattr(fem_module.ReducedSystem, "interface_vnorm",
+                            lambda self, dg: steps.append(dg) or real(self, dg))
+        problem = make_problem(GEO, Material(1e-300, 1e-300), SpringLaw(1e-301, 1e-301, 1.0),
+                               BodyForce(1e10, -1e10), NP_)
+        with pytest.raises(NoConsistentRegime, match="overflows"):
+            solve(problem, (4, 4), "gradient")
+        assert 1 <= len(steps) <= 3
+
+    def test_gradient_keeps_iterating_on_an_infinite_step(self):
+        # |dg| > 1e154 squares to an infinite step norm between finite
+        # iterates: that is no reason to stop early
+        problem = make_problem(GEO, Material(1e3, 1e3), SpringLaw(300.0, 300.0, 1.0),
+                               BodyForce(1e200, -1e200), NP_)
+        sol = solve(problem, (4, 4), "gradient", SolverConfig(max_iterations=40))
+        assert math.isfinite(sol.g1) and math.isfinite(sol.g2)
+        assert (sol.diagnostics.iterations, sol.diagnostics.converged) == (40, False)
+
 
 @pytest.mark.parametrize("scale", [1e17, 1e307])
 @pytest.mark.parametrize("geo, mat, spring", [
