@@ -7,7 +7,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,30 +25,42 @@ from .solver import PenaltyProblem, SolverConfig, solve
 _TRIAD_TOL = 1e-6
 
 
+def _option(default, key: str, flag: str, help: str, choices=None, kind=None):
+    """A RunConfig field with its config-file key, flag, help, choices and value type."""
+    return field(default=default, metadata={"key": key, "flag": flag, "help": help,
+                                            "choices": choices, "kind": kind or type(default)})
+
+
 @dataclass
 class RunConfig:
     """Benchmark defaults: symmetric rods of unit modulus, unit spring, no load."""
 
-    a: float = -1.0
-    b: float = 1.0
-    l: float = 0.5
-    e1: float = 1.0
-    e2: float = 1.0
-    k1: float = 1.0
-    k2: float = 1.0
-    f1: float = 0.0
-    f2: float = 0.0
-    variant: str = "non-penetration"
-    penalty: str = "compression"
-    lam: float | None = None
-    n_max: int = 12
-    n1: int = 4
-    n2: int = 4
-    method: str = "exact"
-    tol: float = 1e-8
-    max_iter: int = 100_000
-    outdir: str = "out"
-    formats: str = "both"
+    a: float = _option(-1.0, "geometry.a", "--a", "left fixed end")
+    b: float = _option(1.0, "geometry.b", "--b", "right fixed end")
+    l: float = _option(0.5, "geometry.l", "--l", "spring half-length")
+    e1: float = _option(1.0, "material.e1", "--e1", "Young modulus of rod 1")
+    e2: float = _option(1.0, "material.e2", "--e2", "Young modulus of rod 2")
+    k1: float = _option(1.0, "spring.k1", "--k1", "compression stiffness")
+    k2: float = _option(1.0, "spring.k2", "--k2", "extension stiffness")
+    f1: float = _option(0.0, "force.f1", "--f1", "force density on rod 1")
+    f2: float = _option(0.0, "force.f2", "--f2", "force density on rod 2")
+    variant: str = _option("non-penetration", "constraint.variant", "--variant",
+                           "gap constraint variant", tuple(v.value for v in ConstraintVariant))
+    penalty: str = _option("compression", "penalty.variant", "--penalty",
+                           "penalty law variant", tuple(v.value for v in PenaltyVariant))
+    lam: float | None = _option(None, "penalty.lambda", "--lambda",
+                                "penalty parameter for a single penalized solve", kind=float)
+    n_max: int = _option(12, "penalty.n_max", "--n-max", "last index of the penalty schedule")
+    n1: int = _option(4, "mesh.n1", "--n1", "elements on rod 1")
+    n2: int = _option(4, "mesh.n2", "--n2", "elements on rod 2")
+    method: str = _option("exact", "solver.method", "--method", "solver backend",
+                          ("exact", "gradient", "fixed-point"))
+    tol: float = _option(1e-8, "solver.tolerance", "--tol", "iterative solver tolerance")
+    max_iter: int = _option(100_000, "solver.max_iter", "--max-iter",
+                            "iteration cap for iterative solvers")
+    outdir: str = _option("out", "output.dir", "--outdir", "output directory root")
+    formats: str = _option("both", "output.formats", "--format", "artifact formats to write",
+                           ("csv", "svg", "both"))
 
     def problem(self) -> ProblemSpec:
         return ProblemSpec(Geometry(self.a, self.b, self.l),
@@ -64,37 +76,9 @@ class RunConfig:
         return SolverConfig(tolerance=self.tol, max_iterations=self.max_iter)
 
 
-#: Each RunConfig attribute as (config-file key, flag, type, choices, help).
-_OPTIONS = {
-    "a": ("geometry.a", "--a", float, None, "left fixed end"),
-    "b": ("geometry.b", "--b", float, None, "right fixed end"),
-    "l": ("geometry.l", "--l", float, None, "spring half-length"),
-    "e1": ("material.e1", "--e1", float, None, "Young modulus of rod 1"),
-    "e2": ("material.e2", "--e2", float, None, "Young modulus of rod 2"),
-    "k1": ("spring.k1", "--k1", float, None, "compression stiffness"),
-    "k2": ("spring.k2", "--k2", float, None, "extension stiffness"),
-    "f1": ("force.f1", "--f1", float, None, "force density on rod 1"),
-    "f2": ("force.f2", "--f2", float, None, "force density on rod 2"),
-    "variant": ("constraint.variant", "--variant", str,
-                tuple(v.value for v in ConstraintVariant), "gap constraint variant"),
-    "penalty": ("penalty.variant", "--penalty", str,
-                tuple(v.value for v in PenaltyVariant), "penalty law variant"),
-    "lam": ("penalty.lambda", "--lambda", float, None,
-            "penalty parameter for a single penalized solve"),
-    "n_max": ("penalty.n_max", "--n-max", int, None, "last index of the penalty schedule"),
-    "n1": ("mesh.n1", "--n1", int, None, "elements on rod 1"),
-    "n2": ("mesh.n2", "--n2", int, None, "elements on rod 2"),
-    "method": ("solver.method", "--method", str, ("exact", "gradient", "fixed-point"),
-               "solver backend"),
-    "tol": ("solver.tolerance", "--tol", float, None, "iterative solver tolerance"),
-    "max_iter": ("solver.max_iter", "--max-iter", int, None,
-                 "iteration cap for iterative solvers"),
-    "outdir": ("output.dir", "--outdir", str, None, "output directory root"),
-    "formats": ("output.formats", "--format", str, ("csv", "svg", "both"),
-                "artifact formats to write"),
-}
-
-_ATTR_OF_KEY = {key: attr for attr, (key, *_) in _OPTIONS.items()}
+#: Each RunConfig attribute's option metadata, in field order (the --help order).
+_OPTIONS = {f.name: f.metadata for f in fields(RunConfig)}
+_ATTR_OF_KEY = {option["key"]: attr for attr, option in _OPTIONS.items()}
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -119,9 +103,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             if key not in _ATTR_OF_KEY:
                 raise ParseError(f"{path}:{lineno}: unknown key {key!r}")
             attr = _ATTR_OF_KEY[key]
-            _, _, kind, choices, _ = _OPTIONS[attr]
+            choices = _OPTIONS[attr]["choices"]
             try:
-                value = kind(raw)
+                value = _OPTIONS[attr]["kind"](raw)
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: bad value {raw!r} for {key}") from None
             if choices is not None and value not in choices:
@@ -148,8 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="; ".join(f"{name}: {text}" for name, (_, text)
                                        in _COMMANDS.items()))
     parser.add_argument("--config", help="flat config file with dotted keys")
-    for attr, (_, flag, kind, choices, text) in _OPTIONS.items():
-        parser.add_argument(flag, dest=attr, type=kind, choices=choices, help=text)
+    for attr, option in _OPTIONS.items():
+        parser.add_argument(option["flag"], dest=attr, type=option["kind"],
+                            choices=option["choices"], help=option["help"])
     return parser
 
 
@@ -226,7 +211,7 @@ def _cmd_converge(config: RunConfig, command: str) -> int:
     print(f"final error = {_fmt(last.error)} at n = {last.n}")
     if study.non_convergence:
         print("note: error stalled over the last records "
-              "(load may never activate the penalized side)")
+              "(load may never activate the penalized side)", file=sys.stderr)
     return 0
 
 
@@ -272,9 +257,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            sys.stdout.flush()  # --help meets a closed reader here, not at interpreter exit
+            raise
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
         config = parse_config(args.config, overrides)
         status = _COMMANDS[args.command][0](config, args.command)
         sys.stdout.flush()  # a closed reader raises here, not at interpreter exit

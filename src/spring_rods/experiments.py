@@ -213,8 +213,6 @@ _COLORS = ("#1f6fb4", "#c8452c", "#3a8c3f")
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 

@@ -101,9 +101,6 @@ class DofVector:
     def __sub__(self, other: "DofVector") -> "DofVector":
         return DofVector(self.rod1 - other.rod1, self.rod2 - other.rod2)
 
-    def __add__(self, other: "DofVector") -> "DofVector":
-        return DofVector(self.rod1 + other.rod1, self.rod2 + other.rod2)
-
 
 def zero_dofs(mesh: Mesh) -> DofVector:
     return DofVector(np.zeros(mesh.n1), np.zeros(mesh.n2))

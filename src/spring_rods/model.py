@@ -106,8 +106,7 @@ class SpringLaw:
 
     def potential_slope(self, length: float) -> float:
         """Derivative of the stored energy (continuous across the natural length)."""
-        k = self.k1 if length < self.natural_length else self.k2
-        return k * (length - self.natural_length)
+        return -self.force(length)
 
 
 class PenaltyVariant(Enum):
@@ -116,6 +115,12 @@ class PenaltyVariant(Enum):
     COMPRESSION_ONLY = "compression"
     EXTENSION_ONLY = "extension"
     TWO_SIDED = "two-sided"
+
+    @property
+    def sides(self) -> tuple[bool, bool]:
+        """Whether the penalty acts (below the natural length, at or above it)."""
+        return (self is not PenaltyVariant.EXTENSION_ONLY,
+                self is not PenaltyVariant.COMPRESSION_ONLY)
 
 
 @dataclass(frozen=True)
@@ -139,22 +144,17 @@ class PenaltyLaw:
     def lipschitz(self) -> float:
         return 1.0
 
+    def _acts(self, length: float) -> bool:
+        below, above = self.variant.sides
+        return below if length < self.natural_length else above
+
     def force(self, length: float) -> float:
-        d = self.natural_length - length
-        if self.variant is PenaltyVariant.COMPRESSION_ONLY:
-            return d if length < self.natural_length else 0.0
-        if self.variant is PenaltyVariant.EXTENSION_ONLY:
-            return d if length >= self.natural_length else 0.0
-        return d
+        return self.natural_length - length if self._acts(length) else 0.0
 
     def potential(self, length: float) -> float:
         """Convex antiderivative with slope equal to minus the force."""
         d = length - self.natural_length
-        if self.variant is PenaltyVariant.COMPRESSION_ONLY:
-            return 0.5 * d * d if length < self.natural_length else 0.0
-        if self.variant is PenaltyVariant.EXTENSION_ONLY:
-            return 0.5 * d * d if length >= self.natural_length else 0.0
-        return 0.5 * d * d
+        return 0.5 * d * d if self._acts(length) else 0.0
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,13 @@ class ConstraintVariant(Enum):
         return (n, n)
 
 
+def _check_natural_length(name: str, length: float, geometry: Geometry) -> None:
+    """Raise GeometryError unless `length` is the geometric gap 2l (to 1e-12)."""
+    if not math.isclose(length, geometry.natural_length, rel_tol=0.0, abs_tol=1e-12):
+        raise GeometryError(f"{name} natural length {length} does not match "
+                            f"the geometric gap {geometry.natural_length}")
+
+
 def spring_gap(l: float, g1: float, g2: float) -> float:
     """Current spring length 2l - g1 + g2 for inner-end displacements g1, g2."""
     return 2.0 * l - g1 + g2
@@ -217,11 +224,7 @@ class ProblemSpec:
     coupling_bound: float = field(init=False)
 
     def __post_init__(self):
-        if not math.isclose(self.spring.natural_length, self.geometry.natural_length,
-                            rel_tol=0.0, abs_tol=1e-12):
-            raise GeometryError(
-                f"spring natural length {self.spring.natural_length} does not match "
-                f"the geometric gap {self.geometry.natural_length}")
+        _check_natural_length("spring", self.spring.natural_length, self.geometry)
         m = self.material.E1 + self.material.E2
         alpha = 2.0 * self.spring.lipschitz * self.geometry.L
         if not m > alpha:
@@ -238,11 +241,6 @@ class ProblemSpec:
         return self.variant.bounds(self.geometry.l)
 
 
-def make_problem(geometry: Geometry, material: Material, spring: SpringLaw,
-                 forces: BodyForce, variant: ConstraintVariant) -> ProblemSpec:
-    """Validate and assemble a ProblemSpec.
-
-    Raises GeometryError for inconsistent intervals and SmallnessViolation
-    when the spring is too stiff relative to the rods.
-    """
-    return ProblemSpec(geometry, material, spring, forces, variant)
+#: Validating constructor: GeometryError for inconsistent intervals,
+#: SmallnessViolation when the spring is too stiff relative to the rods.
+make_problem = ProblemSpec

@@ -20,20 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ContractionFailure, GeometryError, InfeasibleCandidate,
-                     NoConsistentRegime, NonPositiveLambda, ValidationError)
+from .errors import (ContractionFailure, InfeasibleCandidate, NoConsistentRegime,
+                     NonPositiveLambda, ValidationError)
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce, theta_of)
-from .model import (ConstraintVariant, PenaltyLaw, PenaltyVariant, ProblemSpec,
-                    SpringLaw, _real)
+from .model import (ConstraintVariant, PenaltyLaw, ProblemSpec, SpringLaw,
+                    _check_natural_length, _real)
 
 _Pair = tuple[float, float]
 
 #: A spring-free gap change below this fraction of the compliance is the breakpoint.
 _BREAKPOINT_TOL = 1e-9
-
-#: Gap below this value counts as contact.
-CONTACT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class EquilibriumSolution:
 
     theta is the gap (current spring length), s the common stress value at
     the inner rod ends.  When a gap bound is active, theta is reported as
-    the exact bound value.
+    the exact bound value; contact holds exactly in the "contact" regime.
     """
 
     u: DofVector
@@ -99,11 +96,7 @@ class PenaltyProblem:
         _real("penalty parameter", self.lam, 0.0, math.inf, NonPositiveLambda)
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
             raise ValidationError("penalized problems are posed over the non-penetration set")
-        if not math.isclose(self.law.natural_length, self.base.geometry.natural_length,
-                            rel_tol=0.0, abs_tol=1e-12):
-            raise GeometryError(
-                f"penalty law natural length {self.law.natural_length} does not match "
-                f"the geometric gap {self.base.geometry.natural_length}")
+        _check_natural_length("penalty law", self.law.natural_length, self.base.geometry)
 
 
 def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLaw:
@@ -113,9 +106,9 @@ def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLa
     (1/lam) of it just raises the corresponding stiffness coefficient.
     """
     dk = 1.0 / lam
-    k1 = spring.k1 + (dk if law.variant is not PenaltyVariant.EXTENSION_ONLY else 0.0)
-    k2 = spring.k2 + (dk if law.variant is not PenaltyVariant.COMPRESSION_ONLY else 0.0)
-    return SpringLaw(k1, k2, spring.natural_length)
+    below, above = law.variant.sides
+    return SpringLaw(spring.k1 + (dk if below else 0.0), spring.k2 + (dk if above else 0.0),
+                     spring.natural_length)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +177,7 @@ def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
                                  f"or the nodal field is not finite")
     residual = _kkt_residual(reduced, spring, lo, hi, g, theta, active_bound)
     diag = SolverDiagnostics(method, iterations, residual, label, converged, step_ratios)
-    return EquilibriumSolution(u, g1, g2, theta, s, theta <= CONTACT_TOL, active_bound, diag)
+    return EquilibriumSolution(u, g1, g2, theta, s, label == "contact", active_bound, diag)
 
 
 def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,

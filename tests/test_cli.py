@@ -444,3 +444,62 @@ def test_import_loads_neither_scipy_nor_a_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=("unbuffered", "buffered"))
+def test_help_on_closed_stdout_exits_1_without_traceback(unbuffered):
+    # as above, the child reads stdin to its end before argparse writes the help
+    import spring_rods
+
+    src = str(Path(spring_rods.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    code = ("import sys; sys.stdin.read(); from spring_rods.cli import main; "
+            "sys.exit(main(['--help']))")
+    proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**env, "PYTHONPATH": src})
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    # from Python 3.11 argparse itself drops a failed write of its messages, so
+    # an unbuffered --help never sees the closed pipe and exits 0
+    dropped = unbuffered and sys.version_info >= (3, 11)
+    assert proc.wait(timeout=60) == (0 if dropped else 1)
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_converge_stall_note_goes_to_stderr(capsys, tmp_path):
+    # a compressive load never stretches the spring, so the extension penalty
+    # never acts and the error cannot fall
+    code, out, err = run_cli(capsys, "converge", "--f1", "1", "--f2=-1", "--penalty",
+                             "extension", "--n-max", "4", "--format", "csv",
+                             "--outdir", str(tmp_path))
+    assert code == 0
+    assert "final error" in out and "note:" not in out
+    assert err == ("note: error stalled over the last records "
+                   "(load may never activate the penalized side)\n")
+
+
+class TestOptionTable:
+    def test_every_key_at_its_default_parses_to_the_defaults(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "geometry.a = -1\ngeometry.b = 1\ngeometry.l = 0.5\n"
+            "material.e1 = 1\nmaterial.e2 = 1\nspring.k1 = 1\nspring.k2 = 1\n"
+            "force.f1 = 0\nforce.f2 = 0\nconstraint.variant = non-penetration\n"
+            "penalty.variant = compression\npenalty.n_max = 12\n"
+            "mesh.n1 = 4\nmesh.n2 = 4\nsolver.method = exact\n"
+            "solver.tolerance = 1e-8\nsolver.max_iter = 100000\n"
+            "output.dir = out\noutput.formats = both\n")
+        assert parse_config(str(cfg)) == RunConfig()
+        cfg.write_text("penalty.lambda = 0.25\n")
+        assert parse_config(str(cfg)) == RunConfig(lam=0.25)
+
+    def test_line_without_equals_reports_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mesh.n1 = 8\nmesh.n2 8\n")
+        with pytest.raises(ParseError, match=r":2: expected 'key = value', got 'mesh.n2 8'"):
+            parse_config(str(cfg))

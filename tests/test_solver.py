@@ -797,3 +797,12 @@ def test_pinned_results(name):
     regime, iterations, *values = PINNED[name]
     assert (sol.diagnostics.regime, sol.diagnostics.iterations) == (regime, iterations)
     assert [x.hex() for x in (sol.g1, sol.g2, sol.theta, sol.s)][:len(values)] == values
+
+
+@pytest.mark.parametrize("f", [5.5999999972, 5.599999999])
+@pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
+def test_contact_flag_is_the_contact_regime(method, f):
+    # the exact gaps, 5e-10 and 1.8e-10, lie above the 1e-11 snap to the contact bound
+    problem = make_problem(GEO, MAT, SpringLaw(0.4, 0.4, 1.0), BodyForce(f, -f), NP_)
+    sol = solve(problem, (4, 4), method)
+    assert sol.contact == (sol.diagnostics.regime == "contact")
