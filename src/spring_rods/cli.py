@@ -118,13 +118,26 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     return config
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help, usage and error writes raise on a closed stream.
+
+    From Python 3.11 argparse drops an OSError of its own writes, so `--help`
+    into a closed pipe would exit 0; here the BrokenPipeError reaches `main`.
+    """
+
+    def _print_message(self, message, file=None):
+        file = file or sys.stderr
+        if message and file is not None:  # no stream at all under pythonw
+            file.write(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """One parser: the subcommand is a positional choice, options go before or after it.
 
     Built once per process: `parse_args` returns a fresh namespace each call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spring-rods",
         description="Equilibrium of two elastic rods coupled by a nonlinear spring "
                     "with a non-penetration constraint.")

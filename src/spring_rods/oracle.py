@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import EmptyFeasibleGrid, NoConsistentRegime, ValidationError
 from .fem import DiscreteSystem, DofVector, Mesh
-from .model import ConstraintVariant, ProblemSpec, SpringLaw, spring_gap
+from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real
 
 _SELECT_TOL = 1e-12
-#: Grid points per block of grid_search_minimizer: each temporary stays within 256 KB.
+#: Grid points per block of grid_search_minimizer: each block buffer stays within 256 KB.
 _BLOCK_POINTS = 2 ** 15
 
 
@@ -140,33 +140,61 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     return AnalyticSolution(problem, u1_coeffs, u2_coeffs, g1, g2, theta, s, regime)
 
 
+def _grid_axes(bounds, step: float, ndof: int) -> list[np.ndarray]:
+    """The grid's axes, one per DOF, from validated (lo, hi) pairs and step."""
+    _real("grid step", step, 0.0, math.inf, ValidationError)
+    try:
+        shared = np.ndim(bounds[0]) == 0
+    except (TypeError, ValueError, IndexError):  # no sequence, a ragged first range, empty
+        raise ValidationError(f"need a (lo, hi) pair or one per DOF, got {bounds!r}") from None
+    if shared:
+        bounds = [bounds] * ndof
+    if len(bounds) != ndof:
+        raise ValidationError(f"need one range per DOF, got {len(bounds)} for {ndof}")
+    counts = []
+    for i, bound in enumerate(bounds):
+        try:
+            lo_v, hi_v = bound
+        except (TypeError, ValueError):
+            raise ValidationError(f"range {i} must be a (lo, hi) pair, got {bound!r}") from None
+        _real(f"range {i} lo", lo_v, -math.inf, math.inf, ValidationError)
+        _real(f"range {i} hi", hi_v, -math.inf, math.inf, ValidationError)
+        if hi_v < lo_v:
+            raise ValidationError(f"range {i} has hi {hi_v!r} below lo {lo_v!r}")
+        steps = (hi_v - lo_v) / step
+        if not steps < 2 ** 23:  # also an overflowing span, before int() would raise
+            raise ValidationError(f"brute force limited to 2**23 grid points, "
+                                  f"got {steps:.3g} steps on axis {i}")
+        counts.append(int(round(steps)) + 1)
+    if math.prod(counts) > 2 ** 23:
+        raise ValidationError(f"brute force limited to 2**23 grid points, got {math.prod(counts)}")
+    return [np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)]
+
+
 def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
                           variant: ConstraintVariant, bounds, step: float) -> DofVector:
     """Feasible grid point of minimal total energy (brute force).
 
-    `bounds` is one (lo, hi) interval shared by every free DOF, or a
-    sequence with one interval per DOF; at most six DOFs and 2**23 grid
-    points, a cap that bounds the run time.  The energy is evaluated term by
-    term in fixed-size blocks of the C-order grid, so memory per call is
-    constant, and the first minimum in C order wins.  By convexity the result
-    lies within one grid step of the true minimizer in every coordinate.
+    `bounds` is one (lo, hi) pair of finite reals shared by every free DOF,
+    or a sequence with one pair per DOF; `step` is a finite real above 0.  At
+    most six DOFs and 2**23 grid points, a cap that bounds the run time.  The
+    energy is evaluated term by term in fixed-size blocks of the C-order
+    grid, written into buffers allocated once per call and reused by every
+    block, so memory per call is constant; only the finite gap bounds are
+    masked.  The first minimum in C order wins.  By convexity the result lies
+    within one grid step of the true minimizer in every coordinate.
     """
     mesh = system.mesh
     n1 = mesh.n1
     ndof = n1 + mesh.n2
     if ndof > 6:
         raise ValidationError(f"brute force limited to 6 DOFs, got {ndof}")
-    if np.ndim(bounds[0]) == 0:
-        bounds = [bounds] * ndof
-    if len(bounds) != ndof:
-        raise ValidationError(f"need one range per DOF, got {len(bounds)} for {ndof}")
-    counts = [int(round((hi_v - lo_v) / step)) + 1 for lo_v, hi_v in bounds]
-    if math.prod(counts) > 2 ** 23:
-        raise ValidationError(f"brute force limited to 2**23 grid points, got {math.prod(counts)}")
-    axes = [np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)]
+    axes = _grid_axes(bounds, step, ndof)
+    counts = [axis.size for axis in axes]
 
     l = mesh.geometry.l
     glo, ghi = variant.bounds(l)
+    half_k1, half_k2 = 0.5 * spring.k1, 0.5 * spring.k2
     diag = np.concatenate((system.diag1, system.diag2))
     b = np.concatenate((system.b1, system.b2))
     off = np.concatenate((system.off1, [0.0], system.off2))  # no coupling across the gap
@@ -174,21 +202,35 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     # and every later axis whole; blocks run in C order
     cut = next(i for i in range(ndof) if math.prod(counts[i + 1:]) <= _BLOCK_POINTS)
     rows = _BLOCK_POINTS // math.prod(counts[cut + 1:])
+    size = min(rows, counts[cut]) * math.prod(counts[cut + 1:])
+    energy_buf, theta_buf, d_buf = np.empty(size), np.empty(size), np.empty(size)
+    mask_buf = np.empty(size, dtype=bool)
     best, best_energy = None, math.inf
     for lead in np.ndindex(*counts[:cut]):
         for start in range(0, counts[cut], rows):
             x = np.ix_(*(axis[j:j + 1] for axis, j in zip(axes, lead)),
                        axes[cut][start:start + rows], *axes[cut + 1:])
-            theta = spring_gap(l, x[n1 - 1], x[n1])
-            feasible = (theta >= glo - 1e-12) & (theta <= ghi + 1e-12)
-            d = theta - spring.natural_length
-            k = np.where(theta < spring.natural_length, spring.k1, spring.k2)
-            energy = np.zeros([axis.size for axis in x])
-            energy += np.where(feasible, 0.5 * k * d * d, np.inf)
+            shape = tuple(axis.size for axis in x)
+            gap_shape = np.broadcast_shapes(x[n1 - 1].shape, x[n1].shape)
+            energy = energy_buf[:math.prod(shape)].reshape(shape)
+            theta, d, mask = (buf[:math.prod(gap_shape)].reshape(gap_shape)
+                              for buf in (theta_buf, d_buf, mask_buf))
+            np.add(2.0 * l - x[n1 - 1], x[n1], out=theta)  # spring_gap, in place
+            np.subtract(theta, spring.natural_length, out=d)
+            # ((0.5*k)*d)*d with k1 below the natural length, k2 from it on
+            np.multiply(d, half_k2, out=energy)
+            np.less(d, 0.0, out=mask)
+            np.multiply(d, half_k1, out=energy, where=mask)
+            energy *= d
+            if math.isfinite(glo):
+                np.copyto(energy, np.inf, where=np.less(theta, glo - 1e-12, out=mask))
+            if math.isfinite(ghi):
+                np.copyto(energy, np.inf, where=np.greater(theta, ghi + 1e-12, out=mask))
             for i in range(ndof):
                 energy += (0.5 * diag[i] * x[i] - b[i]) * x[i]
             for i in range(ndof - 1):
-                energy += off[i] * x[i] * x[i + 1]
+                if i != n1 - 1:  # the gap's zero coupling would add exact zeros
+                    energy += off[i] * x[i] * x[i + 1]
             j = int(np.argmin(energy))
             if energy.flat[j] < best_energy:  # strict: an earlier block keeps a tie
                 best_energy = energy.flat[j]

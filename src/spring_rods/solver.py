@@ -357,10 +357,16 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
     the force at g1 and minus it at g2, so all trials are one product of
     the probe matrix with c.  The probes are the gap shifted to each bound
     (and to the natural length) plus `trials` normal draws of d, each
-    moved back into the gap bounds through its g2 entry.
+    moved back into the gap bounds through its g2 entry.  `trials` is an
+    integer >= 0, and the probe matrix is capped at 2**24 entries.
     """
     mesh = system.mesh
     n1 = mesh.n1
+    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) or trials < 0:
+        raise ValidationError(f"trials must be an integer >= 0, got {trials!r}")
+    entries = int(trials) * (n1 + mesh.n2)
+    if entries > 2 ** 24:
+        raise ValidationError(f"probe matrix limited to 2**24 entries, got {entries}")
     l = mesh.geometry.l
     lo, hi = variant.bounds(l)
     theta_u = theta_of(candidate, l)

@@ -464,10 +464,7 @@ def test_help_on_closed_stdout_exits_1_without_traceback(unbuffered):
     proc.stdin.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    # from Python 3.11 argparse itself drops a failed write of its messages, so
-    # an unbuffered --help never sees the closed pipe and exits 0
-    dropped = unbuffered and sys.version_info >= (3, 11)
-    assert proc.wait(timeout=60) == (0 if dropped else 1)
+    assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 

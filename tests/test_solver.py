@@ -424,6 +424,27 @@ class TestViResidual:
             sol = solve_exact(red, spring, variant, GEO.l)
             assert vi_residual(system, spring, variant, sol.u, trials=300) >= -1e-9
 
+    @pytest.mark.parametrize("trials", [-1, 1.5, True, "10", None], ids=repr)
+    def test_trials_must_be_an_integer_at_least_0(self, trials):
+        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
+        sol = solve_exact(red, spring, NP_, GEO.l)
+        with pytest.raises(ValidationError, match="trials must be an integer >= 0"):
+            vi_residual(system, spring, NP_, sol.u, trials=trials)
+
+    def test_no_trials_leaves_the_shifted_probes(self):
+        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
+        sol = solve_exact(red, spring, NP_, GEO.l)
+        assert vi_residual(system, spring, NP_, sol.u, trials=np.int64(0)) >= -1e-9
+
+    def test_probe_matrix_cap(self):
+        # 8 DOFs: 2**21 trials fill the 2**24 cap, one more is refused before
+        # numpy is asked for the matrix (10**12 trials would need 58 TiB)
+        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
+        sol = solve_exact(red, spring, NP_, GEO.l)
+        for trials in (2 ** 21 + 1, 10 ** 12):
+            with pytest.raises(ValidationError, match="2\\*\\*24 entries, got"):
+                vi_residual(system, spring, NP_, sol.u, trials=trials)
+
 
 def _vi_reference(system, spring, variant, candidate, trials, seed):
     """Per-probe VI values, one DofVector per probe, in the draw order of the rng.
