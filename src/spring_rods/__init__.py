@@ -8,8 +8,7 @@ from .experiments import (ConvergenceRecord, ConvergenceStudy, SweepRecord, Swee
                           export_csv, export_svg, run_penalty_convergence,
                           run_stiffness_sweep)
 from .fem import (DiscreteSystem, DofVector, Mesh, ReducedSystem, assemble, build_mesh,
-                  interface_stress, recover_full, schur_reduce, stress_field, theta_of,
-                  v_norm, zero_dofs)
+                  interface_stress, recover_full, schur_reduce)
 from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
                     PenaltyVariant, ProblemSpec, SpringLaw, make_problem, spring_gap)
 from .oracle import AnalyticSolution, analytic_solution, grid_search_minimizer
@@ -33,6 +32,5 @@ __all__ = [
     "export_csv", "export_svg", "grid_search_minimizer", "interface_stress",
     "make_problem", "recover_full", "run_penalty_convergence", "run_stiffness_sweep",
     "schur_reduce", "solve", "solve_exact", "solve_penalized",
-    "solve_projected_gradient", "solve_qvi_fixed_point", "spring_gap", "stress_field",
-    "theta_of", "v_norm", "vi_residual", "zero_dofs",
+    "solve_projected_gradient", "solve_qvi_fixed_point", "spring_gap", "vi_residual",
 ]

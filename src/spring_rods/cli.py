@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParseError, SpringRodsError, ValidationError
 from .experiments import (_fmt, export_csv, export_svg, run_penalty_convergence,
                           run_stiffness_sweep)
-from .fem import build_mesh
+from .fem import build_mesh, interface_stress
 from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
                     PenaltyVariant, ProblemSpec, SpringLaw)
 from .oracle import analytic_solution
@@ -250,9 +250,13 @@ def _cmd_validate(config: RunConfig, command: str) -> int:
     rounding = 64 * (config.n1 + config.n2) * sys.float_info.epsilon
     deviations = [max(col) - min(col) for col in zip(*(vals for _, vals in rows))]
     print(f"max pairwise deviation = {_fmt(max(deviations))}")
+    # the exact solve's field must carry its s to both inner ends (sigma1(-l) = sigma2(l) = s)
+    sol = states[0][1]
+    traces = interface_stress(build_mesh(geo, *mesh_sizes), sol.u, mat, f)
+    deviations.append(max(abs(trace - sol.s) for trace in traces))
     failed = False
-    for column, dev, scale in zip(("g1", "g2", "theta", "s"), deviations,
-                                  (disp, disp, disp, stress)):
+    for column, dev, scale in zip(("g1", "g2", "theta", "s", "field stress trace"),
+                                  deviations, (disp, disp, disp, stress, stress)):
         tol = max(_TRIAD_TOL, rounding * scale)
         if dev > tol:
             print(f"FAIL: {column} deviation {_fmt(dev)} above {_fmt(tol)}", file=sys.stderr)

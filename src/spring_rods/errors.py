@@ -5,15 +5,19 @@ class SpringRodsError(Exception):
     """Base class for all package errors."""
 
 
-class GeometryError(SpringRodsError):
+class ValidationError(SpringRodsError, ValueError):
+    """A value failed validation where it entered the package."""
+
+
+class GeometryError(ValidationError):
     """Rod intervals or spring length are inconsistent."""
 
 
-class SmallnessViolation(SpringRodsError):
+class SmallnessViolation(ValidationError):
     """Spring stiffness too large for the rod stiffnesses (uniqueness lost)."""
 
 
-class ZeroElements(SpringRodsError):
+class ZeroElements(ValidationError):
     """A mesh was requested with a non-integer or fewer than one element on a rod."""
 
 
@@ -22,7 +26,7 @@ class NoConsistentRegime(SpringRodsError):
     so large that the condensed load or the solution overflows)."""
 
 
-class NonPositiveLambda(SpringRodsError):
+class NonPositiveLambda(ValidationError):
     """Penalty parameter must be positive and finite."""
 
 
@@ -40,7 +44,3 @@ class EmptyFeasibleGrid(SpringRodsError):
 
 class ParseError(SpringRodsError):
     """Configuration file could not be parsed; message carries line and key."""
-
-
-class ValidationError(SpringRodsError, ValueError):
-    """A value failed validation where it entered the package."""

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConsistentRegime, ZeroElements
-from .model import BodyForce, Geometry, Material, spring_gap
+from .model import BodyForce, Geometry, Material
 
 _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 
@@ -100,15 +100,6 @@ class DofVector:
 
     def __sub__(self, other: "DofVector") -> "DofVector":
         return DofVector(self.rod1 - other.rod1, self.rod2 - other.rod2)
-
-
-def zero_dofs(mesh: Mesh) -> DofVector:
-    return DofVector(np.zeros(mesh.n1), np.zeros(mesh.n2))
-
-
-def theta_of(dof: DofVector, l: float) -> float:
-    """Current spring length for the discrete displacement field."""
-    return spring_gap(l, dof.g1, dof.g2)
 
 
 def _constant_load(n: int, h: float, f: float, interface_last: bool) -> np.ndarray:
@@ -313,22 +304,16 @@ def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
     return DofVector(u1, u2)
 
 
-def stress_field(mesh: Mesh, dof: DofVector, material: Material) -> tuple[np.ndarray, np.ndarray]:
-    """Constant stress per element: E times the nodal difference over h."""
-    u1 = np.concatenate(([0.0], dof.rod1))
-    u2 = np.concatenate((dof.rod2, [0.0]))
-    return (material.E1 * np.diff(u1) / mesh.h1,
-            material.E2 * np.diff(u2) / mesh.h2)
-
-
 def interface_stress(mesh: Mesh, dof: DofVector, material: Material,
                      forces: BodyForce) -> tuple[float, float]:
-    """Stress traces at the inner rod ends.
+    """Stress traces at the inner rod ends, read from the two end elements.
 
-    Element stresses are exact at midpoints; extrapolating to the end with
-    the balance equation (stress rate = -density) removes the half-element
-    offset, so for constant loads the traces are exact.
+    Each end element's stress E*(difference)/h is exact at its midpoint;
+    extrapolating to the end with the balance equation (stress rate =
+    -density) removes the half-element offset, so for constant loads the
+    traces are exact.  A one-element rod's outer neighbour is the clamp, 0.
     """
-    sig1, sig2 = stress_field(mesh, dof, material)
-    return (float(sig1[-1]) - 0.5 * forces.f1 * mesh.h1,
-            float(sig2[0]) + 0.5 * forces.f2 * mesh.h2)
+    u1_prev = float(dof.rod1[-2]) if mesh.n1 > 1 else 0.0
+    u2_next = float(dof.rod2[1]) if mesh.n2 > 1 else 0.0
+    return (material.E1 * (dof.g1 - u1_prev) / mesh.h1 - 0.5 * forces.f1 * mesh.h1,
+            material.E2 * (u2_next - dof.g2) / mesh.h2 + 0.5 * forces.f2 * mesh.h2)

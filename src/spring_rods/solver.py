@@ -23,9 +23,9 @@ import numpy as np
 from .errors import (ContractionFailure, InfeasibleCandidate, NoConsistentRegime,
                      NonPositiveLambda, ValidationError)
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
-                  recover_full, schur_reduce, theta_of)
+                  recover_full, schur_reduce)
 from .model import (ConstraintVariant, PenaltyLaw, ProblemSpec, SpringLaw,
-                    _check_natural_length, _real)
+                    _check_natural_length, _real, spring_gap)
 
 _Pair = tuple[float, float]
 
@@ -357,19 +357,20 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
     the force at g1 and minus it at g2, so all trials are one product of
     the probe matrix with c.  The probes are the gap shifted to each bound
     (and to the natural length) plus `trials` normal draws of d, each
-    moved back into the gap bounds through its g2 entry.  `trials` is an
-    integer >= 0, and the probe matrix is capped at 2**24 entries.
+    moved back into the gap bounds through its g2 entry.  `trials` and
+    `seed` are integers >= 0, and the probe matrix is capped at 2**24 entries.
     """
     mesh = system.mesh
     n1 = mesh.n1
-    if not isinstance(trials, numbers.Integral) or isinstance(trials, bool) or trials < 0:
-        raise ValidationError(f"trials must be an integer >= 0, got {trials!r}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
     entries = int(trials) * (n1 + mesh.n2)
     if entries > 2 ** 24:
         raise ValidationError(f"probe matrix limited to 2**24 entries, got {entries}")
     l = mesh.geometry.l
     lo, hi = variant.bounds(l)
-    theta_u = theta_of(candidate, l)
+    theta_u = spring_gap(l, candidate.g1, candidate.g2)
     if theta_u < lo - 1e-9 or theta_u > hi + 1e-9:
         raise InfeasibleCandidate(f"gap {theta_u} outside [{lo}, {hi}]")
 

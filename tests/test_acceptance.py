@@ -14,8 +14,9 @@ from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material,
                          grid_search_minimizer, make_problem, run_penalty_convergence,
                          run_stiffness_sweep, schur_reduce, solve_exact,
                          solve_penalized, solve_projected_gradient,
-                         solve_qvi_fixed_point, v_norm, vi_residual)
+                         solve_qvi_fixed_point, vi_residual)
 from spring_rods.cli import main as cli_main
+from spring_rods.fem import v_norm
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)

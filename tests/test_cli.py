@@ -12,6 +12,7 @@ import spring_rods.cli as cli_module
 from spring_rods import solve
 from spring_rods.cli import RunConfig, build_parser, main, parse_config
 from spring_rods.errors import ParseError
+from spring_rods.fem import DofVector
 
 
 def run_cli(capsys, *args):
@@ -323,6 +324,35 @@ class TestValidateCommand:
                                "--n1", "3", "--n2", "7")
         assert code == 1
         assert err.startswith("FAIL: g1 deviation 1.00010000000e+04 above 7.1")
+
+    @pytest.mark.parametrize("n1, n2", [(64, 5), (1, 1)])
+    def test_field_stress_traces_pass_on_both_end_element_branches(self, capsys, n1, n2):
+        code, _, err = run_cli(capsys, "validate", "--a=-1.3", "--b", "0.9", "--l", "0.4",
+                               "--e1", "1.7", "--e2", "0.6", "--k1", "0.3", "--k2", "0.5",
+                               "--f1", "2.5", "--f2=-1.5", "--n1", str(n1), "--n2", str(n2))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("rod, node", [("rod1", -2), ("rod2", 1)])
+    def test_perturbed_field_fails_on_the_stress_trace(self, capsys, monkeypatch, rod, node):
+        # the exact solve's interface values stay put: only its field moves,
+        # so only the field traces sigma1(-l) and sigma2(l) leave s, by E*1e-3/h
+        real = cli_module.solve
+
+        def nudged(problem, mesh_sizes, method, *args):
+            sol = real(problem, mesh_sizes, method, *args)
+            if method != "exact":
+                return sol
+            u = DofVector(sol.u.rod1.copy(), sol.u.rod2.copy())
+            getattr(u, rod)[node] += 1e-3
+            return replace(sol, u=u)
+
+        monkeypatch.setattr(cli_module, "solve", nudged)
+        code, out, err = run_cli(capsys, "validate", "--f1", "6", "--f2=-6",
+                                 "--k1", "0.3", "--k2", "0.3")
+        assert code == 1
+        assert err.startswith("FAIL: field stress trace deviation 8.00000000000e-03 above 1")
+        assert err.count("FAIL") == 1
+        assert "max pairwise deviation" in out
 
     def test_twenty_seeded_random_configs(self, capsys):
         rng = np.random.default_rng(20)

@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.linalg import cholesky_banded, solveh_banded
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw,
                          ZeroElements, assemble, build_mesh, interface_stress,
-                         recover_full, schur_reduce, solve_exact, stress_field,
-                         theta_of, v_norm, zero_dofs)
+                         recover_full, schur_reduce, solve_exact, spring_gap)
 from spring_rods import analytic_solution, make_problem, solve
-from spring_rods.fem import DofVector
+from spring_rods.fem import DofVector, v_norm
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -148,15 +148,14 @@ class TestAssemble:
 
 class TestThetaAndNorm:
     def test_theta_reads_interface(self):
-        mesh, _ = make_system(3, 3)
-        dof = zero_dofs(mesh)
-        assert theta_of(dof, GEO.l) == 1.0
+        dof = DofVector(np.zeros(3), np.zeros(3))
+        assert spring_gap(GEO.l, dof.g1, dof.g2) == 1.0
         dof = DofVector(np.array([0.0, 0.0, 0.5]), np.array([-0.5, 0.0, 0.0]))
-        assert theta_of(dof, GEO.l) == 0.0
+        assert spring_gap(GEO.l, dof.g1, dof.g2) == 0.0
 
     def test_vnorm_zero(self):
         mesh, _ = make_system(4, 4)
-        assert v_norm(mesh, zero_dofs(mesh)) == 0.0
+        assert v_norm(mesh, DofVector(np.zeros(4), np.zeros(4))) == 0.0
 
     def test_vnorm_ramp(self):
         for n in (1, 3, 7):
@@ -230,20 +229,22 @@ class TestSchurReduce:
 
 class TestStress:
     def test_zero_dof_zero_stress(self):
-        mesh, _ = make_system(3, 3)
-        sig1, sig2 = stress_field(mesh, zero_dofs(mesh), MAT)
-        assert np.all(sig1 == 0.0)
-        assert np.all(sig2 == 0.0)
+        for n in (1, 3):
+            mesh, _ = make_system(n, n)
+            dof = DofVector(np.zeros(n), np.zeros(n))
+            assert interface_stress(mesh, dof, MAT, BodyForce(0.0, 0.0)) == (0.0, 0.0)
 
     def test_ramp_unit_stress(self):
-        mesh, _ = make_system(4, 4)
-        dof = DofVector(mesh.nodes1[1:] - mesh.nodes1[0], np.zeros(4))
-        sig1, _ = stress_field(mesh, dof, MAT)
-        assert np.allclose(sig1, 1.0, atol=1e-13)
+        for n in (1, 4):
+            mesh, _ = make_system(n, n)
+            dof = DofVector(mesh.nodes1[1:] - mesh.nodes1[0], np.zeros(n))
+            s1, s2 = interface_stress(mesh, dof, MAT, BodyForce(0.0, 0.0))
+            assert s1 == pytest.approx(1.0, abs=1e-13)
+            assert s2 == 0.0
 
     def test_interface_trace_full_compression(self):
         # frozen closed form for f=(6,-6), k=1: trace stress -0.75 at both ends
-        for n in (1, 4, 9):
+        for n in (1, 2, 4, 9):
             mesh, system = make_system(n, n, f1=6.0, f2=-6.0)
             red = schur_reduce(system)
             sol = solve_exact(red, SpringLaw(1.0, 1.0, 1.0),
@@ -251,6 +252,37 @@ class TestStress:
             s1, s2 = interface_stress(mesh, sol.u, MAT, BodyForce(6.0, -6.0))
             assert s1 == pytest.approx(-0.75, abs=1e-8)
             assert s2 == pytest.approx(-0.75, abs=1e-8)
+
+
+def _hat_integrals(nodes, density):
+    """Exact integral of the polynomial density against each node's hat function."""
+    out = np.zeros(len(nodes))
+    for e, (x0, x1) in enumerate(zip(nodes[:-1], nodes[1:])):
+        for node, hat in ((e, Polynomial([x1, -1.0]) / (x1 - x0)),
+                          (e + 1, Polynomial([-x0, 1.0]) / (x1 - x0))):
+            antiderivative = (density * hat).integ()
+            out[node] += antiderivative(x1) - antiderivative(x0)
+    return out
+
+
+class TestCallableLoads:
+    def test_quadratic_density_matches_the_exact_hat_integrals(self):
+        # two-point Gauss is exact up to degree 3, so for a quadratic density
+        # times a hat; a cubic density's quartic integrand is not integrated
+        # exactly at the end entries (4e-5 off at the interface here)
+        geo = Geometry(-1.3, 0.9, 0.4)
+        f1 = Polynomial([0.7, -1.1, 2.3])
+        f2 = Polynomial([-0.4, 1.6, -2.2])
+        mesh = build_mesh(geo, 3, 7)
+        system = assemble(mesh, MAT, (f1, f2))
+        # rod 1 drops its clamped node x=a, rod 2 its clamped node x=b; the
+        # interface entries b1[-1] and b2[0] are half hats
+        expected1 = _hat_integrals(mesh.nodes1, f1)[1:]
+        expected2 = _hat_integrals(mesh.nodes2, f2)[:-1]
+        assert system.b1.shape == (3,) and system.b2.shape == (7,)
+        scale = max(np.max(np.abs(expected1)), np.max(np.abs(expected2)))
+        assert np.max(np.abs(system.b1 - expected1)) <= 1e-14 * scale
+        assert np.max(np.abs(system.b2 - expected2)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
                          GeometryError, Material, PenaltyLaw, PenaltyProblem,
-                         PenaltyVariant, SmallnessViolation, SolverConfig, SpringLaw,
-                         SpringRodsError, SweepResult, ValidationError, assemble, build_mesh,
+                         NonPositiveLambda, PenaltyVariant, SmallnessViolation, SolverConfig,
+                         SpringLaw, SpringRodsError, SweepResult, ValidationError,
+                         ZeroElements, assemble, build_mesh,
                          export_csv, export_svg, grid_search_minimizer, make_problem,
                          run_stiffness_sweep, solve, spring_gap)
 
@@ -286,3 +287,21 @@ def test_bad_values_raise_the_package_error(site, tmp_path):
         _VALIDATION_SITES[site](path)
     assert type(info.value) is ValidationError and isinstance(info.value, ValueError)
     assert not path.exists()
+
+
+_SPECIFIC_REJECTIONS = {
+    GeometryError: lambda: Geometry(1.0, 0.0, 0.5),
+    SmallnessViolation: lambda: benchmark_problem(k1=2.5),
+    ZeroElements: lambda: build_mesh(GEO, 0, 4),
+    NonPositiveLambda: lambda: PenaltyProblem(
+        benchmark_problem(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 0.0),
+}
+
+
+@pytest.mark.parametrize("error", list(_SPECIFIC_REJECTIONS), ids=lambda e: e.__name__)
+def test_specific_rejections_are_validation_errors(error):
+    # a bad value is a ValidationError, and so a ValueError, whatever its own class
+    with pytest.raises(SpringRodsError) as info:
+        _SPECIFIC_REJECTIONS[error]()
+    assert type(info.value) is error
+    assert isinstance(info.value, ValidationError) and isinstance(info.value, ValueError)

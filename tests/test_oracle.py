@@ -9,7 +9,7 @@ import pytest
 from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geometry,
                          Material, NoConsistentRegime, SpringLaw, ValidationError,
                          analytic_solution, assemble, build_mesh, grid_search_minimizer,
-                         make_problem, schur_reduce, solve_exact, theta_of)
+                         make_problem, schur_reduce, solve_exact, spring_gap)
 from spring_rods import oracle
 from spring_rods.fem import DofVector
 
@@ -217,7 +217,7 @@ class TestGridSearch:
                                     ConstraintVariant.NON_PENETRATION, (-0.16, 0.16), 1e-2)
         assert np.max(np.abs(dof.rod1 - sol.u.rod1)) <= 1e-2
         assert np.max(np.abs(dof.rod2 - sol.u.rod2)) <= 1e-2
-        assert theta_of(dof, GEO.l) >= -1e-12
+        assert spring_gap(GEO.l, dof.g1, dof.g2) >= -1e-12
 
     def test_empty_feasible_grid(self):
         system = assemble(self.mesh, MAT, BodyForce(0.0, 0.0))
@@ -269,7 +269,7 @@ def _loop_energy(system, spring, variant, point):
     dof = DofVector(np.array(point[:n1]), np.array(point[n1:]))
     l = system.mesh.geometry.l
     lo, hi = variant.bounds(l)
-    theta = theta_of(dof, l)
+    theta = spring_gap(l, dof.g1, dof.g2)
     if not lo - 1e-12 <= theta <= hi + 1e-12:
         return math.inf
     return system.energy(dof) + spring.potential(theta)

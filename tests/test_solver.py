@@ -10,11 +10,11 @@ from spring_rods import (BodyForce, ConstraintVariant, ContractionFailure, Geome
                          analytic_solution, assemble, build_mesh, effective_spring,
                          interface_stress, make_problem, recover_full, schur_reduce,
                          solve, solve_exact, solve_penalized, solve_projected_gradient,
-                         solve_qvi_fixed_point, theta_of, v_norm, vi_residual)
+                         solve_qvi_fixed_point, spring_gap, vi_residual)
 import spring_rods.fem as fem_module
 import spring_rods.solver as solver_module
 from spring_rods import run_stiffness_sweep
-from spring_rods.fem import DofVector
+from spring_rods.fem import DofVector, v_norm
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -414,7 +414,7 @@ class TestViResidual:
     def test_infeasible_candidate(self):
         mesh, system, _, spring = setup_case(1.0, (0.0, 0.0))
         bad = DofVector(np.array([0.0, 0.0, 0.0, 1.0]), np.array([-1.0, 0.0, 0.0, 0.0]))
-        assert theta_of(bad, GEO.l) < 0.0
+        assert spring_gap(GEO.l, bad.g1, bad.g2) < 0.0
         with pytest.raises(InfeasibleCandidate):
             vi_residual(system, spring, NP_, bad)
 
@@ -430,6 +430,19 @@ class TestViResidual:
         sol = solve_exact(red, spring, NP_, GEO.l)
         with pytest.raises(ValidationError, match="trials must be an integer >= 0"):
             vi_residual(system, spring, NP_, sol.u, trials=trials)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True, None], ids=repr)
+    def test_seed_must_be_an_integer_at_least_0(self, seed):
+        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
+        sol = solve_exact(red, spring, NP_, GEO.l)
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            vi_residual(system, spring, NP_, sol.u, trials=10, seed=seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
+        sol = solve_exact(red, spring, NP_, GEO.l)
+        assert (vi_residual(system, spring, NP_, sol.u, trials=50, seed=np.int64(3))
+                == vi_residual(system, spring, NP_, sol.u, trials=50, seed=3))
 
     def test_no_trials_leaves_the_shifted_probes(self):
         _, system, red, spring = setup_case(1.0, (1.0, -1.0))
@@ -455,13 +468,13 @@ def _vi_reference(system, spring, variant, candidate, trials, seed):
     mesh = system.mesh
     l = mesh.geometry.l
     lo, hi = variant.bounds(l)
-    theta_u = theta_of(candidate, l)
+    theta_u = spring_gap(l, candidate.g1, candidate.g2)
     force = spring.force(theta_u)
     au = system.apply(candidate)
 
     def shifted(v, target):
         rod2 = v.rod2.copy()
-        rod2[0] += target - theta_of(v, l)
+        rod2[0] += target - spring_gap(l, v.g1, v.g2)
         return DofVector(v.rod1.copy(), rod2)
 
     probes = [shifted(candidate, lo),
@@ -472,14 +485,14 @@ def _vi_reference(system, spring, variant, candidate, trials, seed):
     for _ in range(trials):
         v = DofVector(candidate.rod1 + rng.normal(0.0, 0.5, mesh.n1),
                       candidate.rod2 + rng.normal(0.0, 0.5, mesh.n2))
-        t = theta_of(v, l)
+        t = spring_gap(l, v.g1, v.g2)
         probes.append(shifted(v, min(max(t, lo), hi)) if not lo <= t <= hi else v)
 
     values, scale = [], 0.0
     for v in probes:
         d = v - candidate
         terms = (float(au.rod1 @ d.rod1 + au.rod2 @ d.rod2),
-                 -force * (theta_of(v, l) - theta_u),
+                 -force * (spring_gap(l, v.g1, v.g2) - theta_u),
                  -system.load_dot(d))
         values.append(sum(terms))
         scale = max(scale, *map(abs, terms))
@@ -582,12 +595,12 @@ class TestSolverTriad:
         rng = np.random.default_rng(23)
         for _ in range(1000):
             dof = DofVector(rng.normal(0.0, 0.4, mesh.n1), rng.normal(0.0, 0.4, mesh.n2))
-            t = theta_of(dof, GEO.l)
+            t = spring_gap(GEO.l, dof.g1, dof.g2)
             if t < 0.0:
                 rod2 = dof.rod2.copy()
                 rod2[0] -= t
                 dof = DofVector(dof.rod1, rod2)
-            value = system.energy(dof) + spring.potential(theta_of(dof, GEO.l))
+            value = system.energy(dof) + spring.potential(spring_gap(GEO.l, dof.g1, dof.g2))
             assert best <= value + 1e-10
 
 
