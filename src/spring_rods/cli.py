@@ -207,9 +207,9 @@ def _cmd_sweep(config: RunConfig, command: str) -> int:
     problem = config.problem()
     grid = [round(0.1 * i, 10) for i in range(1, 20)]
     result = run_stiffness_sweep(problem, problem.forces, grid, (config.n1, config.n2))
-    _write_study(config, command, result, "sweep.csv", ("displacements", "stress", "gap"))
-    for k, message in result.failures:
+    for k, message in result.failures:  # before the write, which refuses an empty sweep
         print(f"note: k={k} failed: {message}", file=sys.stderr)
+    _write_study(config, command, result, "sweep.csv", ("displacements", "stress", "gap"))
     return 0
 
 

@@ -7,11 +7,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .errors import SpringRodsError, ValidationError
+from .errors import NoConsistentRegime, SpringRodsError, ValidationError
 from .fem import assemble, build_mesh, schur_reduce
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
                     ProblemSpec, SpringLaw)
-from .solver import EquilibriumSolution, PenaltyProblem, solve_exact, solve_penalized
+from .solver import (EquilibriumSolution, PenaltyProblem, _interface_state, _penalized,
+                     solve_exact)
 
 #: Limit problem enforced by each penalty variant as the parameter vanishes.
 LIMIT_VARIANT = {
@@ -75,8 +76,10 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     """Solve once per stiffness value k (k1 = k2 = k) over a fixed mesh.
 
     The assembled system is stiffness-independent, so assembly and
-    condensation happen once.  A grid point the model rejects is recorded
-    as a failure, not fatal; any other exception propagates.
+    condensation happen once, and each point solves for the interface state
+    only: no nodal field is recovered.  A grid point the model rejects, or
+    whose field or energy overflows, is recorded as a failure, not fatal;
+    any other exception propagates.
     """
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -84,6 +87,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, forces))
     l = base.geometry.l
+    lo, hi = base.variant.bounds(l)
 
     records: list[SweepRecord] = []
     failures: list[tuple[float, str]] = []
@@ -92,12 +96,14 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
             spring = SpringLaw(k, k, 2.0 * l)
             # constructing the spec enforces the admissible-stiffness condition
             ProblemSpec(base.geometry, base.material, spring, forces, base.variant)
-            sol = solve_exact(reduced, spring, base.variant, l)
+            g1, g2, theta, s, contact = _interface_state(reduced, spring, lo, hi, l)
+            energy = reduced.energy((g1, g2)) + spring.potential(theta)
+            if not math.isfinite(energy):
+                raise NoConsistentRegime(f"energy overflows: {energy} at g1={g1}, g2={g2}")
         except SpringRodsError as exc:
             failures.append((k, f"{type(exc).__name__}: {exc}"))
             continue
-        energy = reduced.energy((sol.g1, sol.g2)) + spring.potential(sol.theta)
-        records.append(SweepRecord(k, sol.g1, sol.g2, sol.theta, sol.s, sol.contact, energy))
+        records.append(SweepRecord(k, g1, g2, theta, s, contact, energy))
     return SweepResult(tuple(records), base.variant, forces, tuple(failures))
 
 
@@ -125,9 +131,10 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
     records = []
     for n in n_range:
         lam = 2.0 ** (3 - n)
-        sol = solve_penalized(reduced, base.spring, PenaltyProblem(base_np, law, lam))
-        err = reduced.interface_vnorm((sol.g1 - limit.g1, sol.g2 - limit.g2))
-        records.append(ConvergenceRecord(n, lam, sol.theta, sol.g1, sol.g2, err))
+        penalty = PenaltyProblem(base_np, law, lam)
+        g1, g2, theta, _, _ = _interface_state(reduced, *_penalized(base.spring, penalty))
+        err = reduced.interface_vnorm((g1 - limit.g1, g2 - limit.g2))
+        records.append(ConvergenceRecord(n, lam, theta, g1, g2, err))
 
     errs = [r.error for r in records]
     stalled = len(errs) >= 3 and not any(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,6 +27,7 @@ from .errors import NoConsistentRegime, ZeroElements
 from .model import BodyForce, Geometry, Material
 
 _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
+_HALF_MAX = 0.5 * sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -229,18 +231,53 @@ class ReducedSystem:
     r: tuple[float, float]
 
     @cached_property
+    def pinned(self) -> DofVector:
+        """The field pinned at both rod ends, g = (0, 0), recovered once; it may overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return recover_full(self, 0.0, 0.0)
+
+    @cached_property
+    def _pinned_peak(self) -> float:
+        """max |pinned| over both rods; inf or NaN if the pinned field is not finite."""
+        return float(np.maximum(np.max(np.abs(self.pinned.rod1)),
+                                np.max(np.abs(self.pinned.rod2))))
+
+    @cached_property
     def offset(self) -> float:
-        """Energy of the field pinned at both rod ends (computed once, on demand)."""
-        return -0.5 * self.system.load_dot(recover_full(self, 0.0, 0.0))
+        """Energy of the pinned field; -inf or NaN, without a warning, if it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return -0.5 * self.system.load_dot(self.pinned)
+
+    def field_surely_finite(self, g1: float, g2: float) -> bool:
+        """True if `recover_full(self, g1, g2)` is surely finite, known without recovering it.
+
+        Each recovered entry is a pinned entry plus g times a ramp value in
+        [0, 1], each step rounded once, so its magnitude is at most
+        max|pinned| + |g1| + |g2| up to rounding.  Below half of DBL_MAX that
+        bound leaves no room for an overflow.  False means the bound fails,
+        not that the field overflows.
+        """
+        return self._pinned_peak + abs(g1) + abs(g2) < _HALF_MAX
 
     def energy(self, g) -> float:
         (g1, g2), (s1, s2), (r1, r2) = g, self.S, self.r
         return 0.5 * (g1 * s1 * g1 + g2 * s2 * g2) - (r1 * g1 + r2 * g2) + self.offset
 
     def interface_vnorm(self, dg) -> float:
-        """Energy norm sqrt(dg1^2/L1 + dg2^2/L2) of the harmonic field with interface jump dg."""
+        """Energy norm sqrt(dg1^2/L1 + dg2^2/L2) of the harmonic field with interface jump dg.
+
+        A finite jump beyond 1e154 squares past DBL_MAX; it is then scaled by
+        a power of two (exact) before squaring, as `_ramp_dot` does.
+        """
         (dg1, dg2), geo = dg, self.system.mesh.geometry
-        return math.sqrt(dg1 * (1.0 / geo.L1) * dg1 + dg2 * (1.0 / geo.L2) * dg2)
+        sq = dg1 * (1.0 / geo.L1) * dg1 + dg2 * (1.0 / geo.L2) * dg2
+        if sq == math.inf and math.isfinite(dg1) and math.isfinite(dg2):
+            e = math.frexp(max(abs(dg1), abs(dg2)))[1]
+            dg1, dg2 = math.ldexp(dg1, -e), math.ldexp(dg2, -e)
+            with np.errstate(over="ignore"):
+                return float(np.ldexp(math.sqrt(dg1 * (1.0 / geo.L1) * dg1
+                                                + dg2 * (1.0 / geo.L2) * dg2), e))
+        return math.sqrt(sq)
 
 
 def _pinned(b: np.ndarray, h_over_E: float, carried: np.ndarray, out: np.ndarray) -> None:

@@ -100,9 +100,12 @@ class SpringLaw:
         return -k * (length - self.natural_length)
 
     def potential(self, length: float) -> float:
-        """Convex stored energy; derivative equals minus the force."""
+        """Convex stored energy; derivative equals minus the force; inf if it overflows."""
         k = self.k1 if length < self.natural_length else self.k2
-        return 0.5 * k * (length - self.natural_length) ** 2
+        try:
+            return 0.5 * k * (length - self.natural_length) ** 2
+        except OverflowError:  # a float power raises where a product would round to inf
+            return math.inf
 
     def potential_slope(self, length: float) -> float:
         """Derivative of the stored energy (continuous across the natural length)."""

@@ -180,14 +180,15 @@ def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
     return EquilibriumSolution(u, g1, g2, theta, s, label == "contact", active_bound, diag)
 
 
-def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,
-               method: str) -> EquilibriumSolution:
+def _gap_state(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
+               l: float) -> tuple[_Pair, float, str, str | None]:
     """Minimize the reduced energy over the gap change t = g2 - g1.
 
     Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
     2l + t, a convex function of t alone, so the minimizer is d/(1 + k*C)
     clamped into the gap bounds, with k the stiffness on the side d points
     to.  A d within _BREAKPOINT_TOL*C of zero is the breakpoint t = 0.
+    Returns the gap pair g with the regime (theta, label, active_bound).
     """
     S, r = reduced.S, reduced.r
     two_l = 2.0 * l
@@ -202,7 +203,38 @@ def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, 
             raise NoConsistentRegime(
                 f"gap {two_l + t} outside [{lo}, {hi}] with k1={spring.k1}, k2={spring.k2}")
         theta, label, bound = _classify(two_l + t, lo, hi, two_l)
-    return _finish(reduced, spring, lo, hi, _at_gap(S, r, t), theta, label, bound, method, 0)
+    return _at_gap(S, r, t), theta, label, bound
+
+
+def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,
+               method: str) -> EquilibriumSolution:
+    return _finish(reduced, spring, lo, hi, *_gap_state(reduced, spring, lo, hi, l), method, 0)
+
+
+def _interface_state(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
+                     l: float) -> tuple[float, float, float, float, bool]:
+    """(g1, g2, theta, s, contact) of `_solve_gap`, without recovering the field.
+
+    Whatever `_finish` would refuse is still refused: the field at g is the
+    pinned field plus g times a nodal ramp in [0, 1], so while
+    `reduced.field_surely_finite(g1, g2)` holds it cannot overflow.  Otherwise
+    `_finish` recovers the field and refuses a non-finite one as the
+    eager solves do.
+    """
+    g, theta, label, bound = _gap_state(reduced, spring, lo, hi, l)
+    g1, g2 = g
+    s = reduced.S[0] * g1 - reduced.r[0]
+    if not (math.isfinite(s) and reduced.field_surely_finite(g1, g2)):
+        _finish(reduced, spring, lo, hi, g, theta, label, bound, "exact", 0)
+    return g1, g2, theta, s, label == "contact"
+
+
+def _penalized(spring: SpringLaw,
+               penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
+    """(effective spring, lo, hi, l) of a penalized problem, as `_gap_state` takes them."""
+    l = penalty.base.geometry.l
+    return (effective_spring(spring, penalty.law, penalty.lam),
+            *ConstraintVariant.NON_PENETRATION.bounds(l), l)
 
 
 def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVariant,
@@ -220,9 +252,7 @@ def solve_penalized(reduced: ReducedSystem, spring: SpringLaw,
     stationarity reproduces the penalized inequality because the penalty
     potential has slope equal to minus the penalty force.
     """
-    l = penalty.base.geometry.l
-    return _solve_gap(reduced, effective_spring(spring, penalty.law, penalty.lam),
-                      *ConstraintVariant.NON_PENETRATION.bounds(l), l, "penalized")
+    return _solve_gap(reduced, *_penalized(spring, penalty), "penalized")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +320,7 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     Each inner problem replaces the spring potential by the affine work of
     the force frozen at the gap 2l + t, a load change of +/- force on the
     interface equations, so its gap change is d + C*force clamped into the
-    gap bounds (d and C as in `_solve_gap`): a scalar map, relaxed as
+    gap bounds (d and C as in `_gap_state`): a scalar map, relaxed as
     t += omega*(inner(t) - t).  Undamped it has slope -Lp*C, which cycles
     once Lp*C reaches 1; the default damping 1/(1 + Lp*C) zeroes the
     within-regime slope.  A step is the energy norm between the `_at_gap`

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spring_rods.cli as cli_module
-from spring_rods import solve
+from spring_rods import PenaltyVariant, run_penalty_convergence, solve
 from spring_rods.cli import RunConfig, build_parser, main, parse_config
 from spring_rods.errors import ParseError
 from spring_rods.fem import DofVector
@@ -253,6 +253,28 @@ class TestSweepCommand:
             "displacements.svg", "gap.svg", "stress.svg", "sweep.csv"]
         assert out.count("wrote ") == 4
 
+    def test_all_failed_sweep_says_why(self, capsys, tmp_path):
+        # E1 + E2 = 0.1 admits the base k = 0.01 but no k of the grid: each
+        # point's note comes before the refusal
+        code, out, err = run_cli(capsys, "sweep", "--e1", "0.05", "--e2", "0.05",
+                                 "--k1", "0.01", "--k2", "0.01", "--outdir", str(tmp_path))
+        assert (code, out) == (1, "")
+        notes = err.splitlines()
+        assert notes[-1] == "error: refusing to write an empty sweep"
+        assert len(notes) == 20
+        for i, note in enumerate(notes[:-1], start=1):
+            assert note.startswith(f"note: k={round(0.1 * i, 10)} failed: SmallnessViolation")
+
+    def test_overflowing_energy_fails_every_point_without_a_warning(self, capsys, tmp_path):
+        # the pinned field's energy f^2*L^3/E overflows, so no row may carry energy = -inf
+        code, out, err = run_cli(capsys, "sweep", "--f1", "1e308", "--f2=-1e308",
+                                 "--format", "csv", "--outdir", str(tmp_path))
+        assert (code, out) == (1, "")
+        notes = err.splitlines()
+        assert notes[-1] == "error: refusing to write an empty sweep"
+        assert len(notes) == 20
+        assert all("NoConsistentRegime: energy overflows" in note for note in notes[:-1])
+
 
 class TestConvergeCommand:
     def test_artifacts_and_determinism(self, capsys, tmp_path):
@@ -274,6 +296,21 @@ class TestConvergeCommand:
         assert code == 0
         lines = next(tmp_path.glob("converge-*/convergence.csv")).read_text().splitlines()
         assert len(lines) == 6
+
+    def test_huge_errors_stay_finite(self, capsys, tmp_path):
+        # every jump to the limit exceeds 1e154, whose square overflows; the norm does not
+        code, out, err = run_cli(capsys, "converge", "--f1=-1e200", "--f2", "1e200",
+                                 "--penalty", "extension", "--outdir", str(tmp_path))
+        assert (code, err) == (0, "")
+        assert "= inf" not in out and "nan" not in out
+        rundir = next(tmp_path.glob("converge-*"))
+        rows = (rundir / "convergence.csv").read_text().splitlines()[1:]
+        errors = [float(row.split(",")[-1]) for row in rows]
+        # the problem is linear in the load: the errors are 1e200 times those at unit load
+        unit = run_penalty_convergence(
+            RunConfig(f1=-1.0, f2=1.0).problem(), PenaltyVariant.EXTENSION_ONLY)
+        assert errors == pytest.approx([1e200 * r.error for r in unit.records], rel=1e-10)
+        assert '"nan"' not in (rundir / "error.svg").read_text()  # no y="nan" coordinate
 
     @pytest.mark.parametrize("n_max", ["0", "-3"])
     def test_empty_schedule_leaves_no_run_directory(self, capsys, tmp_path, n_max):

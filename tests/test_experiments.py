@@ -1,14 +1,17 @@
+import itertools
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
-                         Material, PenaltyVariant, SpringLaw, SweepResult, export_csv,
-                         export_svg, make_problem, run_penalty_convergence,
-                         run_stiffness_sweep)
+                         Material, NoConsistentRegime, PenaltyLaw, PenaltyProblem,
+                         PenaltyVariant, SpringLaw, SweepResult, assemble, build_mesh,
+                         export_csv, export_svg, make_problem, run_penalty_convergence,
+                         run_stiffness_sweep, schur_reduce, solve_exact, solve_penalized)
 import spring_rods.experiments as experiments_module
-from spring_rods.experiments import SweepRecord
+from spring_rods.experiments import LIMIT_VARIANT, SweepRecord
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -64,12 +67,19 @@ class TestStiffnessSweep:
         assert result.failures[0][0] == 2.5
         assert "Smallness" in result.failures[0][1]
 
+    def test_overflowing_spring_energy_is_a_failed_point(self):
+        # theta ~ 1e200 under extension: the spring potential overflows
+        result = run_stiffness_sweep(problem(), BodyForce(-1e200, 1e200), GRID)
+        assert result.records == ()
+        assert len(result.failures) == 19
+        assert all("energy overflows" in message for _, message in result.failures)
+
     def test_plain_value_error_propagates(self, monkeypatch):
         # only package errors mark a grid point as failed; anything else is a bug
         def broken(*args):
             raise ValueError("not a model rejection")
 
-        monkeypatch.setattr(experiments_module, "solve_exact", broken)
+        monkeypatch.setattr(experiments_module, "_interface_state", broken)
         with pytest.raises(ValueError, match="not a model rejection"):
             run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), GRID)
 
@@ -81,7 +91,7 @@ class TestStiffnessSweep:
         def broken(*args, **kwargs):
             raise TypeError("broken solver")
 
-        monkeypatch.setattr(experiments_module, "solve_exact", broken)
+        monkeypatch.setattr(experiments_module, "_interface_state", broken)
         with pytest.raises(TypeError, match="broken solver"):
             run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), [0.5, 1.0])
 
@@ -128,6 +138,85 @@ class TestPenaltyConvergence:
         assert study.limit_variant is ConstraintVariant.FULLY_RIGID
         assert abs(study.records[-1].theta - 1.0) <= 1e-3
         assert study.records[-1].error < 5e-3
+
+
+def _bits(*values):
+    """Exact float identity, telling -0.0 from 0.0."""
+    return tuple(float(v).hex() for v in values)
+
+
+class TestInterfaceOnlyStudies:
+    """Studies skip field recovery; each record must still be the eager solve's."""
+
+    OVERFLOWING_FIELD = make_problem(GEO, Material(1e-300, 1e-300),
+                                     SpringLaw(1e-301, 1e-301, 1.0), BodyForce(1e10, -1e10),
+                                     ConstraintVariant.NON_PENETRATION)
+
+    def test_overflowing_field_fails_every_sweep_point(self):
+        base = self.OVERFLOWING_FIELD
+        result = run_stiffness_sweep(base, base.forces, [1e-302, 1e-301])
+        assert result.records == ()
+        assert [k for k, _ in result.failures] == [1e-302, 1e-301]
+        assert all("overflows" in message for _, message in result.failures)
+
+    def test_overflowing_field_refuses_the_study(self):
+        with pytest.raises(NoConsistentRegime, match="overflows"):
+            run_penalty_convergence(self.OVERFLOWING_FIELD, PenaltyVariant.COMPRESSION_ONLY)
+
+    def test_unproven_bound_falls_back_to_the_field(self):
+        # max|pinned| = 1.04e308 fails the bound's half of DBL_MAX, yet the
+        # field is finite: the study must keep every point the eager solve keeps
+        base = make_problem(GEO, Material(0.03, 0.03), SpringLaw(0.01, 0.01, 1.0),
+                            BodyForce(1e308, -1e308), ConstraintVariant.NON_PENETRATION)
+        reduced = schur_reduce(assemble(build_mesh(GEO, 4, 4), base.material, base.forces))
+        law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
+        study = run_penalty_convergence(base, PenaltyVariant.COMPRESSION_ONLY)
+        assert len(study.records) == 12
+        for record in study.records:
+            sol = solve_penalized(reduced, base.spring, PenaltyProblem(base, law, record.lam))
+            assert not reduced.field_surely_finite(sol.g1, sol.g2)
+            assert _bits(record.theta, record.g1, record.g2) == _bits(sol.theta, sol.g1, sol.g2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_records_are_the_eager_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        for variant, penalty in itertools.product(ConstraintVariant, PenaltyVariant):
+            l = rng.uniform(0.1, 0.8)
+            L1, L2 = rng.uniform(0.25, 1.5, 2)
+            E1, E2 = rng.uniform(0.5, 4.0, 2)
+            k_max = (E1 + E2) / (2.0 * max(L1, L2))
+            k1, k2 = rng.uniform(0.02, 0.98, 2) * k_max
+            f1, f2 = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 17.0)
+            base = make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
+                                SpringLaw(k1, k2, 2.0 * l), BodyForce(f1, f2), variant)
+            mesh = tuple(int(n) for n in rng.integers(1, 65, 2))
+            reduced = schur_reduce(assemble(build_mesh(base.geometry, *mesh),
+                                            base.material, base.forces))
+            l = base.geometry.l
+
+            grid = np.sort(rng.uniform(0.0, 0.98, 5)) * k_max
+            sweep = run_stiffness_sweep(base, base.forces, grid, mesh)
+            assert len(sweep.records) == 5 and not sweep.failures
+            for record in sweep.records:
+                spring = SpringLaw(record.k, record.k, 2.0 * l)
+                sol = solve_exact(reduced, spring, variant, l)
+                energy = reduced.energy((sol.g1, sol.g2)) + spring.potential(sol.theta)
+                assert _bits(record.g1, record.g2, record.theta, record.s, record.energy) == \
+                    _bits(sol.g1, sol.g2, sol.theta, sol.s, energy)
+                assert record.contact == sol.contact
+
+            study = run_penalty_convergence(base, penalty, range(1, 13), mesh)
+            limit = solve_exact(reduced, base.spring, LIMIT_VARIANT[penalty], l)
+            assert _bits(study.limit.g1, study.limit.g2, study.limit.theta, study.limit.s) == \
+                _bits(limit.g1, limit.g2, limit.theta, limit.s)
+            law = PenaltyLaw(penalty, 2.0 * l)
+            np_base = replace(base, variant=ConstraintVariant.NON_PENETRATION)
+            for record in study.records:
+                sol = solve_penalized(reduced, base.spring,
+                                      PenaltyProblem(np_base, law, record.lam))
+                error = reduced.interface_vnorm((sol.g1 - limit.g1, sol.g2 - limit.g2))
+                assert _bits(record.theta, record.g1, record.g2, record.error) == \
+                    _bits(sol.theta, sol.g1, sol.g2, error)
 
 
 class TestCsvExport:

@@ -437,3 +437,29 @@ def test_recovered_field_bits_are_pinned(sizes, load):
     u = recover_full(reduced, 0.375 * scale, -1.0625 * scale)
     blob = u.rod1.astype("<f8").tobytes() + u.rod2.astype("<f8").tobytes()
     assert hashlib.sha256(blob).hexdigest()[:32] == PINNED_FIELDS[sizes, load]
+
+
+def test_field_bound_never_passes_an_overflowing_field():
+    # fields near DBL_MAX: with E = 1/64 on the half-unit rods the pinned
+    # field peaks at 2|f| (inf beyond DBL_MAX), and g1, g2 take either sign
+    rng = np.random.default_rng(7)
+    passed = refused_finite = overflowed = 0
+    for _ in range(400):
+        n1, n2 = (int(n) for n in rng.integers(1, 65, 2))
+        f1, f2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(305.0, 308.25, 2)))
+        g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.25, 2)))
+        reduced = schur_reduce(assemble(build_mesh(GEO, n1, n2), Material(1 / 64, 1 / 64),
+                                        BodyForce(f1, f2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = recover_full(reduced, g1, g2)
+        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
+        if reduced.field_surely_finite(g1, g2):
+            assert finite, (n1, n2, f1, f2, g1, g2)
+            passed += 1
+        elif finite:
+            refused_finite += 1
+        else:
+            overflowed += 1
+    assert min(passed, refused_finite, overflowed) >= 20, (passed, refused_finite, overflowed)

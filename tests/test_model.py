@@ -100,6 +100,11 @@ class TestSpringLaw:
         assert law.potential(0.0) == 0.5
         assert law.potential(2.0) == 2.0
 
+    def test_potential_overflows_to_inf(self):
+        # a float power raises OverflowError where the product rounds to inf
+        assert SpringLaw(1.0, 1.0, 1.0).potential(1e200) == math.inf
+        assert SpringLaw(1.0, 1.0, 1.0).potential(-1e200) == math.inf
+
     def test_sign_and_monotonicity(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
