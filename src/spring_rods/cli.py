@@ -152,10 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_dir(config: RunConfig, command: str) -> Path:
+    """A fresh run directory's path; it is made by the first file written into it."""
     stamp = time.strftime("%Y%m%d-%H%M%S") + f"-{time.time_ns() % 1_000_000:06d}"
-    path = Path(config.outdir) / f"{command}-{stamp}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(config.outdir) / f"{command}-{stamp}"
 
 
 def _formats(config: RunConfig) -> set[str]:
@@ -163,6 +162,7 @@ def _formats(config: RunConfig) -> set[str]:
 
 
 def _write_study(config: RunConfig, command: str, result, csv_name: str, panels) -> None:
+    """Export the study into a new run directory; an empty study is refused before it exists."""
     rundir = _run_dir(config, command)
     wanted = _formats(config)
     if "csv" in wanted:
@@ -187,6 +187,7 @@ def _cmd_solve(config: RunConfig, command: str) -> int:
     print(f"contact = {'true' if sol.contact else 'false'}")
     if "csv" in _formats(config):
         rundir = _run_dir(config, command)
+        rundir.mkdir(parents=True, exist_ok=True)
         mesh = build_mesh(problem.geometry, config.n1, config.n2)
         lines = ["rod,x,u"]
         for x, u in zip(mesh.nodes1, np.concatenate(([0.0], sol.u.rod1))):

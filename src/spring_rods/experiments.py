@@ -10,7 +10,7 @@ from typing import Sequence
 from .errors import NoConsistentRegime, SpringRodsError, ValidationError
 from .fem import assemble, build_mesh, schur_reduce
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
-                    ProblemSpec, SpringLaw)
+                    ProblemSpec, SpringLaw, _check_smallness)
 from .solver import (EquilibriumSolution, PenaltyProblem, _interface_state, _penalized,
                      solve_exact)
 
@@ -94,8 +94,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     for k in ks:
         try:
             spring = SpringLaw(k, k, 2.0 * l)
-            # constructing the spec enforces the admissible-stiffness condition
-            ProblemSpec(base.geometry, base.material, spring, forces, base.variant)
+            _check_smallness(base.geometry, base.material, spring)
             g1, g2, theta, s, contact = _interface_state(reduced, spring, lo, hi, l)
             energy = reduced.energy((g1, g2)) + spring.potential(theta)
             if not math.isfinite(energy):

@@ -209,6 +209,16 @@ def spring_gap(l: float, g1: float, g2: float) -> float:
     return 2.0 * l - g1 + g2
 
 
+def _check_smallness(geometry: Geometry, material: Material,
+                     spring: SpringLaw) -> tuple[float, float]:
+    """(E1 + E2, 2*max(k1,k2)*L); raises SmallnessViolation unless the first exceeds the second."""
+    m = material.E1 + material.E2
+    alpha = 2.0 * spring.lipschitz * geometry.L
+    if not m > alpha:
+        raise SmallnessViolation(f"need E1 + E2 > 2*max(k1,k2)*L, got {m} <= {alpha}")
+    return m, alpha
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Validated equilibrium problem: geometry, materials, spring, loads, constraint.
@@ -228,11 +238,7 @@ class ProblemSpec:
 
     def __post_init__(self):
         _check_natural_length("spring", self.spring.natural_length, self.geometry)
-        m = self.material.E1 + self.material.E2
-        alpha = 2.0 * self.spring.lipschitz * self.geometry.L
-        if not m > alpha:
-            raise SmallnessViolation(
-                f"need E1 + E2 > 2*max(k1,k2)*L, got {m} <= {alpha}")
+        m, alpha = _check_smallness(self.geometry, self.material, self.spring)
         object.__setattr__(self, "stiffness_sum", m)
         object.__setattr__(self, "coupling_bound", alpha)
 

@@ -378,17 +378,22 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
 
 def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVariant,
                 candidate: DofVector, trials: int = 1000, seed: int = 0) -> float:
-    """Most negative value of the variational inequality over trial directions.
+    """Most negative VI value over the shifted probes and `trials` random feasible directions.
 
     For each feasible trial v the quantity (A u, v-u) + j(u,v) - j(u,u)
     - (f, v-u) is evaluated, with j the frozen-force gap work; a result
     above minus tolerance certifies the candidate.  With the force frozen
     the quantity is linear in d = v - u, namely c.d with c = A u - f plus
-    the force at g1 and minus it at g2, so all trials are one product of
-    the probe matrix with c.  The probes are the gap shifted to each bound
-    (and to the natural length) plus `trials` normal draws of d, each
-    moved back into the gap bounds through its g2 entry.  `trials` and
-    `seed` are integers >= 0, and the probe matrix is capped at 2**24 entries.
+    the force at g1 and minus it at g2.  The probes are the gap shifted to
+    each bound (and to the natural length) plus `trials` directions d with
+    N(0, 0.5**2) entries, each moved back into the gap bounds through its g2
+    entry.  Only the two gap entries of d are drawn one by one; the rest of
+    c.d, a sum of independent normals, is exactly 0.5*|c_rest|*N(0, 1) with
+    c_rest the off-gap part of c, so each trial draws (g1 entry, g2 entry,
+    rest) as three N(0, 0.5**2) values.  `trials` and `seed` are integers
+    >= 0, and trials*(n1 + n2), the entries of the directions, is capped at
+    2**24.  A candidate with a non-finite entry is refused; if c or a probe
+    value is not finite (the stiffness product overflows), the result is -inf.
     """
     mesh = system.mesh
     n1 = mesh.n1
@@ -398,28 +403,38 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
     entries = int(trials) * (n1 + mesh.n2)
     if entries > 2 ** 24:
         raise ValidationError(f"probe matrix limited to 2**24 entries, got {entries}")
+    if not (np.all(np.isfinite(candidate.rod1)) and np.all(np.isfinite(candidate.rod2))):
+        raise ValidationError("candidate has a non-finite entry")
     l = mesh.geometry.l
     lo, hi = variant.bounds(l)
     theta_u = spring_gap(l, candidate.g1, candidate.g2)
     if theta_u < lo - 1e-9 or theta_u > hi + 1e-9:
         raise InfeasibleCandidate(f"gap {theta_u} outside [{lo}, {hi}]")
 
-    force = spring.force(theta_u)
-    au = system.apply(candidate)
-    c = np.concatenate((au.rod1 - system.b1, au.rod2 - system.b2))
-    c[n1 - 1] += force
-    c[n1] -= force
+    with np.errstate(over="ignore", invalid="ignore"):
+        force = spring.force(theta_u)
+        au = system.apply(candidate)
+        c = np.concatenate((au.rod1 - system.b1, au.rod2 - system.b2))
+        c[n1 - 1] += force
+        c[n1] -= force
+        if not np.all(np.isfinite(c)):
+            return -math.inf
+        c1, c2 = float(c[n1 - 1]), float(c[n1])
+        c[n1 - 1] = c[n1] = 0.0  # c_rest; its norm scaled by a power of two, as _ramp_dot does
+        e = math.frexp(float(np.max(np.abs(c))))[1]
+        rest = float(np.ldexp(np.linalg.norm(np.ldexp(c, -e)), e))
 
-    targets = [lo, hi if math.isfinite(hi) else theta_u + 1.0]
-    if lo <= 2.0 * l <= hi:
-        targets.append(2.0 * l)
-    shifted = min(c[n1] * (target - theta_u) for target in targets)
+        targets = [lo, hi if math.isfinite(hi) else theta_u + 1.0]
+        if lo <= 2.0 * l <= hi:
+            targets.append(2.0 * l)
+        shifted = min(c2 * (target - theta_u) for target in targets)
 
-    rng = np.random.default_rng(seed)
-    D = rng.normal(0.0, 0.5, (trials, n1 + mesh.n2))
-    t = theta_u - D[:, n1 - 1] + D[:, n1]
-    D[:, n1] += np.clip(t, lo, hi) - t
-    return float(min(shifted, np.min(D @ c, initial=np.inf)))
+        a, b, z = np.random.default_rng(seed).normal(0.0, 0.5, (trials, 3)).T
+        t = theta_u - a + b
+        b += np.clip(t, lo, hi) - t
+        sampled = np.min(a * c1 + b * c2 + z * rest, initial=np.inf)
+    # NaN: opposite infinities from products past DBL_MAX, which certify nothing
+    return -math.inf if math.isnan(sampled) else float(min(shifted, sampled))
 
 
 # ---------------------------------------------------------------------------

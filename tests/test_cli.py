@@ -265,6 +265,20 @@ class TestSweepCommand:
         for i, note in enumerate(notes[:-1], start=1):
             assert note.startswith(f"note: k={round(0.1 * i, 10)} failed: SmallnessViolation")
 
+    @pytest.mark.parametrize("fmt, refusal", [
+        ("both", "refusing to write an empty sweep"),
+        ("csv", "refusing to write an empty sweep"),
+        ("svg", "refusing to plot an empty sweep result")])
+    def test_all_failed_sweep_leaves_no_run_directory(self, capsys, tmp_path, fmt, refusal):
+        outdir = tmp_path / "runs"
+        code, out, err = run_cli(capsys, "sweep", "--e1", "0.05", "--e2", "0.05",
+                                 "--k1", "0.01", "--k2", "0.01", "--format", fmt,
+                                 "--outdir", str(outdir))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == f"error: {refusal}"
+        assert len(err.splitlines()) == 20
+        assert list(tmp_path.iterdir()) == []
+
     def test_overflowing_energy_fails_every_point_without_a_warning(self, capsys, tmp_path):
         # the pinned field's energy f^2*L^3/E overflows, so no row may carry energy = -inf
         code, out, err = run_cli(capsys, "sweep", "--f1", "1e308", "--f2=-1e308",

@@ -7,9 +7,10 @@ import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
                          Material, NoConsistentRegime, PenaltyLaw, PenaltyProblem,
-                         PenaltyVariant, SpringLaw, SweepResult, assemble, build_mesh,
-                         export_csv, export_svg, make_problem, run_penalty_convergence,
-                         run_stiffness_sweep, schur_reduce, solve_exact, solve_penalized)
+                         PenaltyVariant, SmallnessViolation, SpringLaw, SweepResult,
+                         assemble, build_mesh, export_csv, export_svg, make_problem,
+                         run_penalty_convergence, run_stiffness_sweep, schur_reduce,
+                         solve_exact, solve_penalized)
 import spring_rods.experiments as experiments_module
 from spring_rods.experiments import LIMIT_VARIANT, SweepRecord
 
@@ -66,6 +67,22 @@ class TestStiffnessSweep:
         assert len(result.failures) == 1
         assert result.failures[0][0] == 2.5
         assert "Smallness" in result.failures[0][1]
+
+    def test_inadmissible_points_keep_the_problem_spec_notes(self):
+        # E1 + E2 = 0.1 against 2*k*L = k; each note is byte for byte the one a
+        # ProblemSpec of that point raises, as it was when the sweep built one
+        material = Material(0.05, 0.05)
+        base = make_problem(GEO, material, SpringLaw(0.01, 0.01, 1.0), BodyForce(1.0, -1.0))
+        result = run_stiffness_sweep(base, base.forces, [-1.0, 0.05, 0.1, 0.3])
+        assert [r.k for r in result.records] == [0.05]
+        assert result.failures == (
+            (-1.0, "ValidationError: stiffness k1 must lie in (0.0, inf), got -1.0"),
+            (0.1, "SmallnessViolation: need E1 + E2 > 2*max(k1,k2)*L, got 0.1 <= 0.1"),
+            (0.3, "SmallnessViolation: need E1 + E2 > 2*max(k1,k2)*L, got 0.1 <= 0.3"))
+        for k, note in result.failures[1:]:
+            with pytest.raises(SmallnessViolation) as info:
+                make_problem(GEO, material, SpringLaw(k, k, 1.0), base.forces)
+            assert note == f"SmallnessViolation: {info.value}"
 
     def test_overflowing_spring_energy_is_a_failed_point(self):
         # theta ~ 1e200 under extension: the spring potential overflows

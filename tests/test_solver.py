@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -462,15 +463,24 @@ class TestViResidual:
 def _vi_reference(system, spring, variant, candidate, trials, seed):
     """Per-probe VI values, one DofVector per probe, in the draw order of the rng.
 
-    Returns the minimum value and the largest term magnitude met, the scale
-    against which round-off differences are measured.
+    Each trial draws its g1 entry a, its g2 entry b and z; its off-gap
+    entries are z times the unit vector of c_rest, the off-gap part of
+    A u - f, so they contribute z*|c_rest| to the VI value, a draw of the
+    law of the full normal row they stand for.  Returns the minimum value
+    and the largest term magnitude met, the scale against which round-off
+    differences are measured.
     """
     mesh = system.mesh
+    n1 = mesh.n1
     l = mesh.geometry.l
     lo, hi = variant.bounds(l)
     theta_u = spring_gap(l, candidate.g1, candidate.g2)
     force = spring.force(theta_u)
     au = system.apply(candidate)
+    c_rest = np.concatenate((au.rod1 - system.b1, au.rod2 - system.b2))
+    c_rest[n1 - 1] = c_rest[n1] = 0.0
+    norm = math.sqrt(float(c_rest @ c_rest))
+    unit = c_rest / norm if norm > 0.0 else c_rest
 
     def shifted(v, target):
         rod2 = v.rod2.copy()
@@ -483,8 +493,10 @@ def _vi_reference(system, spring, variant, candidate, trials, seed):
         probes.append(shifted(candidate, 2.0 * l))
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        v = DofVector(candidate.rod1 + rng.normal(0.0, 0.5, mesh.n1),
-                      candidate.rod2 + rng.normal(0.0, 0.5, mesh.n2))
+        a, b, z = rng.normal(0.0, 0.5, 3)
+        d = z * unit
+        d[n1 - 1], d[n1] = a, b
+        v = DofVector(candidate.rod1 + d[:n1], candidate.rod2 + d[n1:])
         t = spring_gap(l, v.g1, v.g2)
         probes.append(shifted(v, min(max(t, lo), hi)) if not lo <= t <= hi else v)
 
@@ -522,6 +534,108 @@ class TestViResidualMatchesPerProbeReference:
                                                 trials, seed)
                     got = vi_residual(system, spring, variant, candidate, trials, seed)
                     assert abs(got - want) <= 1e-12 * scale, (candidate, trials)
+
+
+def _full_row_minimum(system, spring, variant, candidate, trials, seed):
+    """vi_residual as one product of a trials x (n1+n2) normal matrix with c.
+
+    This draws every entry of every direction; vi_residual draws one normal
+    for the off-gap part of each direction, whose law this reference keeps.
+    """
+    mesh = system.mesh
+    n1 = mesh.n1
+    l = mesh.geometry.l
+    lo, hi = variant.bounds(l)
+    theta_u = spring_gap(l, candidate.g1, candidate.g2)
+    force = spring.force(theta_u)
+    au = system.apply(candidate)
+    c = np.concatenate((au.rod1 - system.b1, au.rod2 - system.b2))
+    c[n1 - 1] += force
+    c[n1] -= force
+    targets = [lo, hi if math.isfinite(hi) else theta_u + 1.0]
+    if lo <= 2.0 * l <= hi:
+        targets.append(2.0 * l)
+    shifted = min(c[n1] * (target - theta_u) for target in targets)
+    D = np.random.default_rng(seed).normal(0.0, 0.5, (trials, n1 + mesh.n2))
+    t = theta_u - D[:, n1 - 1] + D[:, n1]
+    D[:, n1] += np.clip(t, lo, hi) - t
+    return float(min(shifted, np.min(D @ c, initial=np.inf)))
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap of the two ECDFs."""
+    x, y = np.sort(x), np.sort(y)
+    at = np.concatenate((x, y))
+    return float(np.max(np.abs(np.searchsorted(x, at, side="right") / x.size
+                               - np.searchsorted(y, at, side="right") / y.size)))
+
+
+class TestViResidualKeepsTheFullRowLaw:
+    SEEDS = 2000
+    TRIALS = 50
+
+    @pytest.mark.parametrize("mesh_sizes, variant", [
+        ((3, 7), ConstraintVariant.FULLY_RIGID),
+        ((64, 5), ConstraintVariant.NON_PENETRATION),
+        ((40, 40), ConstraintVariant.RIGID_EXTENSION)])
+    def test_minima_have_the_law_of_full_normal_rows(self, mesh_sizes, variant):
+        geo = Geometry(-1.3, 0.9, 0.4)
+        spring = SpringLaw(0.7, 1.3, 0.8)
+        system = assemble(build_mesh(geo, *mesh_sizes), Material(1.7, 0.6),
+                          BodyForce(2.0, -3.0))
+        sol = solve_exact(schur_reduce(system), spring, variant, geo.l)
+        rng = np.random.default_rng(sum(mesh_sizes))
+        candidate = DofVector(sol.u.rod1 + rng.normal(0.0, 0.1, mesh_sizes[0]),
+                              sol.u.rod2 + rng.normal(0.0, 0.1, mesh_sizes[1]))
+        candidate.rod1[-1], candidate.rod2[0] = sol.u.g1, sol.u.g2  # the exact gap
+        n = self.SEEDS
+        new = [vi_residual(system, spring, variant, candidate, self.TRIALS, seed)
+               for seed in range(n)]
+        old = [_full_row_minimum(system, spring, variant, candidate, self.TRIALS, seed)
+               for seed in range(n, 2 * n)]
+        # the random probes, not the shifted ones, set every minimum
+        floor = vi_residual(system, spring, variant, candidate, trials=0)
+        assert max(new) < floor and max(old) < floor
+        # critical value of the two-sample statistic at alpha = 0.001, equal sizes
+        critical = math.sqrt(-0.5 * math.log(0.001 / 2)) * math.sqrt(2 / n)
+        assert _ks_statistic(new, old) < critical
+
+
+class TestViResidualNonFinite:
+    def _solved(self):
+        geo = Geometry(-1.3, 0.9, 0.4)
+        spring = SpringLaw(0.7, 1.3, 0.8)
+        system = assemble(build_mesh(geo, 6, 6), Material(1.7, 0.6), BodyForce(2.0, -3.0))
+        return system, spring, solve_exact(schur_reduce(system), spring, NP_, geo.l).u
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_candidate_is_refused(self, value):
+        system, spring, u = self._solved()
+        bad = DofVector(u.rod1.copy(), u.rod2.copy())
+        bad.rod1[0] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            vi_residual(system, spring, NP_, bad)
+
+    @pytest.mark.parametrize("signs", [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
+    def test_overflowing_stiffness_product_certifies_nothing(self, signs):
+        # A u overflows to inf or NaN in the rows next to the huge entries
+        system, spring, u = self._solved()
+        huge = DofVector(u.rod1.copy(), u.rod2.copy())
+        huge.rod1[1:3] = np.array(signs) * 1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert vi_residual(system, spring, NP_, huge) == -math.inf
+
+    def test_off_gap_norm_past_dbl_max_certifies_nothing(self):
+        # A u is finite (entries up to 1.4e308) but the norm of its off-gap part is not
+        system, spring, u = self._solved()
+        big = DofVector(u.rod1.copy(), u.rod2.copy())
+        big.rod1[:4] = np.array([1.0, -1.0, 1.0, -1.0]) * 3e306
+        assert np.all(np.isfinite(system.apply(big).rod1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert vi_residual(system, spring, NP_, big, trials=0) > -1.0
+            assert vi_residual(system, spring, NP_, big) == -math.inf
 
 
 class TestSolverTriad:
