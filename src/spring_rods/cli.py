@@ -174,11 +174,9 @@ def _write_study(config: RunConfig, command: str, result, csv_name: str, panels)
 
 def _cmd_solve(config: RunConfig, command: str) -> int:
     problem = config.problem()
-    penalty = None
-    if config.lam is not None:
-        penalty = PenaltyProblem(problem, config.penalty_law(), config.lam)
-    sol = solve(problem, (config.n1, config.n2), config.method,
-                config.solver_config(), penalty)
+    posed = problem if config.lam is None else PenaltyProblem(problem, config.penalty_law(),
+                                                               config.lam)
+    sol = solve(posed, (config.n1, config.n2), config.method, config.solver_config())
     print(f"method = {sol.diagnostics.method}  regime = {sol.diagnostics.regime}")
     print(f"g1 = {_fmt(sol.g1)}")
     print(f"g2 = {_fmt(sol.g2)}")

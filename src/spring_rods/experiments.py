@@ -129,9 +129,13 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
 
     records = []
     for n in n_range:
-        lam = 2.0 ** (3 - n)
-        penalty = PenaltyProblem(base_np, law, lam)
-        g1, g2, theta, _, _ = _interface_state(reduced, *_penalized(base.spring, penalty))
+        try:  # float() makes a numpy integer overflow raise, as a Python int does
+            lam = 2.0 ** float(3 - n)
+        except (OverflowError, TypeError) as exc:
+            raise ValidationError(f"n must be a real number with 2**(3 - n) finite, "
+                                  f"got {n!r}") from exc
+        g1, g2, theta, _, _ = _interface_state(reduced,
+                                               *_penalized(PenaltyProblem(base_np, law, lam)))
         err = reduced.interface_vnorm((g1 - limit.g1, g2 - limit.g2))
         records.append(ConvergenceRecord(n, lam, theta, g1, g2, err))
 

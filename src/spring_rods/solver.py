@@ -229,11 +229,10 @@ def _interface_state(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: f
     return g1, g2, theta, s, label == "contact"
 
 
-def _penalized(spring: SpringLaw,
-               penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
+def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
     """(effective spring, lo, hi, l) of a penalized problem, as `_gap_state` takes them."""
     l = penalty.base.geometry.l
-    return (effective_spring(spring, penalty.law, penalty.lam),
+    return (effective_spring(penalty.base.spring, penalty.law, penalty.lam),
             *ConstraintVariant.NON_PENETRATION.bounds(l), l)
 
 
@@ -243,16 +242,16 @@ def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVa
     return _solve_gap(reduced, spring, *variant.bounds(l), l, "exact")
 
 
-def solve_penalized(reduced: ReducedSystem, spring: SpringLaw,
-                    penalty: PenaltyProblem) -> EquilibriumSolution:
+def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> EquilibriumSolution:
     """Equilibrium with the penalty acting as extra stiffness of 1/lam.
 
     The penalized energy is the base energy plus (1/lam) times the penalty
     potential of the gap, minimized over the non-penetration set; its
     stationarity reproduces the penalized inequality because the penalty
-    potential has slope equal to minus the penalty force.
+    potential has slope equal to minus the penalty force.  `reduced` is the
+    condensed system of `penalty.base`.
     """
-    return _solve_gap(reduced, *_penalized(spring, penalty), "penalized")
+    return _solve_gap(reduced, *_penalized(penalty), "penalized")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +269,6 @@ def _project_gap(g: _Pair, lo: float, hi: float, two_l: float) -> _Pair:
 
 def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
                              variant: ConstraintVariant,
-                             penalty: PenaltyProblem | None = None,
                              config: SolverConfig | None = None) -> EquilibriumSolution:
     """Projected gradient on the reduced two-DOF energy with the fixed step 1/L.
 
@@ -278,21 +276,21 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
     gradient, so every step descends.  The iteration stops once a step's
     energy norm is at most the tolerance, or unconverged once it is NaN: an
     iterate is then inf or NaN, and no later step makes it finite again.
+    A penalized problem is solved with its `effective_spring` over NON_PENETRATION.
     """
     cfg = config or SolverConfig()
     reduced = schur_reduce(system)
     l = system.mesh.geometry.l
     two_l = 2.0 * l
-    eff = spring if penalty is None else effective_spring(spring, penalty.law, penalty.lam)
     lo, hi = variant.bounds(l)
 
     (s1, s2), (r1, r2) = reduced.S, reduced.r
-    step = 1.0 / (max(s1, s2) + 2.0 * eff.lipschitz)
+    step = 1.0 / (max(s1, s2) + 2.0 * spring.lipschitz)
     g1, g2 = _project_gap((0.0, 0.0), lo, hi, two_l)
     iterations = 0
     converged = False
     while iterations < cfg.max_iterations:
-        slope = eff.potential_slope(two_l + (g2 - g1))
+        slope = spring.potential_slope(two_l + (g2 - g1))
         new1, new2 = _project_gap((g1 - step * (s1 * g1 - r1 - slope),
                                    g2 - step * (s2 * g2 - r2 + slope)), lo, hi, two_l)
         delta = reduced.interface_vnorm((new1 - g1, new2 - g2))
@@ -304,7 +302,7 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
         if math.isnan(delta):
             break
     theta, label, bound = _classify(two_l + (g2 - g1), lo, hi, two_l)
-    return _finish(reduced, eff, lo, hi, (g1, g2), theta, label, bound,
+    return _finish(reduced, spring, lo, hi, (g1, g2), theta, label, bound,
                    "projected-gradient", iterations, converged)
 
 
@@ -391,18 +389,17 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
     c.d, a sum of independent normals, is exactly 0.5*|c_rest|*N(0, 1) with
     c_rest the off-gap part of c, so each trial draws (g1 entry, g2 entry,
     rest) as three N(0, 0.5**2) values.  `trials` and `seed` are integers
-    >= 0, and trials*(n1 + n2), the entries of the directions, is capped at
-    2**24.  A candidate with a non-finite entry is refused; if c or a probe
-    value is not finite (the stiffness product overflows), the result is -inf.
+    >= 0, and trials is capped at 2**21.  A candidate with a non-finite
+    entry is refused; if c or a probe value is not finite (the stiffness
+    product overflows), the result is -inf.
     """
     mesh = system.mesh
     n1 = mesh.n1
     for name, value in (("trials", trials), ("seed", seed)):
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
             raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
-    entries = int(trials) * (n1 + mesh.n2)
-    if entries > 2 ** 24:
-        raise ValidationError(f"probe matrix limited to 2**24 entries, got {entries}")
+    if trials > 2 ** 21:
+        raise ValidationError(f"trials limited to 2**21, got {trials}")
     if not (np.all(np.isfinite(candidate.rod1)) and np.all(np.isfinite(candidate.rod2))):
         raise ValidationError("candidate has a non-finite entry")
     l = mesh.geometry.l
@@ -441,22 +438,26 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
 # one-call front end
 
 
-def solve(problem: ProblemSpec, mesh_sizes: tuple[int, int] = (4, 4),
-          method: str = "exact", config: SolverConfig | None = None,
-          penalty: PenaltyProblem | None = None) -> EquilibriumSolution:
-    """Assemble, condense and solve one problem with the chosen method."""
-    mesh = build_mesh(problem.geometry, *mesh_sizes)
-    system = assemble(mesh, problem.material, problem.forces)
+def solve(problem: ProblemSpec | PenaltyProblem, mesh_sizes: tuple[int, int] = (4, 4),
+          method: str = "exact", config: SolverConfig | None = None) -> EquilibriumSolution:
+    """Assemble, condense and solve one problem with the chosen method.
+
+    A `PenaltyProblem` is posed on its base's mesh and loads; "fixed-point" refuses it.
+    """
+    penalty = problem if isinstance(problem, PenaltyProblem) else None
+    base = problem if penalty is None else penalty.base
+    mesh = build_mesh(base.geometry, *mesh_sizes)
+    system = assemble(mesh, base.material, base.forces)
     if method == "exact":
         reduced = schur_reduce(system)
         if penalty is not None:
-            return solve_penalized(reduced, problem.spring, penalty)
-        return solve_exact(reduced, problem.spring, problem.variant, problem.geometry.l)
+            return solve_penalized(reduced, penalty)
+        return solve_exact(reduced, base.spring, base.variant, base.geometry.l)
     if method == "gradient":
-        return solve_projected_gradient(system, problem.spring, problem.variant,
-                                        penalty, config)
+        spring = base.spring if penalty is None else _penalized(penalty)[0]
+        return solve_projected_gradient(system, spring, base.variant, config)
     if method == "fixed-point":
         if penalty is not None:
             raise ValidationError("the fixed-point solver does not take a penalty term")
-        return solve_qvi_fixed_point(system, problem.spring, problem.variant, config)
+        return solve_qvi_fixed_point(system, base.spring, base.variant, config)
     raise ValidationError(f"unknown method {method!r}")

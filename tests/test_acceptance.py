@@ -83,7 +83,7 @@ def test_criterion_4_penalty_convergence():
     ok = abs(limit.g1) <= 1e-10 and abs(limit.g2) <= 1e-10
     errors = []
     for n in range(1, 13):
-        sol = solve_penalized(red, spring, PenaltyProblem(base, law, 2.0 ** (3 - n)))
+        sol = solve_penalized(red, PenaltyProblem(base, law, 2.0 ** (3 - n)))
         K = 1.0 + 2.0 ** (n - 3)
         ok = ok and abs(sol.theta - (0.75 + K) / (1.0 + K)) <= 1e-9
         errors.append(v_norm(mesh, sol.u - limit.u))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
-                         Material, NoConsistentRegime, PenaltyLaw, PenaltyProblem,
-                         PenaltyVariant, SmallnessViolation, SpringLaw, SweepResult,
+                         Material, NoConsistentRegime, NonPositiveLambda, PenaltyLaw,
+                         PenaltyProblem, PenaltyVariant, SmallnessViolation, SpringLaw,
+                         SweepResult, ValidationError,
                          assemble, build_mesh, export_csv, export_svg, make_problem,
                          run_penalty_convergence, run_stiffness_sweep, schur_reduce,
                          solve_exact, solve_penalized)
@@ -156,6 +157,18 @@ class TestPenaltyConvergence:
         assert abs(study.records[-1].theta - 1.0) <= 1e-3
         assert study.records[-1].error < 5e-3
 
+    @pytest.mark.parametrize("n", [-1030, np.int64(-1030), "a", None], ids=repr)
+    def test_index_without_a_finite_lambda_is_refused(self, n):
+        # 2**(3 - n) overflows, or n is not a number
+        with pytest.raises(ValidationError, match="n must be a real number"):
+            run_penalty_convergence(problem((1.0, -1.0)), PenaltyVariant.TWO_SIDED, [2, n])
+
+    def test_underflowing_and_fractional_indices(self):
+        with pytest.raises(NonPositiveLambda):
+            run_penalty_convergence(problem((1.0, -1.0)), PenaltyVariant.TWO_SIDED, [1078])
+        study = run_penalty_convergence(problem((1.0, -1.0)), PenaltyVariant.TWO_SIDED, [1.5])
+        assert study.records[0].lam == 2.0 ** 1.5
+
 
 def _bits(*values):
     """Exact float identity, telling -0.0 from 0.0."""
@@ -190,7 +203,7 @@ class TestInterfaceOnlyStudies:
         study = run_penalty_convergence(base, PenaltyVariant.COMPRESSION_ONLY)
         assert len(study.records) == 12
         for record in study.records:
-            sol = solve_penalized(reduced, base.spring, PenaltyProblem(base, law, record.lam))
+            sol = solve_penalized(reduced, PenaltyProblem(base, law, record.lam))
             assert not reduced.field_surely_finite(sol.g1, sol.g2)
             assert _bits(record.theta, record.g1, record.g2) == _bits(sol.theta, sol.g1, sol.g2)
 
@@ -229,8 +242,7 @@ class TestInterfaceOnlyStudies:
             law = PenaltyLaw(penalty, 2.0 * l)
             np_base = replace(base, variant=ConstraintVariant.NON_PENETRATION)
             for record in study.records:
-                sol = solve_penalized(reduced, base.spring,
-                                      PenaltyProblem(np_base, law, record.lam))
+                sol = solve_penalized(reduced, PenaltyProblem(np_base, law, record.lam))
                 error = reduced.interface_vnorm((sol.g1 - limit.g1, sol.g2 - limit.g2))
                 assert _bits(record.theta, record.g1, record.g2, record.error) == \
                     _bits(sol.theta, sol.g1, sol.g2, error)

@@ -139,12 +139,10 @@ def _solve_fuzzed(v, constraint, method):
                           SpringLaw(v["k1"], v["k2"], spring_length),
                           BodyForce(v["f1"], v["f2"]),
                           ConstraintVariant.NON_PENETRATION if penalized else constraint)
-    penalty = None
     if penalized:
-        penalty = PenaltyProblem(problem, PenaltyLaw(constraint, penalty_length),
-                                 v["lam"])
+        problem = PenaltyProblem(problem, PenaltyLaw(constraint, penalty_length), v["lam"])
     config = SolverConfig(v["tolerance"], v["max_iterations"], v["fixed_point_damping"])
-    return solve(problem, (v["n1"], v["n2"]), method, config, penalty)
+    return solve(problem, (v["n1"], v["n2"]), method, config)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

@@ -104,7 +104,7 @@ class TestSolvePenalized:
         prob = self.base()
         _, _, red, spring = setup_case(1.0, (1.0, -1.0))
         pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 1.0)
-        sol = solve_penalized(red, spring, pen)
+        sol = solve_penalized(red, pen)
         assert sol.s == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert sol.theta == pytest.approx(11.0 / 12.0, abs=1e-12)
         assert sol.g1 == pytest.approx(1.0 / 24.0, abs=1e-12)
@@ -115,7 +115,7 @@ class TestSolvePenalized:
         base_sol = solve_exact(red, spring, NP_, GEO.l)
         for variant in PenaltyVariant:
             pen = PenaltyProblem(prob, PenaltyLaw(variant, 1.0), 1e6)
-            sol = solve_penalized(red, spring, pen)
+            sol = solve_penalized(red, pen)
             assert sol.g1 == pytest.approx(base_sol.g1, abs=1e-5)
             assert sol.g2 == pytest.approx(base_sol.g2, abs=1e-5)
 
@@ -124,7 +124,7 @@ class TestSolvePenalized:
         mesh, _, red, spring = setup_case(1.0, (1.0, -1.0))
         law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
         limit = solve_exact(red, spring, ConstraintVariant.RIGID_COMPRESSION, GEO.l)
-        sol = solve_penalized(red, spring, PenaltyProblem(prob, law, 2.0 ** (3 - 12)))
+        sol = solve_penalized(red, PenaltyProblem(prob, law, 2.0 ** (3 - 12)))
         assert abs(sol.theta - 1.0) <= 2e-3
         assert v_norm(mesh, sol.u - limit.u) <= 5e-3
 
@@ -136,7 +136,7 @@ class TestSolvePenalized:
         limit = solve_exact(red, spring, ConstraintVariant.RIGID_COMPRESSION, GEO.l)
         errors = []
         for n in range(1, 13):
-            sol = solve_penalized(red, spring, PenaltyProblem(prob, law, 2.0 ** (3 - n)))
+            sol = solve_penalized(red, PenaltyProblem(prob, law, 2.0 ** (3 - n)))
             K = 1.0 + 2.0 ** (n - 3)
             assert sol.theta == pytest.approx((0.75 + K) / (1.0 + K), abs=1e-9)
             errors.append(v_norm(mesh, sol.u - limit.u))
@@ -156,9 +156,8 @@ class TestSolvePenalized:
         for variant, f, ok in cases:
             prob = self.base(f=f)
             _, _, red, spring = setup_case(1.0, f)
-            sol = solve_penalized(red, spring,
-                                  PenaltyProblem(prob, PenaltyLaw(variant, 1.0),
-                                                 2.0 ** (3 - 12)))
+            sol = solve_penalized(red, PenaltyProblem(prob, PenaltyLaw(variant, 1.0),
+                                                      2.0 ** (3 - 12)))
             assert ok(sol.theta), (variant, sol.theta)
 
     def test_contact_and_penalty_coexist(self):
@@ -166,7 +165,7 @@ class TestSolvePenalized:
         prob = self.base(k=0.1, f=(6.0, -6.0))
         _, _, red, spring = setup_case(0.1, (6.0, -6.0))
         pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.EXTENSION_ONLY, 1.0), 0.5)
-        sol = solve_penalized(red, spring, pen)
+        sol = solve_penalized(red, pen)
         assert sol.theta == 0.0
         assert sol.contact
 
@@ -237,14 +236,23 @@ class TestProjectedGradient:
         assert sol.contact
         assert sol.g1 == pytest.approx(0.5, abs=1e-8)
 
-    def test_penalized_route(self):
-        prob = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, -1.0), NP_)
-        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
-        pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 1.0)
-        direct = solve_penalized(red, spring, pen)
-        sol = solve_projected_gradient(system, spring, NP_, pen,
-                                       SolverConfig(tolerance=1e-11))
+    @pytest.mark.parametrize("variant", list(PenaltyVariant), ids=lambda v: v.value)
+    def test_penalized_route(self, variant):
+        # loads that stretch the spring when only extension is penalized
+        f = (-1.0, 1.0) if variant is PenaltyVariant.EXTENSION_ONLY else (1.0, -1.0)
+        geo = Geometry(-1.3, 0.9, 0.4)
+        prob = make_problem(geo, Material(1.7, 0.6), SpringLaw(1.0, 1.0, 0.8), BodyForce(*f),
+                            NP_)
+        pen = PenaltyProblem(prob, PenaltyLaw(variant, 0.8), 1.0)
+        system = assemble(build_mesh(geo, 4, 4), prob.material, prob.forces)
+        direct = solve_penalized(schur_reduce(system), pen)
+        cfg = SolverConfig(tolerance=1e-11)
+        sol = solve_projected_gradient(system, effective_spring(prob.spring, pen.law, pen.lam),
+                                       NP_, cfg)
         assert sol.theta == pytest.approx(direct.theta, abs=1e-8)
+        exact, gradient = solve(pen, (4, 4), "exact"), solve(pen, (4, 4), "gradient", cfg)
+        assert gradient.diagnostics.regime == exact.diagnostics.regime
+        assert gradient.theta == pytest.approx(exact.theta, abs=1e-8)
 
     def test_contact_survives_huge_loads(self):
         # the iterates are ~1e16 while the contact gap change is -1: moving
@@ -451,13 +459,14 @@ class TestViResidual:
         assert vi_residual(system, spring, NP_, sol.u, trials=np.int64(0)) >= -1e-9
 
     def test_probe_matrix_cap(self):
-        # 8 DOFs: 2**21 trials fill the 2**24 cap, one more is refused before
-        # numpy is asked for the matrix (10**12 trials would need 58 TiB)
-        _, system, red, spring = setup_case(1.0, (1.0, -1.0))
-        sol = solve_exact(red, spring, NP_, GEO.l)
-        for trials in (2 ** 21 + 1, 10 ** 12):
-            with pytest.raises(ValidationError, match="2\\*\\*24 entries, got"):
-                vi_residual(system, spring, NP_, sol.u, trials=trials)
+        # one more than 2**21 trials is refused before numpy is asked for the
+        # draws (10**12 trials would need 22 TiB), on 8 DOFs as on 2
+        for n in (4, 1):
+            _, system, red, spring = setup_case(1.0, (1.0, -1.0), n)
+            sol = solve_exact(red, spring, NP_, GEO.l)
+            for trials in (2 ** 21 + 1, 10 ** 12):
+                with pytest.raises(ValidationError, match="trials limited to 2\\*\\*21, got"):
+                    vi_residual(system, spring, NP_, sol.u, trials=trials)
 
 
 def _vi_reference(system, spring, variant, candidate, trials, seed):
@@ -725,10 +734,10 @@ class TestSolveFrontEnd:
             sol = solve(prob, (4, 4), method)
             assert sol.theta == pytest.approx(0.875, abs=1e-7)
         pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 1.0)
-        sol = solve(prob, (4, 4), "exact", penalty=pen)
+        sol = solve(pen, (4, 4), "exact")
         assert sol.theta == pytest.approx(11.0 / 12.0, abs=1e-12)
         with pytest.raises(ValueError):
-            solve(prob, (4, 4), "fixed-point", penalty=pen)
+            solve(pen, (4, 4), "fixed-point")
         with pytest.raises(ValueError):
             solve(prob, (4, 4), "newton")
 
@@ -940,8 +949,8 @@ def test_pinned_results(name):
     variant, loads, mesh_sizes, method, penalty = PIN_CASES[name]
     prob = make_problem(PIN_GEO, PIN_MAT, PIN_SPRING, BodyForce(*loads), variant)
     if penalty is not None:
-        penalty = PenaltyProblem(prob, PenaltyLaw(penalty[0], 0.8), penalty[1])
-    sol = solve(prob, mesh_sizes, method, penalty=penalty)
+        prob = PenaltyProblem(prob, PenaltyLaw(penalty[0], 0.8), penalty[1])
+    sol = solve(prob, mesh_sizes, method)
     regime, iterations, *values = PINNED[name]
     assert (sol.diagnostics.regime, sol.diagnostics.iterations) == (regime, iterations)
     assert [x.hex() for x in (sol.g1, sol.g2, sol.theta, sol.s)][:len(values)] == values
