@@ -5,7 +5,9 @@ to minus the force density, the displacement quadratic.  Expressing both
 inner-end displacements through the interface force s leaves a scalar
 piecewise-linear equation in s, closed per regime exactly like the discrete
 enumeration but in continuum quantities.  A brute-force grid minimizer over
-tiny discrete instances provides a second, completely independent check.
+tiny discrete instances provides a second, completely independent check;
+it is a best-first branch and bound over tiles of the grid (Land & Doig,
+Econometrica 28, 1960) that returns the dense search's point bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .fem import DiscreteSystem, DofVector, Mesh
 from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real
 
 _SELECT_TOL = 1e-12
-#: Grid points per block of grid_search_minimizer: each block buffer stays within 256 KB.
-_BLOCK_POINTS = 2 ** 15
+#: Grid points per tile of grid_search_minimizer, read at call time: the tile
+#: buffer stays within 32 KB, and a 501**2 grid has 8**2 tiles to bound and order.
+_BLOCK_POINTS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -171,18 +174,41 @@ def _grid_axes(bounds, step: float, ndof: int) -> list[np.ndarray]:
     return [np.linspace(lo_v, hi_v, n) for (lo_v, hi_v), n in zip(bounds, counts)]
 
 
+def _spread(values: np.ndarray, first: int, ndof: int) -> np.ndarray:
+    """`values` over the axes from `first` on, shaped to broadcast over `ndof` axes."""
+    return values.reshape((1,) * first + values.shape + (1,) * (ndof - first - values.ndim))
+
+
 def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
                           variant: ConstraintVariant, bounds, step: float) -> DofVector:
     """Feasible grid point of minimal total energy (brute force).
 
     `bounds` is one (lo, hi) pair of finite reals shared by every free DOF,
     or a sequence with one pair per DOF; `step` is a finite real above 0.  At
-    most six DOFs and 2**23 grid points, a cap that bounds the run time.  The
-    energy is evaluated term by term in fixed-size blocks of the C-order
-    grid, written into buffers allocated once per call and reused by every
-    block, so memory per call is constant; only the finite gap bounds are
-    masked.  The first minimum in C order wins.  By convexity the result lies
-    within one grid step of the true minimizer in every coordinate.
+    most six DOFs and 2**23 grid points, a cap that bounds the run time.
+
+    The grid is cut into tiles, Cartesian products of per-axis chunks of
+    `floor(_BLOCK_POINTS**(1/ndof))` points.  A point's energy is a fixed
+    sum of terms, each computed by the same float operations at every
+    point: the spring term of its gap (inf outside the gap bounds), one
+    term `(0.5*diag[i]*x - b[i])*x` per DOF and one `off[i]*x[i]*x[i+1]`
+    per coupled pair.  A tile's bound sums, in the same order, the spring
+    term at the tile's gap nearest the natural length (0 if its gaps
+    straddle it, inf if they all miss the gap bounds), each DOF term at its
+    least value over the tile's chunk and each pair term at the least of
+    its four box corners.  The gap's extremes lie at tile corners.
+    Correctly rounded arithmetic is monotone, so no energy computed in the
+    tile falls below its bound.
+
+    Tiles are evaluated in ascending order of bound (stable), each into one
+    reused tile buffer, and the search stops at the first tile whose bound
+    exceeds the best energy; tiles of bound inf are never evaluated, and
+    tiles of NaN bound always.  Of equal energies the first point in C
+    order wins, so the result is the first minimum of the whole grid, bit
+    for bit, whatever the tile size; a NaN energy never wins.  Memory per
+    call is one tile buffer plus one bound per tile, beside the axes.  By
+    convexity the result lies within one grid step of the true minimizer in
+    every coordinate.
     """
     mesh = system.mesh
     n1 = mesh.n1
@@ -190,52 +216,104 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     if ndof > 6:
         raise ValidationError(f"brute force limited to 6 DOFs, got {ndof}")
     axes = _grid_axes(bounds, step, ndof)
-    counts = [axis.size for axis in axes]
 
     l = mesh.geometry.l
     glo, ghi = variant.bounds(l)
-    half_k1, half_k2 = 0.5 * spring.k1, 0.5 * spring.k2
+    nat, half_k1, half_k2 = spring.natural_length, 0.5 * spring.k1, 0.5 * spring.k2
     diag = np.concatenate((system.diag1, system.diag2))
     b = np.concatenate((system.b1, system.b2))
     off = np.concatenate((system.off1, [0.0], system.off2))  # no coupling across the gap
-    # a block fixes the indices before axis `cut`, takes `rows` of that axis
-    # and every later axis whole; blocks run in C order
-    cut = next(i for i in range(ndof) if math.prod(counts[i + 1:]) <= _BLOCK_POINTS)
-    rows = _BLOCK_POINTS // math.prod(counts[cut + 1:])
-    size = min(rows, counts[cut]) * math.prod(counts[cut + 1:])
-    energy_buf, theta_buf, d_buf = np.empty(size), np.empty(size), np.empty(size)
-    mask_buf = np.empty(size, dtype=bool)
-    best, best_energy = None, math.inf
-    for lead in np.ndindex(*counts[:cut]):
-        for start in range(0, counts[cut], rows):
-            x = np.ix_(*(axis[j:j + 1] for axis, j in zip(axes, lead)),
-                       axes[cut][start:start + rows], *axes[cut + 1:])
-            shape = tuple(axis.size for axis in x)
-            gap_shape = np.broadcast_shapes(x[n1 - 1].shape, x[n1].shape)
-            energy = energy_buf[:math.prod(shape)].reshape(shape)
-            theta, d, mask = (buf[:math.prod(gap_shape)].reshape(gap_shape)
-                              for buf in (theta_buf, d_buf, mask_buf))
-            np.add(2.0 * l - x[n1 - 1], x[n1], out=theta)  # spring_gap, in place
-            np.subtract(theta, spring.natural_length, out=d)
-            # ((0.5*k)*d)*d with k1 below the natural length, k2 from it on
-            np.multiply(d, half_k2, out=energy)
-            np.less(d, 0.0, out=mask)
-            np.multiply(d, half_k1, out=energy, where=mask)
-            energy *= d
-            if math.isfinite(glo):
-                np.copyto(energy, np.inf, where=np.less(theta, glo - 1e-12, out=mask))
-            if math.isfinite(ghi):
-                np.copyto(energy, np.inf, where=np.greater(theta, ghi + 1e-12, out=mask))
-            for i in range(ndof):
-                energy += (0.5 * diag[i] * x[i] - b[i]) * x[i]
-            for i in range(ndof - 1):
-                if i != n1 - 1:  # the gap's zero coupling would add exact zeros
-                    energy += off[i] * x[i] * x[i + 1]
-            j = int(np.argmin(energy))
-            if energy.flat[j] < best_energy:  # strict: an earlier block keeps a tie
-                best_energy = energy.flat[j]
-                best = [axis.flat[i] for axis, i in zip(x, np.unravel_index(j, energy.shape))]
-    if best is None:
+    pairs = [i for i in range(ndof - 1) if i != n1 - 1]  # the gap's zero coupling adds zeros
+    # the energy's per-axis factors, by the operations a point's energy uses
+    outer = 2.0 * l - axes[n1 - 1]  # the gap is outer + axes[n1], as in spring_gap
+    terms = [(0.5 * diag[i] * axis - b[i]) * axis for i, axis in enumerate(axes)]
+    scaled = {i: off[i] * axes[i] for i in pairs}  # off*x, times the next axis
+
+    edge = 1  # the integer root of the tile budget: 4096**(1/3) is 15.999...
+    while (edge + 1) ** ndof <= _BLOCK_POINTS:
+        edge += 1
+    starts = [np.arange(0, axis.size, edge) for axis in axes]
+    tiles = tuple(s.size for s in starts)
+
+    def lowest(values, i):
+        return np.minimum.reduceat(values, starts[i])
+
+    def highest(values, i):
+        return np.maximum.reduceat(values, starts[i])
+
+    with np.errstate(all="ignore"):  # an overflowing bound is inf or NaN, never a warning
+        # the gap rises with axes[n1] and falls with axes[n1 - 1]: its extremes are corners
+        theta_lo = np.add.outer(lowest(outer, n1 - 1), lowest(axes[n1], n1))
+        theta_hi = np.add.outer(highest(outer, n1 - 1), highest(axes[n1], n1))
+        d_lo, d_hi = theta_lo - nat, theta_hi - nat
+        # the spring term falls towards the natural length from either side
+        spring_lo = np.where(d_lo > 0.0, half_k2 * d_lo * d_lo,
+                             np.where(d_hi < 0.0, half_k1 * d_hi * d_hi, 0.0))
+        spring_lo[(theta_hi < glo - 1e-12) | (theta_lo > ghi + 1e-12)] = np.inf
+        bound = np.empty(tiles)
+        bound[...] = _spread(spring_lo, n1 - 1, ndof)
+        for i in range(ndof):
+            bound += _spread(lowest(terms[i], i), i, ndof)
+        for i in pairs:
+            # off*x is monotone in x and the product in each factor: a corner is lowest
+            ys = (lowest(axes[i + 1], i + 1), highest(axes[i + 1], i + 1))
+            corners = [np.multiply.outer(p, y) for p in (lowest(scaled[i], i),
+                                                        highest(scaled[i], i)) for y in ys]
+            bound += _spread(np.minimum.reduce(corners), i, ndof)
+    bound = bound.ravel()
+    bound[np.isnan(bound)] = -np.inf  # evaluated first, never skipped
+    order = np.argsort(bound, kind="stable")
+
+    xs = [_spread(axis, i, ndof) for i, axis in enumerate(axes)]
+    ts = [_spread(term, i, ndof) for i, term in enumerate(terms)]
+    ps = {i: _spread(scaled[i], i, ndof) for i in pairs}
+    outer = _spread(outer, n1 - 1, ndof)
+    sizes = [min(edge, axis.size) for axis in axes]
+    energy_buf = np.empty(math.prod(sizes))
+    gap_bufs = [np.empty(sizes[n1 - 1] * sizes[n1], dtype=t) for t in (float, float, bool)]
+    views = {}  # tile shape -> views of the tile buffers
+    best, best_energy = (), math.inf  # () sorts before any index: an inf never wins
+    strides = [math.prod(tiles[i + 1:]) for i in range(ndof)]
+    for t in map(int, order):
+        if bound[t] > best_energy or bound[t] == math.inf:
+            break
+        tile = [t // stride % n for stride, n in zip(strides, tiles)]
+        keys = [(slice(None),) * i + (slice(c * edge, c * edge + edge),)
+                for i, c in enumerate(tile)]
+        x = [v[k] for v, k in zip(xs, keys)]
+        shape = tuple(v.shape[i] for i, v in enumerate(x))
+        if shape not in views:
+            gap_shape = (1,) * (n1 - 1) + shape[n1 - 1:n1 + 1] + (1,) * (ndof - n1 - 1)
+            flat = energy_buf[:math.prod(shape)]
+            views[shape] = (flat, flat.reshape(shape),
+                            *(buf[:math.prod(gap_shape)].reshape(gap_shape) for buf in gap_bufs))
+        flat, energy, theta, d, mask = views[shape]
+        g1, g2 = tile[n1 - 1:n1 + 1]  # the tile's chunks of the two gap axes
+        np.add(outer[keys[n1 - 1]], x[n1], out=theta)
+        np.subtract(theta, nat, out=d)
+        # ((0.5*k)*d)*d with k1 below the natural length and k2 from it on; the
+        # tile's extremes of d say whether it needs the mask
+        np.multiply(d, half_k2 if d_hi[g1, g2] >= 0.0 else half_k1, out=energy)
+        if d_lo[g1, g2] < 0.0 <= d_hi[g1, g2]:
+            np.multiply(d, half_k1, out=energy, where=np.less(d, 0.0, out=mask))
+        energy *= d
+        if theta_lo[g1, g2] < glo - 1e-12:
+            np.copyto(energy, np.inf, where=np.less(theta, glo - 1e-12, out=mask))
+        if theta_hi[g1, g2] > ghi + 1e-12:
+            np.copyto(energy, np.inf, where=np.greater(theta, ghi + 1e-12, out=mask))
+        for v, k in zip(ts, keys):
+            energy += v[k]
+        for i in pairs:
+            energy += ps[i][keys[i]] * x[i + 1]
+        j = flat.argmin()
+        if math.isnan(flat[j]):
+            np.copyto(flat, np.inf, where=np.isnan(flat))
+            j = flat.argmin()
+        if flat[j] <= best_energy:
+            index = tuple(c * edge + int(k) for c, k in zip(tile, np.unravel_index(j, shape)))
+            if (flat[j], index) < (best_energy, best):  # index tuples compare in C order
+                best, best_energy = index, flat[j]
+    if not best:
         raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
-    u = np.array(best)
+    u = np.array([axis[k] for axis, k in zip(axes, best)])
     return DofVector(u[:n1], u[n1:])

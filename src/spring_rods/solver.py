@@ -444,6 +444,9 @@ def solve(problem: ProblemSpec | PenaltyProblem, mesh_sizes: tuple[int, int] = (
 
     A `PenaltyProblem` is posed on its base's mesh and loads; "fixed-point" refuses it.
     """
+    if not isinstance(problem, (ProblemSpec, PenaltyProblem)):
+        raise ValidationError(
+            f"need a ProblemSpec or a PenaltyProblem, got {type(problem).__name__}")
     penalty = problem if isinstance(problem, PenaltyProblem) else None
     base = problem if penalty is None else penalty.base
     mesh = build_mesh(base.geometry, *mesh_sizes)

@@ -267,6 +267,7 @@ _VALIDATION_SITES = {
         benchmark_problem(variant=ConstraintVariant.FULLY_RIGID), _PENALTY.law, 1.0),
     "solver-fixed-point-penalty": lambda path: solve(_PENALTY, (2, 2), "fixed-point"),
     "solver-method": lambda path: solve(benchmark_problem(), (2, 2), "newton"),
+    "solver-problem": lambda path: solve("x", (2, 2)),
     "oracle-dofs": lambda path: grid_search_minimizer(
         _system(4, 3), SpringLaw(1.0, 1.0, 1.0), _NP, (-1.0, 1.0), 0.5),
     "oracle-ranges": lambda path: grid_search_minimizer(

@@ -2,9 +2,11 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geometry,
                          Material, NoConsistentRegime, SpringLaw, ValidationError,
@@ -399,6 +401,43 @@ class TestGridSearchBlocks:
         dof = grid_search_minimizer(system, spring, variant, (-0.75, 0.75), 0.5)
         assert (dof.g1, dof.g2) == (-0.25, -0.25)
 
+    @pytest.mark.parametrize("block", [27, oracle._BLOCK_POINTS])
+    def test_tie_found_in_a_later_tile_first_keeps_c_order_first(self, monkeypatch, block):
+        # even energy on exact dyadic axes: -u and u tie, and at 27 points per
+        # tile the tile of u has the lower bound, so u is evaluated first
+        system = assemble(build_mesh(GEO, 2, 1), MAT, BodyForce(0.0, 0.0))
+        spring, variant = SpringLaw(0.5, 0.5, 1.0), ConstraintVariant.NON_PENETRATION
+        u = (0.125, 0.125, 0.125)
+        assert (_loop_energy(system, spring, variant, u)
+                == _loop_energy(system, spring, variant, tuple(-v for v in u)))
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", block)
+        dof = grid_search_minimizer(system, spring, variant,
+                                    [(-0.875, 0.375), (-0.625, 0.625), (-0.875, 0.375)], 0.25)
+        assert (*dof.rod1, *dof.rod2) == (-0.125, -0.125, -0.125)
+
+    def test_tile_whose_bound_is_the_best_energy_is_evaluated(self, monkeypatch):
+        # exact dyadic energies: (0.25, -0.25) and (0.25, 0.0) tie; at 4 points
+        # per tile the later point's tile comes first, and the earlier point's
+        # tile has a bound equal to that energy, so the search may not stop there
+        geo = Geometry(-1.5, 1.5, 0.5)
+        system = assemble(build_mesh(geo, 1, 1), MAT, BodyForce(-2.0, 0.0))
+        spring, variant = SpringLaw(1.0, 1.0, 0.5), ConstraintVariant.NON_PENETRATION
+        assert (_loop_energy(system, spring, variant, (0.25, -0.25))
+                == _loop_energy(system, spring, variant, (0.25, 0.0)))
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 4)
+        dof = grid_search_minimizer(system, spring, variant, [(0.25, 1.25), (-0.5, 0.5)], 0.25)
+        assert (dof.g1, dof.g2) == (0.25, -0.25)
+
+    def test_nan_energy_never_wins(self):
+        # at x0 = x1 = 1e160 the DOF terms overflow to inf and the coupling to
+        # -inf, so those energies are NaN; the dense block loop took a block's
+        # first NaN as its minimum and so found no point at all here
+        system = assemble(build_mesh(GEO, 2, 1), MAT, BodyForce(0.0, 0.0))
+        with np.errstate(all="ignore"):
+            dof = grid_search_minimizer(system, SpringLaw(1.0, 1.0, 1.0),
+                                        ConstraintVariant.NON_PENETRATION, (0.0, 1e160), 1e160)
+        assert (*dof.rod1, *dof.rod2) == (0.0, 0.0, 0.0)
+
     def test_memory_does_not_grow_with_the_grid(self):
         # 2001**2 points; a full-grid evaluation peaked at about 190 MB
         system = assemble(build_mesh(GEO, 1, 1), MAT, BodyForce(1.0, -1.0))
@@ -410,6 +449,125 @@ class TestGridSearchBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+
+def _dense_grid_search(system, spring, variant, bounds, step, block=2 ** 15):
+    """grid_search_minimizer as the dense search of every grid point in C order.
+
+    The energy is evaluated term by term, by the same float operations as the
+    tile search, in blocks of at most `block` points written into reused
+    buffers; a later block wins only with a strictly lower energy.  The tile
+    search must return this point bit for bit.
+    """
+    mesh = system.mesh
+    n1 = mesh.n1
+    ndof = n1 + mesh.n2
+    axes = oracle._grid_axes(bounds, step, ndof)
+    counts = [axis.size for axis in axes]
+
+    l = mesh.geometry.l
+    glo, ghi = variant.bounds(l)
+    half_k1, half_k2 = 0.5 * spring.k1, 0.5 * spring.k2
+    diag = np.concatenate((system.diag1, system.diag2))
+    b = np.concatenate((system.b1, system.b2))
+    off = np.concatenate((system.off1, [0.0], system.off2))  # no coupling across the gap
+    # a block fixes the indices before axis `cut`, takes `rows` of that axis
+    # and every later axis whole; blocks run in C order
+    cut = next(i for i in range(ndof) if math.prod(counts[i + 1:]) <= block)
+    rows = block // math.prod(counts[cut + 1:])
+    size = min(rows, counts[cut]) * math.prod(counts[cut + 1:])
+    energy_buf, theta_buf, d_buf = np.empty(size), np.empty(size), np.empty(size)
+    mask_buf = np.empty(size, dtype=bool)
+    best, best_energy = None, math.inf
+    for lead in np.ndindex(*counts[:cut]):
+        for start in range(0, counts[cut], rows):
+            x = np.ix_(*(axis[j:j + 1] for axis, j in zip(axes, lead)),
+                       axes[cut][start:start + rows], *axes[cut + 1:])
+            shape = tuple(axis.size for axis in x)
+            gap_shape = np.broadcast_shapes(x[n1 - 1].shape, x[n1].shape)
+            energy = energy_buf[:math.prod(shape)].reshape(shape)
+            theta, d, mask = (buf[:math.prod(gap_shape)].reshape(gap_shape)
+                              for buf in (theta_buf, d_buf, mask_buf))
+            np.add(2.0 * l - x[n1 - 1], x[n1], out=theta)  # spring_gap, in place
+            np.subtract(theta, spring.natural_length, out=d)
+            # ((0.5*k)*d)*d with k1 below the natural length, k2 from it on
+            np.multiply(d, half_k2, out=energy)
+            np.less(d, 0.0, out=mask)
+            np.multiply(d, half_k1, out=energy, where=mask)
+            energy *= d
+            if math.isfinite(glo):
+                np.copyto(energy, np.inf, where=np.less(theta, glo - 1e-12, out=mask))
+            if math.isfinite(ghi):
+                np.copyto(energy, np.inf, where=np.greater(theta, ghi + 1e-12, out=mask))
+            for i in range(ndof):
+                energy += (0.5 * diag[i] * x[i] - b[i]) * x[i]
+            for i in range(ndof - 1):
+                if i != n1 - 1:  # the gap's zero coupling would add exact zeros
+                    energy += off[i] * x[i] * x[i + 1]
+            j = int(np.argmin(energy))
+            if energy.flat[j] < best_energy:  # strict: an earlier block keeps a tie
+                best_energy = energy.flat[j]
+                best = [axis.flat[i] for axis, i in zip(x, np.unravel_index(j, energy.shape))]
+    if best is None:
+        raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
+    u = np.array(best)
+    return DofVector(u[:n1], u[n1:])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n1=st.integers(1, 3), n2=st.integers(1, 3),
+       variant=st.sampled_from(list(ConstraintVariant)),
+       l=st.floats(0.1, 0.8), L1=st.floats(0.5, 1.5), L2=st.floats(0.5, 1.5),
+       E1=st.floats(0.5, 4.0), E2=st.floats(0.5, 4.0),
+       k1=st.floats(0.01, 2.0), k2=st.one_of(st.none(), st.floats(0.01, 2.0)),
+       natural=st.floats(0.05, 2.0), f1=st.floats(-1e3, 1e3), f2=st.floats(-1e3, 1e3),
+       target=st.sampled_from(("natural", "lower", "upper", "rigid")),
+       shift=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)), step=st.floats(0.01, 0.3),
+       seed=st.integers(0, 2 ** 32 - 1),
+       budget=st.sampled_from((1, 2, 5, 16, 27, 64, 2 ** 12, 2 ** 15)), even=st.booleans())
+def test_tile_search_is_the_dense_search(n1, n2, variant, l, L1, L2, E1, E2, k1, k2, natural,
+                                         f1, f2, target, shift, step, seed, budget, even):
+    # k2 None draws k1 = k2.  The box lies near the rods' minimizer without the
+    # spring, so many tiles have bounds near the best energy; its interface
+    # axes are placed across the natural length, a gap bound or the rigid gap
+    # 2l, a whole number of steps (plus `shift` steps) from it.  An `even`
+    # problem has no loads, the natural length 2l and a box of dyadic points
+    # about 0, a few steps off centre: every energy is exact, the least ones
+    # lie in tiles whose gaps reach 2l exactly, and with k1 = k2 the energy
+    # is even, so u and -u tie in tiles of different bounds
+    if even:
+        l, f1, f2, natural = 0.5, 0.0, 0.0, 1.0
+    geo = Geometry(-l - L1, l + L2, l)
+    spring = SpringLaw(k1, k1 if k2 is None else k2, natural)
+    system = assemble(build_mesh(geo, n1, n2), Material(E1, E2), BodyForce(f1, f2))
+    ndof = n1 + n2
+    rng = np.random.default_rng(seed)
+    points = int(rng.integers(2, math.floor(600 ** (1 / ndof)) + 1))
+    span = (points - 1) * step
+    free = [np.linalg.solve(np.diag(dg) + np.diag(of, 1) + np.diag(of, -1), rhs)
+            for dg, of, rhs in ((system.diag1, system.off1, system.b1),
+                                (system.diag2, system.off2, system.b2))]
+    lows = np.concatenate(free) - rng.uniform(0.0, 1.0, ndof) * span
+    glo, ghi = variant.bounds(l)
+    gap = {"natural": natural, "lower": glo, "upper": ghi}.get(target, 2.0 * l)
+    gap = gap if math.isfinite(gap) else 2.0 * l
+    lows[n1] = lows[n1 - 1] + gap - 2.0 * l + step * (rng.integers(1 - points, points) + shift)
+    if even:
+        step = 2.0 ** -int(rng.integers(2, 5))
+        points = 2 * int(rng.integers(1, points // 2 + 1))
+        span = (points - 1) * step
+        lows[:] = step * (rng.integers(-2, 3, ndof) - 0.5 * (points - 1))
+    bounds = [(lo, lo + span) for lo in lows]
+    try:
+        want = _dense_grid_search(system, spring, variant, bounds, step)
+    except EmptyFeasibleGrid:
+        want = None
+    with mock.patch.object(oracle, "_BLOCK_POINTS", budget):
+        if want is None:
+            with pytest.raises(EmptyFeasibleGrid):
+                grid_search_minimizer(system, spring, variant, bounds, step)
+        else:
+            assert _same_dof(grid_search_minimizer(system, spring, variant, bounds, step), want)
 
 
 def _pin_problem(mesh_sizes, variant, i):
