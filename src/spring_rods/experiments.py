@@ -11,8 +11,7 @@ from .errors import NoConsistentRegime, SpringRodsError, ValidationError
 from .fem import assemble, build_mesh, schur_reduce
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
                     ProblemSpec, SpringLaw, _check_smallness)
-from .solver import (EquilibriumSolution, PenaltyProblem, _interface_state, _penalized,
-                     solve_exact)
+from .solver import EquilibriumSolution, PenaltyProblem, _exact, _penalized, solve_exact
 
 #: Limit problem enforced by each penalty variant as the parameter vanishes.
 LIMIT_VARIANT = {
@@ -95,14 +94,15 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
         try:
             spring = SpringLaw(k, k, 2.0 * l)
             _check_smallness(base.geometry, base.material, spring)
-            g1, g2, theta, s, contact = _interface_state(reduced, spring, lo, hi, l)
+            state = _exact(reduced, spring, lo, hi, l).checked()
+            (g1, g2), theta = state.g, state.theta
             energy = reduced.energy((g1, g2)) + spring.potential(theta)
             if not math.isfinite(energy):
                 raise NoConsistentRegime(f"energy overflows: {energy} at g1={g1}, g2={g2}")
         except SpringRodsError as exc:
             failures.append((k, f"{type(exc).__name__}: {exc}"))
             continue
-        records.append(SweepRecord(k, g1, g2, theta, s, contact, energy))
+        records.append(SweepRecord(k, g1, g2, theta, state.s, state.label == "contact", energy))
     return SweepResult(tuple(records), base.variant, forces, tuple(failures))
 
 
@@ -134,8 +134,8 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
         except (OverflowError, TypeError) as exc:
             raise ValidationError(f"n must be a real number with 2**(3 - n) finite, "
                                   f"got {n!r}") from exc
-        g1, g2, theta, _, _ = _interface_state(reduced,
-                                               *_penalized(PenaltyProblem(base_np, law, lam)))
+        state = _exact(reduced, *_penalized(PenaltyProblem(base_np, law, lam))).checked()
+        (g1, g2), theta = state.g, state.theta
         err = reduced.interface_vnorm((g1 - limit.g1, g2 - limit.g2))
         records.append(ConvergenceRecord(n, lam, theta, g1, g2, err))
 

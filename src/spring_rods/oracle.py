@@ -179,6 +179,26 @@ def _spread(values: np.ndarray, first: int, ndof: int) -> np.ndarray:
     return values.reshape((1,) * first + values.shape + (1,) * (ndof - first - values.ndim))
 
 
+def _tile_edges(sizes: list[int], budget: int) -> list[int]:
+    """Per-axis chunk edges e_i <= sizes[i] with prod(e_i) <= budget, in integers.
+
+    The axes, shortest first, each take the integer root of the budget left
+    over the axes left, or their whole length if that is shorter: 501**2
+    points get 64**2 tiles of 2**12, a 2**22-point axis beside 1-point ones
+    chunks of 2**12.
+    """
+    edges = list(sizes)
+    for done, i in enumerate(sorted(range(len(sizes)), key=sizes.__getitem__)):
+        m = len(sizes) - done
+        edge = max(1, int(budget ** (1.0 / m)))  # a float root may be one off: 4096**(1/3)
+        edge += (edge + 1) ** m <= budget
+        edge -= edge ** m > budget
+        edges[i] = min(sizes[i], edge)
+        budget //= edges[i]
+    return edges
+
+
+@np.errstate(all="ignore")  # an overflowing bound or energy is inf or NaN, never a warning
 def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
                           variant: ConstraintVariant, bounds, step: float) -> DofVector:
     """Feasible grid point of minimal total energy (brute force).
@@ -187,16 +207,16 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     or a sequence with one pair per DOF; `step` is a finite real above 0.  At
     most six DOFs and 2**23 grid points, a cap that bounds the run time.
 
-    The grid is cut into tiles, Cartesian products of per-axis chunks of
-    `floor(_BLOCK_POINTS**(1/ndof))` points.  A point's energy is a fixed
-    sum of terms, each computed by the same float operations at every
-    point: the spring term of its gap (inf outside the gap bounds), one
-    term `(0.5*diag[i]*x - b[i])*x` per DOF and one `off[i]*x[i]*x[i+1]`
-    per coupled pair.  A tile's bound sums, in the same order, the spring
-    term at the tile's gap nearest the natural length (0 if its gaps
-    straddle it, inf if they all miss the gap bounds), each DOF term at its
-    least value over the tile's chunk and each pair term at the least of
-    its four box corners.  The gap's extremes lie at tile corners.
+    The grid is cut into tiles, Cartesian products of per-axis chunks whose
+    edges `_tile_edges` fits to the axes within `_BLOCK_POINTS` points.  A
+    point's energy is a fixed sum of terms, each computed by the same float
+    operations at every point: the spring term of its gap (inf outside the
+    gap bounds), one term `(0.5*diag[i]*x - b[i])*x` per DOF and one
+    `off[i]*x[i]*x[i+1]` per coupled pair.  A tile's bound sums, in the same
+    order, the spring term at the tile's gap nearest the natural length (0
+    if its gaps straddle it, inf if they all miss the gap bounds), each DOF
+    term at its least value over the tile's chunk and each pair term at the
+    least of its four box corners.  The gap's extremes lie at tile corners.
     Correctly rounded arithmetic is monotone, so no energy computed in the
     tile falls below its bound.
 
@@ -205,10 +225,12 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     exceeds the best energy; tiles of bound inf are never evaluated, and
     tiles of NaN bound always.  Of equal energies the first point in C
     order wins, so the result is the first minimum of the whole grid, bit
-    for bit, whatever the tile size; a NaN energy never wins.  Memory per
-    call is one tile buffer plus one bound per tile, beside the axes.  By
-    convexity the result lies within one grid step of the true minimizer in
-    every coordinate.
+    for bit, whatever the tile size; a NaN energy never wins.  Nothing warns:
+    if feasible points exist but no energy among them is finite, the
+    EmptyFeasibleGrid raised says the energy overflows.  Memory per call is
+    one tile buffer plus one bound per tile, beside the axes.  By convexity
+    the result lies within one grid step of the true minimizer in every
+    coordinate.
     """
     mesh = system.mesh
     n1 = mesh.n1
@@ -229,10 +251,8 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     terms = [(0.5 * diag[i] * axis - b[i]) * axis for i, axis in enumerate(axes)]
     scaled = {i: off[i] * axes[i] for i in pairs}  # off*x, times the next axis
 
-    edge = 1  # the integer root of the tile budget: 4096**(1/3) is 15.999...
-    while (edge + 1) ** ndof <= _BLOCK_POINTS:
-        edge += 1
-    starts = [np.arange(0, axis.size, edge) for axis in axes]
+    edges = _tile_edges([axis.size for axis in axes], _BLOCK_POINTS)
+    starts = [np.arange(0, axis.size, edge) for axis, edge in zip(axes, edges)]
     tiles = tuple(s.size for s in starts)
 
     def lowest(values, i):
@@ -241,25 +261,24 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     def highest(values, i):
         return np.maximum.reduceat(values, starts[i])
 
-    with np.errstate(all="ignore"):  # an overflowing bound is inf or NaN, never a warning
-        # the gap rises with axes[n1] and falls with axes[n1 - 1]: its extremes are corners
-        theta_lo = np.add.outer(lowest(outer, n1 - 1), lowest(axes[n1], n1))
-        theta_hi = np.add.outer(highest(outer, n1 - 1), highest(axes[n1], n1))
-        d_lo, d_hi = theta_lo - nat, theta_hi - nat
-        # the spring term falls towards the natural length from either side
-        spring_lo = np.where(d_lo > 0.0, half_k2 * d_lo * d_lo,
-                             np.where(d_hi < 0.0, half_k1 * d_hi * d_hi, 0.0))
-        spring_lo[(theta_hi < glo - 1e-12) | (theta_lo > ghi + 1e-12)] = np.inf
-        bound = np.empty(tiles)
-        bound[...] = _spread(spring_lo, n1 - 1, ndof)
-        for i in range(ndof):
-            bound += _spread(lowest(terms[i], i), i, ndof)
-        for i in pairs:
-            # off*x is monotone in x and the product in each factor: a corner is lowest
-            ys = (lowest(axes[i + 1], i + 1), highest(axes[i + 1], i + 1))
-            corners = [np.multiply.outer(p, y) for p in (lowest(scaled[i], i),
-                                                        highest(scaled[i], i)) for y in ys]
-            bound += _spread(np.minimum.reduce(corners), i, ndof)
+    # the gap rises with axes[n1] and falls with axes[n1 - 1]: its extremes are corners
+    theta_lo = np.add.outer(lowest(outer, n1 - 1), lowest(axes[n1], n1))
+    theta_hi = np.add.outer(highest(outer, n1 - 1), highest(axes[n1], n1))
+    d_lo, d_hi = theta_lo - nat, theta_hi - nat
+    # the spring term falls towards the natural length from either side
+    spring_lo = np.where(d_lo > 0.0, half_k2 * d_lo * d_lo,
+                         np.where(d_hi < 0.0, half_k1 * d_hi * d_hi, 0.0))
+    spring_lo[(theta_hi < glo - 1e-12) | (theta_lo > ghi + 1e-12)] = np.inf
+    bound = np.empty(tiles)
+    bound[...] = _spread(spring_lo, n1 - 1, ndof)
+    for i in range(ndof):
+        bound += _spread(lowest(terms[i], i), i, ndof)
+    for i in pairs:
+        # off*x is monotone in x and the product in each factor: a corner is lowest
+        ys = (lowest(axes[i + 1], i + 1), highest(axes[i + 1], i + 1))
+        corners = [np.multiply.outer(p, y) for p in (lowest(scaled[i], i),
+                                                    highest(scaled[i], i)) for y in ys]
+        bound += _spread(np.minimum.reduce(corners), i, ndof)
     bound = bound.ravel()
     bound[np.isnan(bound)] = -np.inf  # evaluated first, never skipped
     order = np.argsort(bound, kind="stable")
@@ -268,9 +287,8 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     ts = [_spread(term, i, ndof) for i, term in enumerate(terms)]
     ps = {i: _spread(scaled[i], i, ndof) for i in pairs}
     outer = _spread(outer, n1 - 1, ndof)
-    sizes = [min(edge, axis.size) for axis in axes]
-    energy_buf = np.empty(math.prod(sizes))
-    gap_bufs = [np.empty(sizes[n1 - 1] * sizes[n1], dtype=t) for t in (float, float, bool)]
+    energy_buf = np.empty(math.prod(edges))
+    gap_bufs = [np.empty(edges[n1 - 1] * edges[n1], dtype=t) for t in (float, float, bool)]
     views = {}  # tile shape -> views of the tile buffers
     best, best_energy = (), math.inf  # () sorts before any index: an inf never wins
     strides = [math.prod(tiles[i + 1:]) for i in range(ndof)]
@@ -279,7 +297,7 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
             break
         tile = [t // stride % n for stride, n in zip(strides, tiles)]
         keys = [(slice(None),) * i + (slice(c * edge, c * edge + edge),)
-                for i, c in enumerate(tile)]
+                for i, (c, edge) in enumerate(zip(tile, edges))]
         x = [v[k] for v, k in zip(xs, keys)]
         shape = tuple(v.shape[i] for i, v in enumerate(x))
         if shape not in views:
@@ -310,10 +328,16 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
             np.copyto(flat, np.inf, where=np.isnan(flat))
             j = flat.argmin()
         if flat[j] <= best_energy:
-            index = tuple(c * edge + int(k) for c, k in zip(tile, np.unravel_index(j, shape)))
+            index = tuple(c * edge + int(k)
+                          for c, edge, k in zip(tile, edges, np.unravel_index(j, shape)))
             if (flat[j], index) < (best_energy, best):  # index tuples compare in C order
                 best, best_energy = index, flat[j]
-    if not best:
+    if not best:  # every feasible point's energy is inf or NaN, if there is one
+        ea, eb = edges[n1 - 1], edges[n1]
+        for a, c in zip(*np.nonzero((theta_hi >= glo - 1e-12) & (theta_lo <= ghi + 1e-12))):
+            gap = np.add.outer(outer.ravel()[a * ea:a * ea + ea], axes[n1][c * eb:c * eb + eb])
+            if not np.all((gap < glo - 1e-12) | (gap > ghi + 1e-12)):
+                raise EmptyFeasibleGrid("the energy overflows at every feasible grid point")
         raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
     u = np.array([axis[k] for axis, k in zip(axes, best)])
     return DofVector(u[:n1], u[n1:])

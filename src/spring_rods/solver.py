@@ -6,10 +6,12 @@ part plus the spring potential of the gap, subject to the gap bounds of the
 constraint variant.  The condensed stiffness S = (s1, s2) is diagonal, so
 minimizing out (g1, g2) at a fixed gap change t = g2 - g1 leaves a convex
 function of t alone, set by d = r2/s2 - r1/s1 (the spring-free gap change)
-and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2.  `solve_exact`
-clamps its minimizer d/(1 + k*C) into the gap bounds; `_classify` labels the
-regime of every solver's gap.  The projected gradient and fixed-point
-solvers are independent iterative cross-checks.  All work on plain floats.
+and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2, both from
+`_spring_free`.  `solve_exact` clamps its minimizer d/(1 + k*C) into the gap
+bounds; the projected gradient and fixed-point solvers are independent
+iterative cross-checks.  Each solver's gap goes to `_label`, the one regime
+labeller, whose immutable `_Interface` record the studies read and whose
+`solution` alone builds an `EquilibriumSolution`.  All work on plain floats.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,122 +118,123 @@ def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLa
 # the exact gap
 
 
-def _at_gap(S: _Pair, rhs: _Pair, t: float) -> _Pair:
-    """Minimize 0.5 g.S g - rhs.g subject to g2 - g1 = t, i.e. at the gap 2l + t.
-
-    Along the line g = (g1, g1 + t) the minimizer is g1 = (rhs1 + rhs2 - s2*t)
-    / (s1 + s2); forming g2 as g1 + t keeps a zero gap change exact.
-    """
-    (s1, s2), (r1, r2) = S, rhs
+def _at_gap(reduced: ReducedSystem, t: float) -> _Pair:
+    """The minimizer g = (g1, g1 + t) of the reduced energy at the gap 2l + t: g1 is
+    (r1 + r2 - s2*t)/(s1 + s2), and g2 = g1 + t keeps a zero gap change exact."""
+    (s1, s2), (r1, r2) = reduced.S, reduced.r
     g1 = (r1 + r2 - s2 * t) / (s1 + s2)
     return g1, g1 + t
 
 
-def _kkt_residual(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-                  g: _Pair, theta: float, active_bound: str | None) -> float:
-    (g1, g2), (s1, s2), (r1, r2) = g, reduced.S, reduced.r
-    slope = spring.potential_slope(theta)
-    grad1, grad2 = s1 * g1 - r1 - slope, s2 * g2 - r2 + slope
-    feas = max(0.0, lo - theta) + max(0.0, theta - (hi if math.isfinite(hi) else theta))
-    mu = (grad2 - grad1) / 2.0
-    tangential = max(abs(grad1 + mu), abs(grad2 - mu))
-    if active_bound == "lower":
-        sign_violation = max(0.0, -mu)
-    elif active_bound == "upper":
-        sign_violation = max(0.0, mu)
-    elif active_bound == "both":
-        sign_violation = 0.0
-    else:
-        sign_violation = abs(mu)
-    return max(tangential, sign_violation, feas)
+def _spring_free(reduced: ReducedSystem) -> _Pair:
+    """(d, C): the spring-free gap change r2/s2 - r1/s1 and the compliance 1/s1 + 1/s2."""
+    (s1, s2), (r1, r2) = reduced.S, reduced.r
+    return r2 / s2 - r1 / s1, 1.0 / s1 + 1.0 / s2
 
 
-def _classify(theta: float, lo: float, hi: float,
-              two_l: float) -> tuple[float, str, str | None]:
-    """Regime of the gap theta as (theta, label, active_bound).
+class _Interface(NamedTuple):
+    """One labelled interface state: the gap pair g, its gap theta, the regime
+    label and the active bound, with the condensed system, the spring and the
+    gap bounds [lo, hi] it was reached under.  `_label` builds every one."""
 
-    A gap within 1e-11 of a bound is snapped to the exact bound value.
+    reduced: ReducedSystem
+    spring: SpringLaw
+    lo: float
+    hi: float
+    g: _Pair
+    theta: float
+    label: str
+    bound: str | None
+
+    @property
+    def s(self) -> float:
+        return self.reduced.S[0] * self.g[0] - self.reduced.r[0]
+
+    @property
+    def residual(self) -> float:
+        """KKT residual of g: tangential gradient, multiplier sign and gap feasibility."""
+        (g1, g2), (s1, s2), (r1, r2) = self.g, self.reduced.S, self.reduced.r
+        lo, hi, theta = self.lo, self.hi, self.theta
+        slope = self.spring.potential_slope(theta)
+        grad1, grad2 = s1 * g1 - r1 - slope, s2 * g2 - r2 + slope
+        feas = max(0.0, lo - theta) + max(0.0, theta - (hi if math.isfinite(hi) else theta))
+        mu = (grad2 - grad1) / 2.0
+        tangential = max(abs(grad1 + mu), abs(grad2 - mu))
+        sign_violation = {"lower": max(0.0, -mu), "upper": max(0.0, mu),
+                          "both": 0.0}.get(self.bound, abs(mu))
+        return max(tangential, sign_violation, feas)
+
+    def checked(self) -> _Interface:
+        """This state, or the error `solution` would raise; a field that `field_surely_finite`
+        proves finite (the pinned field plus g times ramps in [0, 1]) is not recovered."""
+        if not (math.isfinite(self.s) and self.reduced.field_surely_finite(*self.g)):
+            self.solution("exact")
+        return self
+
+    def solution(self, method: str, iterations: int = 0, converged: bool = True,
+                 step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
+        """The field recovered at g; a non-finite state raises NoConsistentRegime."""
+        (g1, g2), s = self.g, self.s
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            u = recover_full(self.reduced, g1, g2)
+        if not (all(map(math.isfinite, (g1, g2, s)))
+                and np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all()):
+            raise NoConsistentRegime(f"equilibrium overflows: g1={g1}, g2={g2}, s={s} "
+                                     f"or the nodal field is not finite")
+        diag = SolverDiagnostics(method, iterations, self.residual, self.label, converged,
+                                 step_ratios)
+        return EquilibriumSolution(u, g1, g2, self.theta, s, self.label == "contact",
+                                   self.bound, diag)
+
+
+def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
+           g: _Pair, theta: float) -> _Interface:
+    """The one regime labeller: the state of every solver's gap theta at its pair g.
+
+    A gap within 1e-11 of a bound is snapped to the exact bound value.  First,
+    though, a gap within 1e-11 of 2l is the breakpoint, with no active bound,
+    whenever d lies within _BREAKPOINT_TOL*C of zero, as in `_exact`; a bound
+    that would snap such a gap snaps it to 2l.
     """
+    d, compliance = _spring_free(reduced)
+    near_two_l = abs(theta - two_l) <= 1e-11
+    bound = None
     if lo == hi:
-        return lo, "rigid", "both"
-    if abs(theta - lo) <= 1e-11:
-        return lo, ("contact" if lo == 0.0 else "bound-lower"), "lower"
-    if abs(theta - hi) <= 1e-11:
-        return hi, "bound-upper", "upper"
-    if abs(theta - two_l) <= 1e-11:
-        return theta, "breakpoint", None
-    return theta, ("compression" if theta < two_l else "extension"), None
+        theta, label, bound = lo, "rigid", "both"
+    elif near_two_l and abs(d / compliance) <= _BREAKPOINT_TOL:
+        theta = two_l if min(abs(theta - lo), abs(theta - hi)) <= 1e-11 else theta
+        label = "breakpoint"
+    elif abs(theta - lo) <= 1e-11:
+        theta, label, bound = lo, ("contact" if lo == 0.0 else "bound-lower"), "lower"
+    elif abs(theta - hi) <= 1e-11:
+        theta, label, bound = hi, "bound-upper", "upper"
+    else:
+        label = "breakpoint" if near_two_l else "compression" if theta < two_l else "extension"
+    return _Interface(reduced, spring, lo, hi, g, theta, label, bound)
 
 
-def _finish(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-            g: _Pair, theta: float, label: str, active_bound: str | None,
-            method: str, iterations: int, converged: bool = True,
-            step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
-    """Recover the field at the gap pair g; a non-finite state raises NoConsistentRegime."""
-    g1, g2 = g
-    s = reduced.S[0] * g1 - reduced.r[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        u = recover_full(reduced, g1, g2)
-    if not (all(map(math.isfinite, (g1, g2, s)))
-            and np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all()):
-        raise NoConsistentRegime(f"equilibrium overflows: g1={g1}, g2={g2}, s={s} "
-                                 f"or the nodal field is not finite")
-    residual = _kkt_residual(reduced, spring, lo, hi, g, theta, active_bound)
-    diag = SolverDiagnostics(method, iterations, residual, label, converged, step_ratios)
-    return EquilibriumSolution(u, g1, g2, theta, s, label == "contact", active_bound, diag)
-
-
-def _gap_state(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-               l: float) -> tuple[_Pair, float, str, str | None]:
-    """Minimize the reduced energy over the gap change t = g2 - g1.
+def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
+           l: float) -> _Interface:
+    """The reduced energy's minimizer over the gap change t = g2 - g1.
 
     Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
-    2l + t, a convex function of t alone, so the minimizer is d/(1 + k*C)
-    clamped into the gap bounds, with k the stiffness on the side d points
-    to.  A d within _BREAKPOINT_TOL*C of zero is the breakpoint t = 0.
-    Returns the gap pair g with the regime (theta, label, active_bound).
-    """
-    S, r = reduced.S, reduced.r
+    2l + t, convex in t alone, so the minimizer is d/(1 + k*C) clamped into
+    the gap bounds, k the stiffness on the side d points to; a d within
+    _BREAKPOINT_TOL*C of zero is the breakpoint t = 0."""
     two_l = 2.0 * l
-    compliance = 1.0 / S[0] + 1.0 / S[1]
-    d = r[1] / S[1] - r[0] / S[0]
-    if lo < hi and abs(d / compliance) <= _BREAKPOINT_TOL:
-        t, theta, label, bound = 0.0, two_l, "breakpoint", None
-    else:
+    d, compliance = _spring_free(reduced)
+    t = 0.0
+    if lo == hi or not abs(d / compliance) <= _BREAKPOINT_TOL:
         k = spring.k1 if d < 0.0 else spring.k2
         t = min(max(d / (1.0 + k * compliance), lo - two_l), hi - two_l)
         if not lo <= two_l + t <= hi:
             raise NoConsistentRegime(
                 f"gap {two_l + t} outside [{lo}, {hi}] with k1={spring.k1}, k2={spring.k2}")
-        theta, label, bound = _classify(two_l + t, lo, hi, two_l)
-    return _at_gap(S, r, t), theta, label, bound
-
-
-def _solve_gap(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, l: float,
-               method: str) -> EquilibriumSolution:
-    return _finish(reduced, spring, lo, hi, *_gap_state(reduced, spring, lo, hi, l), method, 0)
-
-
-def _interface_state(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
-                     l: float) -> tuple[float, float, float, float, bool]:
-    """(g1, g2, theta, s, contact) of `_solve_gap`, without recovering the field.
-
-    Whatever `_finish` would refuse is still refused: the field at g is the
-    pinned field plus g times a nodal ramp in [0, 1], so while
-    `reduced.field_surely_finite(g1, g2)` holds it cannot overflow.  Otherwise
-    `_finish` recovers the field and refuses a non-finite one as the
-    eager solves do.
-    """
-    g, theta, label, bound = _gap_state(reduced, spring, lo, hi, l)
-    g1, g2 = g
-    s = reduced.S[0] * g1 - reduced.r[0]
-    if not (math.isfinite(s) and reduced.field_surely_finite(g1, g2)):
-        _finish(reduced, spring, lo, hi, g, theta, label, bound, "exact", 0)
-    return g1, g2, theta, s, label == "contact"
+    return _label(reduced, spring, lo, hi, two_l, _at_gap(reduced, t), two_l + t)
 
 
 def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
-    """(effective spring, lo, hi, l) of a penalized problem, as `_gap_state` takes them."""
+    """(effective spring, lo, hi, l) of a penalized problem, as `_exact` takes them."""
     l = penalty.base.geometry.l
     return (effective_spring(penalty.base.spring, penalty.law, penalty.lam),
             *ConstraintVariant.NON_PENETRATION.bounds(l), l)
@@ -239,7 +243,7 @@ def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]
 def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVariant,
                 l: float) -> EquilibriumSolution:
     """Global minimizer of the reduced convex energy: the clamped scalar gap."""
-    return _solve_gap(reduced, spring, *variant.bounds(l), l, "exact")
+    return _exact(reduced, spring, *variant.bounds(l), l).solution("exact")
 
 
 def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> EquilibriumSolution:
@@ -251,7 +255,7 @@ def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> Equilibr
     potential has slope equal to minus the penalty force.  `reduced` is the
     condensed system of `penalty.base`.
     """
-    return _solve_gap(reduced, *_penalized(penalty), "penalized")
+    return _exact(reduced, *_penalized(penalty)).solution("penalized")
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +305,8 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
             break
         if math.isnan(delta):
             break
-    theta, label, bound = _classify(two_l + (g2 - g1), lo, hi, two_l)
-    return _finish(reduced, spring, lo, hi, (g1, g2), theta, label, bound,
-                   "projected-gradient", iterations, converged)
+    return _label(reduced, spring, lo, hi, two_l, (g1, g2), two_l + (g2 - g1)).solution(
+        "projected-gradient", iterations, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +321,7 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     Each inner problem replaces the spring potential by the affine work of
     the force frozen at the gap 2l + t, a load change of +/- force on the
     interface equations, so its gap change is d + C*force clamped into the
-    gap bounds (d and C as in `_gap_state`): a scalar map, relaxed as
+    gap bounds (d and C from `_spring_free`): a scalar map, relaxed as
     t += omega*(inner(t) - t).  Undamped it has slope -Lp*C, which cycles
     once Lp*C reaches 1; the default damping 1/(1 + Lp*C) zeroes the
     within-regime slope.  A step is the energy norm between the `_at_gap`
@@ -329,9 +332,7 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     l = system.mesh.geometry.l
     two_l = 2.0 * l
     lo, hi = variant.bounds(l)
-    S, r = reduced.S, reduced.r
-    compliance = 1.0 / S[0] + 1.0 / S[1]
-    d = r[1] / S[1] - r[0] / S[0]
+    d, compliance = _spring_free(reduced)
     omega = cfg.fixed_point_damping
     if omega is None:
         omega = 1.0 / (1.0 + spring.lipschitz * compliance)
@@ -348,7 +349,7 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     converged = False
     while iterations < cfg.max_iterations:
         t += omega * (inner(t) - t)
-        new = _at_gap(S, r, t)
+        new = _at_gap(reduced, t)
         step = reduced.interface_vnorm((new[0] - g[0], new[1] - g[1]))
         iterations += 1
         if prev_step is not None and prev_step > 0.0:
@@ -365,9 +366,8 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
         prev_step = step
 
     t = inner(t)
-    theta, label, bound = _classify(two_l + t, lo, hi, two_l)
-    return _finish(reduced, spring, lo, hi, _at_gap(S, r, t), theta, label, bound,
-                   "fixed-point", iterations, converged, tuple(ratios))
+    return _label(reduced, spring, lo, hi, two_l, _at_gap(reduced, t), two_l + t).solution(
+        "fixed-point", iterations, converged, tuple(ratios))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -581,3 +582,51 @@ class TestOptionTable:
         cfg.write_text("mesh.n1 = 8\nmesh.n2 8\n")
         with pytest.raises(ParseError, match=r":2: expected 'key = value', got 'mesh.n2 8'"):
             parse_config(str(cfg))
+
+
+#: The two configurations of the pinned outputs: the defaults (no load) and an
+#: asymmetric geometry with unequal moduli, stiffnesses and loads.
+PIN_CONFIGS = {
+    "default": (),
+    "asymmetric": ("--a=-1.3", "--b", "0.9", "--l", "0.4", "--e1", "1.7", "--e2", "0.6",
+                   "--k1", "0.3", "--k2", "0.5", "--f1", "2.5", "--f2=-1.5"),
+}
+PIN_COMMANDS = {
+    "solve-exact": ("solve",),
+    "solve-gradient": ("solve", "--method", "gradient"),
+    "solve-fixed-point": ("solve", "--method", "fixed-point"),
+    "solve-lambda": ("solve", "--lambda", "0.25"),
+    "sweep": ("sweep",),
+    "converge": ("converge",),
+    "validate": ("validate",),
+}
+#: First 64 bits of the sha256 of the exit status, stdout and stderr (run
+#: directory stamps masked) and every written file's name and bytes, in path order.
+PINNED_OUTPUTS = {
+    ("default", "solve-exact"): "bf1fd73725ba5686",
+    ("default", "solve-gradient"): "1c8e4caa9f80d0d3",
+    ("default", "solve-fixed-point"): "6aefaff09bba3415",
+    ("default", "solve-lambda"): "dc3dbc0da3eabe32",
+    ("default", "sweep"): "3ae7d15efd698733",
+    ("default", "converge"): "8a9cf7de41cc3b54",
+    ("default", "validate"): "4e283b190bfb8f52",
+    ("asymmetric", "solve-exact"): "2c8604bc45836640",
+    ("asymmetric", "solve-gradient"): "4750153a8545508f",
+    ("asymmetric", "solve-fixed-point"): "dfb4522103c18244",
+    ("asymmetric", "solve-lambda"): "b30735518199a087",
+    ("asymmetric", "sweep"): "38cb94d6e8815ced",
+    ("asymmetric", "converge"): "cba196726ee27fc0",
+    ("asymmetric", "validate"): "27e9121792433980",
+}
+
+
+@pytest.mark.parametrize("config, command", PINNED_OUTPUTS, ids="-".join)
+def test_cli_outputs_are_byte_pinned(capsys, tmp_path, config, command):
+    # every printed line and every CSV and SVG byte of the four subcommands
+    code, out, err = run_cli(capsys, *PIN_COMMANDS[command], *PIN_CONFIGS[config],
+                             "--outdir", str(tmp_path))
+    stamp = re.compile(re.escape(str(tmp_path)) + r"/(\w+)-\d{8}-\d{6}-\d{6}")
+    digest = hashlib.sha256(stamp.sub(r"\1", f"{code}\n{out}\n{err}").encode())
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest()[:16] == PINNED_OUTPUTS[config, command]

@@ -97,7 +97,7 @@ class TestStiffnessSweep:
         def broken(*args):
             raise ValueError("not a model rejection")
 
-        monkeypatch.setattr(experiments_module, "_interface_state", broken)
+        monkeypatch.setattr(experiments_module, "_exact", broken)
         with pytest.raises(ValueError, match="not a model rejection"):
             run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), GRID)
 
@@ -109,7 +109,7 @@ class TestStiffnessSweep:
         def broken(*args, **kwargs):
             raise TypeError("broken solver")
 
-        monkeypatch.setattr(experiments_module, "_interface_state", broken)
+        monkeypatch.setattr(experiments_module, "_exact", broken)
         with pytest.raises(TypeError, match="broken solver"):
             run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), [0.5, 1.0])
 

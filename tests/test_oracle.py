@@ -570,6 +570,64 @@ def test_tile_search_is_the_dense_search(n1, n2, variant, l, L1, L2, E1, E2, k1,
             assert _same_dof(grid_search_minimizer(system, spring, variant, bounds, step), want)
 
 
+@pytest.mark.parametrize("sizes, budget, edges", [
+    ([501, 501], 2 ** 12, [64, 64]),  # the certify grid keeps its 64x64 tiles
+    ([16, 16, 16], 2 ** 12, [16, 16, 16]),  # 4096**(1/3) is 15.999... in floats
+    ([1, 1, 2 ** 22, 1, 1, 1], 2 ** 12, [1, 1, 2 ** 12, 1, 1, 1]),
+    ([100, 3, 100], 2 ** 12, [36, 3, 37]),  # 3, then isqrt(4096 // 3), then the rest
+    ([7, 5], 1, [1, 1]),
+    ([2, 9], 11, [2, 5]),
+])
+def test_tile_edges_fit_the_axes(sizes, budget, edges):
+    assert oracle._tile_edges(sizes, budget) == edges
+
+
+def test_tile_edges_stay_within_the_budget():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        sizes = [int(n) for n in rng.integers(1, 300, rng.integers(1, 7))]
+        budget = int(rng.integers(1, 2 ** 16))
+        edges = oracle._tile_edges(sizes, budget)
+        assert math.prod(edges) <= budget
+        assert all(1 <= e <= n for e, n in zip(edges, sizes))
+
+
+@pytest.mark.parametrize("budget", [1, 3, 16, 64, 2 ** 12])
+@pytest.mark.parametrize("mesh_sizes, long", [((1, 1), 0), ((1, 1), 1), ((2, 1), 0),
+                                              ((2, 1), 1), ((1, 3), 2), ((3, 3), 2),
+                                              ((3, 3), 3), ((3, 3), 5)])
+def test_one_long_axis_is_the_dense_search(mesh_sizes, long, budget):
+    # one axis of 3000 points, every other axis a single point: the long axis
+    # takes the whole tile budget instead of its root
+    rng = np.random.default_rng([*mesh_sizes, long, budget])
+    system = assemble(build_mesh(GEO, *mesh_sizes), MAT, BodyForce(*rng.uniform(-3.0, 3.0, 2)))
+    spring = SpringLaw(*rng.uniform(0.1, 1.0, 2), 1.0)
+    bounds = [(lo, lo) for lo in rng.uniform(-0.3, 0.3, sum(mesh_sizes))]
+    bounds[long] = (-1.5, 1.499)
+    for variant in ConstraintVariant:
+        try:
+            want = _dense_grid_search(system, spring, variant, bounds, 1e-3)
+        except EmptyFeasibleGrid:
+            want = None
+        with mock.patch.object(oracle, "_BLOCK_POINTS", budget):
+            if want is None:
+                with pytest.raises(EmptyFeasibleGrid):
+                    grid_search_minimizer(system, spring, variant, bounds, 1e-3)
+            else:
+                assert _same_dof(grid_search_minimizer(system, spring, variant, bounds, 1e-3),
+                                 want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_energy_is_named_and_warns_nothing():
+    # the one grid point has the gap 0, inside the bounds, but its DOF terms
+    # overflow: the error names the energy, not the gap bounds
+    system = assemble(build_mesh(GEO, 1, 1), MAT, BodyForce(0.0, 0.0))
+    with pytest.raises(EmptyFeasibleGrid, match="energy overflows at every feasible"):
+        grid_search_minimizer(system, SpringLaw(1.0, 1.0, 1.0),
+                              ConstraintVariant.NON_PENETRATION, (1e160, 1e160), 1.0)
+
+
 def _pin_problem(mesh_sizes, variant, i):
     """Seeded grid problem `i`: random rods, spring and loads, a box near the solution.
 

@@ -50,13 +50,14 @@ def test_exact_solve_matches_continuum_oracle(l, L1, L2, E1, E2, q1, q2, f1, f2,
        f1=_positive(-100.0, 100.0), f2=_positive(-100.0, 100.0),
        variant=st.sampled_from(list(ConstraintVariant)),
        n1=st.integers(1, 16), n2=st.integers(1, 16))
-def test_projected_gradient_matches_continuum_oracle(l, L1, L2, E1, E2, q1, q2, f1, f2,
+@pytest.mark.parametrize("method", ["gradient", "fixed-point"])
+def test_projected_gradient_matches_continuum_oracle(method, l, L1, L2, E1, E2, q1, q2, f1, f2,
                                                      variant, n1, n2):
     k_max = (E1 + E2) / (2.0 * max(L1, L2))
     problem = make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
                            SpringLaw(q1 * k_max, q2 * k_max, 2.0 * l),
                            BodyForce(f1, f2), variant)
-    sol = solve(problem, (n1, n2), "gradient", SolverConfig(tolerance=1e-10))
+    sol = solve(problem, (n1, n2), method, SolverConfig(tolerance=1e-10))
     ref = analytic_solution(problem)
     assert sol.diagnostics.converged
     for got, want in zip((sol.g1, sol.g2, sol.theta, sol.s),
