@@ -1,9 +1,8 @@
 """Equilibrium of two elastic rods coupled by a nonlinear unilateral spring."""
 
-from .errors import (ContractionFailure, EmptyFeasibleGrid, GeometryError,
-                     InfeasibleCandidate, NoConsistentRegime, NonPositiveLambda,
-                     ParseError, SmallnessViolation, SpringRodsError, ValidationError,
-                     ZeroElements)
+from .errors import (EmptyFeasibleGrid, GeometryError, InfeasibleCandidate,
+                     NoConsistentRegime, NonPositiveLambda, ParseError, SmallnessViolation,
+                     SpringRodsError, ValidationError, ZeroElements)
 from .experiments import (ConvergenceRecord, ConvergenceStudy, SweepRecord, SweepResult,
                           export_csv, export_svg, run_penalty_convergence,
                           run_stiffness_sweep)
@@ -20,7 +19,7 @@ from .solver import (EquilibriumSolution, PenaltyProblem, SolverConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticSolution", "BodyForce", "ConstraintVariant", "ContractionFailure",
+    "AnalyticSolution", "BodyForce", "ConstraintVariant",
     "ConvergenceRecord", "ConvergenceStudy", "DiscreteSystem", "DofVector",
     "EmptyFeasibleGrid", "EquilibriumSolution", "Geometry", "GeometryError",
     "InfeasibleCandidate", "Material", "Mesh", "NoConsistentRegime",

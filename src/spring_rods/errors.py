@@ -30,10 +30,6 @@ class NonPositiveLambda(ValidationError):
     """Penalty parameter must be positive and finite."""
 
 
-class ContractionFailure(SpringRodsError):
-    """Fixed-point step norms grew for several consecutive iterations."""
-
-
 class InfeasibleCandidate(SpringRodsError):
     """Candidate handed to the residual check violates the gap constraint."""
 

@@ -16,14 +16,26 @@ from enum import Enum
 from .errors import GeometryError, SmallnessViolation, SpringRodsError, ValidationError
 
 
-def _real(name: str, value, lo: float, hi: float, error: type[SpringRodsError]) -> None:
-    """Raise `error` unless value is a real number (not a bool), finite, and lo < value < hi."""
+def _real(name: str, value, lo: float, hi: float, error: type[SpringRodsError]) -> float:
+    """The float of value; raise `error` unless value is a real number (not a bool), finite,
+    and lo < value < hi.  An int past the float range is not finite."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
         raise error(f"{name} must be finite, got {value!r}")
-    if not lo < value < hi:
+    if not lo < x < hi:
         raise error(f"{name} must lie in ({lo}, {hi}), got {value!r}")
+    return x
+
+
+def _set_real(obj, attr: str, name: str, lo: float, hi: float,
+              error: type[SpringRodsError] = ValidationError) -> None:
+    """Check the field `attr` of the frozen `obj` with `_real` and store its float."""
+    object.__setattr__(obj, attr, _real(name, getattr(obj, attr), lo, hi, error))
 
 
 @dataclass(frozen=True)
@@ -38,9 +50,9 @@ class Geometry:
     l: float
 
     def __post_init__(self):
-        _real("spring half-length l", self.l, 0.0, math.inf, GeometryError)
-        _real("left end a", self.a, -math.inf, -self.l, GeometryError)
-        _real("right end b", self.b, self.l, math.inf, GeometryError)
+        _set_real(self, "l", "spring half-length l", 0.0, math.inf, GeometryError)
+        _set_real(self, "a", "left end a", -math.inf, -self.l, GeometryError)
+        _set_real(self, "b", "right end b", self.l, math.inf, GeometryError)
 
     @property
     def L1(self) -> float:
@@ -67,8 +79,8 @@ class Material:
     E2: float
 
     def __post_init__(self):
-        _real("Young modulus E1", self.E1, 0.0, math.inf, ValidationError)
-        _real("Young modulus E2", self.E2, 0.0, math.inf, ValidationError)
+        _set_real(self, "E1", "Young modulus E1", 0.0, math.inf)
+        _set_real(self, "E2", "Young modulus E2", 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -86,9 +98,9 @@ class SpringLaw:
     natural_length: float
 
     def __post_init__(self):
-        _real("stiffness k1", self.k1, 0.0, math.inf, ValidationError)
-        _real("stiffness k2", self.k2, 0.0, math.inf, ValidationError)
-        _real("natural length", self.natural_length, 0.0, math.inf, ValidationError)
+        _set_real(self, "k1", "stiffness k1", 0.0, math.inf)
+        _set_real(self, "k2", "stiffness k2", 0.0, math.inf)
+        _set_real(self, "natural_length", "natural length", 0.0, math.inf)
 
     @property
     def lipschitz(self) -> float:
@@ -141,7 +153,7 @@ class PenaltyLaw:
     natural_length: float
 
     def __post_init__(self):
-        _real("natural length", self.natural_length, 0.0, math.inf, ValidationError)
+        _set_real(self, "natural_length", "natural length", 0.0, math.inf)
 
     @property
     def lipschitz(self) -> float:
@@ -168,8 +180,8 @@ class BodyForce:
     f2: float
 
     def __post_init__(self):
-        _real("force density f1", self.f1, -math.inf, math.inf, ValidationError)
-        _real("force density f2", self.f2, -math.inf, math.inf, ValidationError)
+        _set_real(self, "f1", "force density f1", -math.inf, math.inf)
+        _set_real(self, "f2", "force density f2", -math.inf, math.inf)
 
 
 class ConstraintVariant(Enum):

@@ -28,6 +28,14 @@ def stdout_value(out, name):
     return float(match.group(1))
 
 
+#: A contact equilibrium of a soft left rod, with interface displacements of 6.3e6.
+SOFT_ROD_IN_CONTACT = (
+    "--a=-1.7559933639808407", "--b", "0.9336541472789581", "--l", "0.3013650612124187",
+    "--e1", "0.018811451504598425", "--e2", "11.806396544155847",
+    "--k1", "3.8576722781915715", "--k2", "3.033974192705237",
+    "--f1", "664904701.773039", "--f2=-1154753447.8249147", "--n1", "58", "--n2", "42")
+
+
 class TestParseConfig:
     def test_defaults_are_benchmark_data(self):
         config = parse_config(None)
@@ -201,6 +209,15 @@ class TestSolveExitStatus:
         _, exact, _ = run_cli(capsys, "solve", "--method", "exact", *args)
         assert out.splitlines()[1:] == exact.splitlines()[1:]
 
+    @pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
+    def test_soft_rod_in_contact_is_contact_for_every_method(self, capsys, method):
+        # fixed-point raised "step norms grew for 3 iterations" on rounding
+        # noise, and gradient printed theta = -9.01e-10 as compression
+        code, out, err = run_cli(capsys, "solve", "--method", method, *SOFT_ROD_IN_CONTACT,
+                                 "--format", "svg")
+        assert (code, err) == (0, "")
+        assert "regime = contact" in out and "theta = 0.00000000000e+00" in out
+
     def test_nonfinite_modulus_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--e1", "inf", "--outdir", str(tmp_path))
         assert code == 1
@@ -209,7 +226,7 @@ class TestSolveExitStatus:
 
     @pytest.mark.parametrize("method, spring", [
         ("gradient", ()),
-        # k1 != k2 keeps the default damping from landing on the fixed point in one step
+        # k1 != k2 keeps the damping 1/(1 + Lp*C) from landing on the fixed point in one step
         ("fixed-point", ("--k1", "0.5", "--k2", "1.5")),
     ])
     def test_non_converged_solve_fails_but_keeps_output(self, capsys, tmp_path, method,
@@ -354,6 +371,10 @@ class TestValidateCommand:
             "--f2", "79.52678469498397", "--variant", "rigid-compression")
         assert code == 0, err
         assert "FAIL" not in err
+
+    def test_soft_rod_in_contact_passes(self, capsys):
+        code, _, err = run_cli(capsys, "validate", *SOFT_ROD_IN_CONTACT)
+        assert (code, err) == (0, "")
 
     def test_large_loads_pass_within_the_rounding_of_the_loads(self, capsys):
         # all three solvers give g1 = 1.5 against the closed form's 0.5: one

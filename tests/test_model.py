@@ -209,11 +209,12 @@ class TestConstraintVariant:
             assert lo <= hi
 
 
-_NONFINITE = (math.inf, -math.inf, math.nan)
+#: An int past the float range is not finite either; it used to leak OverflowError.
+_NONFINITE = (math.inf, -math.inf, math.nan, 10 ** 400)
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("bad", _NONFINITE, ids=("inf", "-inf", "nan"))
+    @pytest.mark.parametrize("bad", _NONFINITE, ids=("inf", "-inf", "nan", "huge-int"))
     @pytest.mark.parametrize("build, error", [
         (lambda x: Material(x, 1.0), ValueError),
         (lambda x: Material(1.0, x), ValueError),
@@ -224,8 +225,9 @@ class TestNonFiniteInputs:
         (lambda x: Geometry(x, 1.0, 0.5), GeometryError),
         (lambda x: Geometry(-1.0, x, 0.5), GeometryError),
         (lambda x: Geometry(-1.0, 1.0, x), GeometryError),
+        (lambda x: BodyForce(x, 1.0), ValueError),
         (lambda x: SolverConfig(tolerance=x), ValueError),
-    ], ids=("E1", "E2", "k1", "k2", "spring-length", "penalty-length", "a", "b", "l",
+    ], ids=("E1", "E2", "k1", "k2", "spring-length", "penalty-length", "a", "b", "l", "f1",
             "tolerance"))
     def test_rejected_at_construction(self, build, error, bad):
         with pytest.raises(error, match="finite"):
@@ -244,6 +246,28 @@ def test_non_numbers_raise_the_package_error(build, bad):
     # these used to leak TypeError from a comparison or from math.isfinite
     with pytest.raises(SpringRodsError, match="real number"):
         build(bad)
+
+
+@pytest.mark.parametrize("value", [np.float64(0.75), np.int64(3), 3],
+                         ids=("float64", "int64", "int"))
+def test_model_values_store_python_floats(value):
+    for stored in (Geometry(-value - 1, value + 1, value), Material(value, value),
+                   SpringLaw(value, value, value), BodyForce(value, -value),
+                   PenaltyLaw(PenaltyVariant.TWO_SIDED, value)):
+        for name in stored.__dataclass_fields__:
+            if name != "variant":
+                assert type(getattr(stored, name)) is float, (stored, name)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["exact", "gradient", "fixed-point"])
+def test_numpy_moduli_solve_huge_loads_without_warnings(method):
+    # np.float64 moduli made the iterative solvers' interface norm overflow a
+    # numpy scalar product, which warns, where a float product is a quiet inf
+    problem = make_problem(GEO, Material(np.float64(1.3), np.float64(0.7)),
+                           SpringLaw(0.2, 0.2, 1.0), BodyForce(3e200, -1e200))
+    sol = solve(problem, (4, 4), method)
+    assert sol.diagnostics.regime == "contact" and sol.theta == 0.0
 
 
 def _system(n1, n2):
