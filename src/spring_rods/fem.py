@@ -28,6 +28,22 @@ from .model import BodyForce, Geometry, Material
 
 _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 _HALF_MAX = 0.5 * sys.float_info.max
+#: Entries per BLAS dot in `_dot`: OpenBLAS splits longer dots over its
+#: threads, and the split moves the last bits with the thread count.
+_DOT_CHUNK = 10_000
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b, with the same bits whatever the BLAS thread count.
+
+    The dot runs in chunks of at most `_DOT_CHUNK` entries, each one
+    single-threaded BLAS call, summed from the first chunk on; up to
+    `_DOT_CHUNK` entries it is the one call `a @ b`.
+    """
+    total = float(a[:_DOT_CHUNK] @ b[:_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, a.size, _DOT_CHUNK):
+        total += float(a[i:i + _DOT_CHUNK] @ b[i:i + _DOT_CHUNK])
+    return total
 
 
 @dataclass(frozen=True)
@@ -72,10 +88,14 @@ class Mesh:
 def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
     """Partition both rods uniformly.
 
-    Raises ZeroElements for a non-integer or empty count; a bool is not a count.
+    Raises ZeroElements for a non-integer or empty count, or one past the
+    float range, which leaves no element length; a bool is not a count.
     """
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
-               for n in (n1, n2)):
+    whole = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2))
+    if whole and max(n1, n2) > sys.float_info.max:  # the count may be too long to print
+        raise ZeroElements(f"need at most {sys.float_info.max:.4g} elements per rod, "
+                           f"got a count past the float range")
+    if not (whole and min(n1, n2) >= 1):
         raise ZeroElements(f"need a whole number of at least one element per rod, "
                            f"got n1={n1}, n2={n2}")
     return Mesh(geometry, n1, n2)
@@ -166,12 +186,12 @@ class DiscreteSystem:
                          _rod_matvec(self.stiff2, dof.rod2, 0))
 
     def load_dot(self, dof: DofVector) -> float:
-        return float(self.b1 @ dof.rod1 + self.b2 @ dof.rod2)
+        return _dot(self.b1, dof.rod1) + _dot(self.b2, dof.rod2)
 
     def energy(self, dof: DofVector) -> float:
         """Quadratic part of the total energy: strain energy minus work."""
         au = self.apply(dof)
-        return 0.5 * float(dof.rod1 @ au.rod1 + dof.rod2 @ au.rod2) - self.load_dot(dof)
+        return 0.5 * (_dot(dof.rod1, au.rod1) + _dot(dof.rod2, au.rod2)) - self.load_dot(dof)
 
 
 def _diagonal(n: int, k: float, interface: int) -> np.ndarray:
@@ -300,10 +320,10 @@ def _pinned(b: np.ndarray, h_over_E: float, carried: np.ndarray, out: np.ndarray
 def _ramp_dot(b: np.ndarray, w: np.ndarray, n: int) -> float:
     """b . w / n; if the sum overflows, b is scaled by a power of two first (exact)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        r = float(b @ w) / n
+        r = _dot(b, w) / n
         if not math.isfinite(r):
             e = math.frexp(float(np.max(np.abs(b))))[1]
-            r = float(np.ldexp(float(np.ldexp(b, -e) @ w) / n, e))
+            r = float(np.ldexp(_dot(np.ldexp(b, -e), w) / n, e))
     return r
 
 

@@ -8,23 +8,32 @@ enumeration but in continuum quantities.  A brute-force grid minimizer over
 tiny discrete instances provides a second, completely independent check;
 it is a best-first branch and bound over tiles of the grid (Land & Doig,
 Econometrica 28, 1960) that returns the dense search's point bit for bit.
+Its tile bounds split the spring's coupling of the two gap DOFs with a
+multiplier mu on the gap, a Lagrangian relaxation (Geoffrion, Math.
+Programming Study 2, 1974): the energy equals the split sum exactly for every
+mu, so any mu gives a valid bound, less a rounding slack.  The mu taken from
+the spring's slope at the box centre makes the pieces bottom out near the
+same point, and a `certify` grid evaluates about 3 of its 256 tiles.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyFeasibleGrid, NoConsistentRegime, ValidationError
 from .fem import DiscreteSystem, DofVector, Mesh
-from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real
+from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real, spring_gap
 
 _SELECT_TOL = 1e-12
-#: Grid points per tile of grid_search_minimizer, read at call time: the tile
-#: buffer stays within 32 KB, and a 501**2 grid has 8**2 tiles to bound and order.
-_BLOCK_POINTS = 2 ** 12
+#: Grid points per tile of grid_search_minimizer, read at call time: a tile's
+#: arrays stay within 8 KB each, and a 501**2 grid has 16**2 tiles to bound and
+#: order.  With the multiplier bound about 3 of them are evaluated; tiles of
+#: 2**12 points evaluate 3 times the points and take about as long.
+_BLOCK_POINTS = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -198,6 +207,225 @@ def _tile_edges(sizes: list[int], budget: int) -> list[int]:
     return edges
 
 
+class _Grid:
+    """The grid of one `grid_search_minimizer` call, cut into tiles.
+
+    It holds the energy's per-axis factors, computed by the operations a
+    point's energy uses, and the extremes of the gap over each pair of chunks
+    of the two gap axes.  `tile_bounds(mu)` bounds the energies of every tile
+    from below, `tile_energies(t)` computes those of tile t.
+    """
+
+    def __init__(self, system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVariant,
+                 bounds, step: float):
+        mesh = system.mesh
+        n1 = mesh.n1
+        ndof = n1 + mesh.n2
+        if ndof > 6:
+            raise ValidationError(f"brute force limited to 6 DOFs, got {ndof}")
+        self.axes = axes = _grid_axes(bounds, step, ndof)
+        self.n1, self.ndof, self.spring = n1, ndof, spring
+        self.l = l = mesh.geometry.l
+        self.glo, self.ghi = variant.bounds(l)
+        self.nat, self.half_k1, self.half_k2 = (spring.natural_length, 0.5 * spring.k1,
+                                                0.5 * spring.k2)
+        diag = [*system.diag1.tolist(), *system.diag2.tolist()]
+        b = [*system.b1.tolist(), *system.b2.tolist()]
+        off = [*system.off1.tolist(), 0.0, *system.off2.tolist()]  # no coupling across the gap
+        # coupled pairs; the gap's zero coupling would add zeros
+        self.pairs = [i for i in range(ndof - 1) if i != n1 - 1]
+        # the energy's per-axis factors, by the operations a point's energy uses
+        self.outer = 2.0 * l - axes[n1 - 1]  # the gap is outer + axes[n1], as in spring_gap
+        self.terms = [(0.5 * diag[i] * axis - b[i]) * axis for i, axis in enumerate(axes)]
+        # at least the largest magnitude of each DOF and pair term over the box
+        peak = [max(-float(axis[0]), float(axis[-1])) for axis in axes]  # the axes ascend
+        self.term_peaks = sum((0.5 * diag[i] * x + abs(b[i])) * x for i, x in enumerate(peak))
+        self.term_peaks += sum(abs(off[i]) * peak[i] * peak[i + 1] for i in self.pairs)
+        self.scaled = {i: off[i] * axes[i] for i in self.pairs}  # off*x, times the next axis
+
+        self.edges = _tile_edges([axis.size for axis in axes], _BLOCK_POINTS)
+        self.starts = [np.arange(0, axis.size, edge) for axis, edge in zip(axes, self.edges)]
+        self.tiles = tuple(s.size for s in self.starts)
+        self.strides = [math.prod(self.tiles[i + 1:]) for i in range(ndof)]
+        # the gap rises with axes[n1] and falls with axes[n1 - 1]: its extremes are corners
+        self.theta_lo = np.add.outer(self.lowest(self.outer, n1 - 1), self.lowest(axes[n1], n1))
+        self.theta_hi = np.add.outer(self.highest(self.outer, n1 - 1),
+                                     self.highest(axes[n1], n1))
+        self.d_lo, self.d_hi = self.theta_lo - self.nat, self.theta_hi - self.nat
+
+        self.xs = [_spread(axis, i, ndof) for i, axis in enumerate(axes)]
+        self.ts = [_spread(term, i, ndof) for i, term in enumerate(self.terms)]
+        self.ps = {i: _spread(self.scaled[i], i, ndof) for i in self.pairs}
+        self.outer_spread = _spread(self.outer, n1 - 1, ndof)
+
+    def lowest(self, values: np.ndarray, i: int) -> np.ndarray:
+        """The least of `values` over each chunk of axis i."""
+        return np.minimum.reduceat(values, self.starts[i])
+
+    def highest(self, values: np.ndarray, i: int) -> np.ndarray:
+        return np.maximum.reduceat(values, self.starts[i])
+
+    def multiplier(self) -> float:
+        """Minus the spring force at the gap of the box centre clamped into the gap
+        bounds: the spring's slope where the box's own minimizer most likely lies.
+        0 if that is not finite."""
+        a, b = self.axes[self.n1 - 1], self.axes[self.n1]
+        theta = spring_gap(self.l, 0.5 * (float(a[0]) + float(a[-1])),
+                           0.5 * (float(b[0]) + float(b[-1])))
+        mu = -self.spring.force(min(max(theta, self.glo), self.ghi))
+        return mu if math.isfinite(mu) else 0.0
+
+    def tile_bounds(self, mu: float) -> np.ndarray:
+        """A lower bound on every energy `tile_energies` computes, per tile in C order.
+
+        Exact for every real `mu`, which only sets how tight the bound is.
+        With a = n1 - 1 and b = n1 the gap is theta = outer(x_a) + x_b, so
+        the energy is exactly [S(theta) - mu*theta] + [T_a + mu*outer] +
+        [T_b + mu*x_b] + (the other DOF terms) + (the pair terms), with S the
+        spring term and T_i the DOF terms.  A tile's bound sums the least of
+        each bracket over the tile: S - mu*theta is convex, least at
+        nat + mu/k (k = k1 below the natural length, k2 above) clamped into
+        the tile's gaps that pass the feasibility test; the shifted DOF
+        terms take their least value per chunk, the other DOF terms too, and
+        each pair term the least of its four box corners (off*x is monotone
+        in x and the product in each factor).  A tile whose gaps all fail
+        the feasibility test has bound inf.
+
+        At mu = 0 the brackets are the evaluation's own terms, and the
+        bound's terms are those terms' operations applied to their
+        arguments' extremes over the tile (the spring's to the feasible gap
+        nearest the natural length), summed in the same order.
+        Correctly rounded arithmetic is monotone, so no energy computed in
+        the tile falls below the bound.
+
+        At mu != 0 the brackets are not the evaluation's operations, and the
+        bound gives up a rounding slack.  Let u = eps/2 be the unit roundoff,
+        N = 1 + ndof + (coupled pairs) the number of terms, and M at least
+        the sum of the largest magnitudes over the box of the spring term, of
+        every DOF and pair term, and of mu times theta, outer, x_b and
+        d = theta - nat.
+        Every rounding error below is at most u*M up to a factor 1 + O(N*u)
+        (the DOF and pair terms' magnitudes in M are bounds from the box's
+        corners, (0.5*diag*|x| + |b|)*|x| and |off|*|x|*|y|):
+        - the evaluation's N - 1 additions move its energy from the exact
+          sum of its terms by at most (N - 1)*u*M;
+        - the float gap is outer + x_b rounded once: mu*(its rounding) <= u*M;
+        - the spring term is ((0.5*k)*d)*d with d = theta - nat rounded:
+          two products (2*u*M) of the exact spring term at theta' = nat + d,
+          which lies within u*|d| of theta, so mu*(theta' - theta) <= u*M.
+          The interval is widened by u*max|d| to hold theta'; where rounding
+          the endpoints absorbs the widening, convexity (slope at most
+          k*|d| + |mu|) bounds the shortfall by 2*u*M;
+        - each shifted DOF term T + mu*y, rounded twice: 2*u*M each;
+        - the spring bracket at the clamped point, computed with a
+          subtraction, three products and a subtraction: 5*u*M;
+        - the bound's N - 1 additions and the subtraction of the slack:
+          N*u*M.
+        The sum is (2*N + 14)*u*M.  Beside it, the clamped point is
+        nat + mu/k rounded, within e = u*(|nat + mu/k| + |mu/k|) of the true
+        one, which moves the convex bracket above its least value by at most
+        k*e**2.  That matters only where nat + mu/k lies among the tile's
+        gaps, and is then a few u*M at most.  The bound subtracts
+        (2*N + 16)*eps*M, twice the count, which covers that term, the
+        1 + O(N*u) factors and M's own rounding; on random boxes and
+        multipliers the bound without the slack exceeded an energy by at
+        most 2*eps*M.  If mu, a shifted term or the slack is not finite, the
+        bound is the one at mu = 0, so an overflow never raises a finite
+        energy's bound to inf.
+        """
+        a, b = self.n1 - 1, self.n1
+        lo = np.maximum(self.theta_lo, self.glo - 1e-12)  # the evaluation's feasibility test
+        hi = np.minimum(self.theta_hi, self.ghi + 1e-12)
+        infeasible = lo > hi
+        terms, slack, target = list(self.terms), 0.0, self.nat
+        if mu:
+            # the box's extreme gaps, as in the tiles: outer descends, the axes ascend
+            theta_min = float(self.outer[-1]) + float(self.axes[b][0])
+            theta_max = float(self.outer[0]) + float(self.axes[b][-1])
+            d_max = max(self.nat - theta_min, theta_max - self.nat)
+            y_max = (max(-theta_min, theta_max) + max(-float(self.outer[-1]), float(self.outer[0]))
+                     + max(-float(self.axes[b][0]), float(self.axes[b][-1])) + d_max)
+            m = max(self.half_k1, self.half_k2) * d_max * d_max + self.term_peaks + abs(mu) * y_max
+            slack = 2 * (self.ndof + len(self.pairs) + 9) * sys.float_info.epsilon * m
+            if math.isfinite(mu) and math.isfinite(slack):
+                terms[a] = terms[a] + mu * self.outer
+                terms[b] = terms[b] + mu * self.axes[b]
+                widen = 0.5 * sys.float_info.epsilon * d_max
+                lo, hi = lo - widen, hi + widen
+                target = self.nat + mu / (self.spring.k1 if mu < 0.0 else self.spring.k2)
+            else:
+                mu, slack = 0.0, 0.0
+        theta = np.minimum(np.maximum(target, lo), hi)
+        d = theta - self.nat
+        spring = np.where(d < 0.0, self.half_k1, self.half_k2) * d * d
+        if mu:
+            spring -= mu * theta
+        spring[infeasible] = np.inf
+        bound = np.empty(self.tiles)
+        bound[...] = _spread(spring, a, self.ndof)
+        for i, term in enumerate(terms):
+            bound += _spread(self.lowest(term, i), i, self.ndof)
+        for i in self.pairs:
+            ys = (self.lowest(self.axes[i + 1], i + 1), self.highest(self.axes[i + 1], i + 1))
+            corners = [np.multiply.outer(p, y) for p in (self.lowest(self.scaled[i], i),
+                                                        self.highest(self.scaled[i], i))
+                       for y in ys]
+            bound += _spread(np.minimum.reduce(corners), i, self.ndof)
+        bound = bound.ravel()
+        if slack:
+            bound -= slack
+        return bound
+
+    def origin(self, t: int) -> list[int]:
+        """Grid index of tile t's first point."""
+        return [t // stride % n * edge for stride, n, edge in zip(self.strides, self.tiles,
+                                                                 self.edges)]
+
+    def tile_energies(self, t: int) -> np.ndarray:
+        """The energies of tile t's points, shaped as the tile.
+
+        A point's energy is a fixed sum of terms, each computed by the same
+        float operations at every point: the spring term of its gap (inf
+        outside the gap bounds), one term `(0.5*diag[i]*x - b[i])*x` per DOF
+        and one `off[i]*x[i]*x[i+1]` per coupled pair.
+        """
+        n1 = self.n1
+        keys = [(slice(None),) * i + (slice(o, o + edge),)
+                for i, (o, edge) in enumerate(zip(self.origin(t), self.edges))]
+        x = [v[k] for v, k in zip(self.xs, keys)]
+        g1, g2 = (t // self.strides[i] % self.tiles[i] for i in (n1 - 1, n1))
+        theta = self.outer_spread[keys[n1 - 1]] + x[n1]
+        d = theta - self.nat
+        # ((0.5*k)*d)*d with k1 below the natural length and k2 from it on; the
+        # tile's extremes of d say whether it needs the mask
+        spring = d * (self.half_k2 if self.d_hi[g1, g2] >= 0.0 else self.half_k1)
+        if self.d_lo[g1, g2] < 0.0 <= self.d_hi[g1, g2]:
+            np.multiply(d, self.half_k1, out=spring, where=d < 0.0)
+        spring *= d
+        if self.theta_lo[g1, g2] < self.glo - 1e-12:
+            spring[theta < self.glo - 1e-12] = np.inf
+        if self.theta_hi[g1, g2] > self.ghi + 1e-12:
+            spring[theta > self.ghi + 1e-12] = np.inf
+        energy = np.add(spring, self.ts[0][keys[0]],
+                        out=np.empty(tuple(v.shape[i] for i, v in enumerate(x))))
+        for v, k in zip(self.ts[1:], keys[1:]):
+            energy += v[k]
+        for i in self.pairs:
+            energy += self.ps[i][keys[i]] * x[i + 1]
+        return energy
+
+    def empty_error(self) -> EmptyFeasibleGrid:
+        """The error for a grid without a point of finite energy."""
+        n1, glo, ghi = self.n1, self.glo, self.ghi
+        ea, eb = self.edges[n1 - 1], self.edges[n1]
+        for a, c in zip(*np.nonzero((self.theta_hi >= glo - 1e-12)
+                                    & (self.theta_lo <= ghi + 1e-12))):
+            gap = np.add.outer(self.outer[a * ea:a * ea + ea], self.axes[n1][c * eb:c * eb + eb])
+            if not np.all((gap < glo - 1e-12) | (gap > ghi + 1e-12)):
+                return EmptyFeasibleGrid("the energy overflows at every feasible grid point")
+        return EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
+
+
 @np.errstate(all="ignore")  # an overflowing bound or energy is inf or NaN, never a warning
 def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
                           variant: ConstraintVariant, bounds, step: float) -> DofVector:
@@ -208,136 +436,45 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     most six DOFs and 2**23 grid points, a cap that bounds the run time.
 
     The grid is cut into tiles, Cartesian products of per-axis chunks whose
-    edges `_tile_edges` fits to the axes within `_BLOCK_POINTS` points.  A
-    point's energy is a fixed sum of terms, each computed by the same float
-    operations at every point: the spring term of its gap (inf outside the
-    gap bounds), one term `(0.5*diag[i]*x - b[i])*x` per DOF and one
-    `off[i]*x[i]*x[i+1]` per coupled pair.  A tile's bound sums, in the same
-    order, the spring term at the tile's gap nearest the natural length (0
-    if its gaps straddle it, inf if they all miss the gap bounds), each DOF
-    term at its least value over the tile's chunk and each pair term at the
-    least of its four box corners.  The gap's extremes lie at tile corners.
-    Correctly rounded arithmetic is monotone, so no energy computed in the
-    tile falls below its bound.
+    edges `_tile_edges` fits to the axes within `_BLOCK_POINTS` points.  Each
+    tile gets a lower bound on the energies computed in it (`_Grid.tile_bounds`):
+    a multiplier mu on the gap splits the spring's coupling of the two gap
+    DOFs, so the spring bracket and the shifted DOF terms bottom out near the
+    same point, and the bound gives up a rounding slack derived there.  mu
+    is minus the spring force at the gap of the box centre (`_Grid.multiplier`),
+    0 if that is not finite; any mu gives a valid bound.
 
-    Tiles are evaluated in ascending order of bound (stable), each into one
-    reused tile buffer, and the search stops at the first tile whose bound
+    Tiles are evaluated in ascending order of bound (stable), each into
+    arrays of the tile's size, and the search stops at the first tile whose bound
     exceeds the best energy; tiles of bound inf are never evaluated, and
     tiles of NaN bound always.  Of equal energies the first point in C
     order wins, so the result is the first minimum of the whole grid, bit
     for bit, whatever the tile size; a NaN energy never wins.  Nothing warns:
     if feasible points exist but no energy among them is finite, the
     EmptyFeasibleGrid raised says the energy overflows.  Memory per call is
-    one tile buffer plus one bound per tile, beside the axes.  By convexity
+    one tile's arrays plus one bound per tile, beside the axes.  By convexity
     the result lies within one grid step of the true minimizer in every
     coordinate.
     """
-    mesh = system.mesh
-    n1 = mesh.n1
-    ndof = n1 + mesh.n2
-    if ndof > 6:
-        raise ValidationError(f"brute force limited to 6 DOFs, got {ndof}")
-    axes = _grid_axes(bounds, step, ndof)
-
-    l = mesh.geometry.l
-    glo, ghi = variant.bounds(l)
-    nat, half_k1, half_k2 = spring.natural_length, 0.5 * spring.k1, 0.5 * spring.k2
-    diag = np.concatenate((system.diag1, system.diag2))
-    b = np.concatenate((system.b1, system.b2))
-    off = np.concatenate((system.off1, [0.0], system.off2))  # no coupling across the gap
-    pairs = [i for i in range(ndof - 1) if i != n1 - 1]  # the gap's zero coupling adds zeros
-    # the energy's per-axis factors, by the operations a point's energy uses
-    outer = 2.0 * l - axes[n1 - 1]  # the gap is outer + axes[n1], as in spring_gap
-    terms = [(0.5 * diag[i] * axis - b[i]) * axis for i, axis in enumerate(axes)]
-    scaled = {i: off[i] * axes[i] for i in pairs}  # off*x, times the next axis
-
-    edges = _tile_edges([axis.size for axis in axes], _BLOCK_POINTS)
-    starts = [np.arange(0, axis.size, edge) for axis, edge in zip(axes, edges)]
-    tiles = tuple(s.size for s in starts)
-
-    def lowest(values, i):
-        return np.minimum.reduceat(values, starts[i])
-
-    def highest(values, i):
-        return np.maximum.reduceat(values, starts[i])
-
-    # the gap rises with axes[n1] and falls with axes[n1 - 1]: its extremes are corners
-    theta_lo = np.add.outer(lowest(outer, n1 - 1), lowest(axes[n1], n1))
-    theta_hi = np.add.outer(highest(outer, n1 - 1), highest(axes[n1], n1))
-    d_lo, d_hi = theta_lo - nat, theta_hi - nat
-    # the spring term falls towards the natural length from either side
-    spring_lo = np.where(d_lo > 0.0, half_k2 * d_lo * d_lo,
-                         np.where(d_hi < 0.0, half_k1 * d_hi * d_hi, 0.0))
-    spring_lo[(theta_hi < glo - 1e-12) | (theta_lo > ghi + 1e-12)] = np.inf
-    bound = np.empty(tiles)
-    bound[...] = _spread(spring_lo, n1 - 1, ndof)
-    for i in range(ndof):
-        bound += _spread(lowest(terms[i], i), i, ndof)
-    for i in pairs:
-        # off*x is monotone in x and the product in each factor: a corner is lowest
-        ys = (lowest(axes[i + 1], i + 1), highest(axes[i + 1], i + 1))
-        corners = [np.multiply.outer(p, y) for p in (lowest(scaled[i], i),
-                                                    highest(scaled[i], i)) for y in ys]
-        bound += _spread(np.minimum.reduce(corners), i, ndof)
-    bound = bound.ravel()
+    grid = _Grid(system, spring, variant, bounds, step)
+    bound = grid.tile_bounds(grid.multiplier())
     bound[np.isnan(bound)] = -np.inf  # evaluated first, never skipped
-    order = np.argsort(bound, kind="stable")
-
-    xs = [_spread(axis, i, ndof) for i, axis in enumerate(axes)]
-    ts = [_spread(term, i, ndof) for i, term in enumerate(terms)]
-    ps = {i: _spread(scaled[i], i, ndof) for i in pairs}
-    outer = _spread(outer, n1 - 1, ndof)
-    energy_buf = np.empty(math.prod(edges))
-    gap_bufs = [np.empty(edges[n1 - 1] * edges[n1], dtype=t) for t in (float, float, bool)]
-    views = {}  # tile shape -> views of the tile buffers
     best, best_energy = (), math.inf  # () sorts before any index: an inf never wins
-    strides = [math.prod(tiles[i + 1:]) for i in range(ndof)]
-    for t in map(int, order):
+    for t in map(int, np.argsort(bound, kind="stable")):
         if bound[t] > best_energy or bound[t] == math.inf:
             break
-        tile = [t // stride % n for stride, n in zip(strides, tiles)]
-        keys = [(slice(None),) * i + (slice(c * edge, c * edge + edge),)
-                for i, (c, edge) in enumerate(zip(tile, edges))]
-        x = [v[k] for v, k in zip(xs, keys)]
-        shape = tuple(v.shape[i] for i, v in enumerate(x))
-        if shape not in views:
-            gap_shape = (1,) * (n1 - 1) + shape[n1 - 1:n1 + 1] + (1,) * (ndof - n1 - 1)
-            flat = energy_buf[:math.prod(shape)]
-            views[shape] = (flat, flat.reshape(shape),
-                            *(buf[:math.prod(gap_shape)].reshape(gap_shape) for buf in gap_bufs))
-        flat, energy, theta, d, mask = views[shape]
-        g1, g2 = tile[n1 - 1:n1 + 1]  # the tile's chunks of the two gap axes
-        np.add(outer[keys[n1 - 1]], x[n1], out=theta)
-        np.subtract(theta, nat, out=d)
-        # ((0.5*k)*d)*d with k1 below the natural length and k2 from it on; the
-        # tile's extremes of d say whether it needs the mask
-        np.multiply(d, half_k2 if d_hi[g1, g2] >= 0.0 else half_k1, out=energy)
-        if d_lo[g1, g2] < 0.0 <= d_hi[g1, g2]:
-            np.multiply(d, half_k1, out=energy, where=np.less(d, 0.0, out=mask))
-        energy *= d
-        if theta_lo[g1, g2] < glo - 1e-12:
-            np.copyto(energy, np.inf, where=np.less(theta, glo - 1e-12, out=mask))
-        if theta_hi[g1, g2] > ghi + 1e-12:
-            np.copyto(energy, np.inf, where=np.greater(theta, ghi + 1e-12, out=mask))
-        for v, k in zip(ts, keys):
-            energy += v[k]
-        for i in pairs:
-            energy += ps[i][keys[i]] * x[i + 1]
+        energy = grid.tile_energies(t)
+        flat = energy.ravel()
         j = flat.argmin()
         if math.isnan(flat[j]):
             np.copyto(flat, np.inf, where=np.isnan(flat))
             j = flat.argmin()
         if flat[j] <= best_energy:
-            index = tuple(c * edge + int(k)
-                          for c, edge, k in zip(tile, edges, np.unravel_index(j, shape)))
+            index = tuple(o + int(k) for o, k in zip(grid.origin(t),
+                                                     np.unravel_index(j, energy.shape)))
             if (flat[j], index) < (best_energy, best):  # index tuples compare in C order
                 best, best_energy = index, flat[j]
     if not best:  # every feasible point's energy is inf or NaN, if there is one
-        ea, eb = edges[n1 - 1], edges[n1]
-        for a, c in zip(*np.nonzero((theta_hi >= glo - 1e-12) & (theta_lo <= ghi + 1e-12))):
-            gap = np.add.outer(outer.ravel()[a * ea:a * ea + ea], axes[n1][c * eb:c * eb + eb])
-            if not np.all((gap < glo - 1e-12) | (gap > ghi + 1e-12)):
-                raise EmptyFeasibleGrid("the energy overflows at every feasible grid point")
-        raise EmptyFeasibleGrid(f"no grid point satisfies gap bounds [{glo}, {ghi}]")
-    u = np.array([axis[k] for axis, k in zip(axes, best)])
-    return DofVector(u[:n1], u[n1:])
+        raise grid.empty_error()
+    u = np.array([axis[k] for axis, k in zip(grid.axes, best)])
+    return DofVector(u[:grid.n1], u[grid.n1:])

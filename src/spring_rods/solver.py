@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleCandidate, NoConsistentRegime, NonPositiveLambda, ValidationError
-from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
+from .fem import (DiscreteSystem, DofVector, ReducedSystem, _dot, build_mesh, assemble,
                   recover_full, schur_reduce)
 from .model import (ConstraintVariant, PenaltyLaw, ProblemSpec, SpringLaw,
                     _check_natural_length, _real, spring_gap)
@@ -407,7 +407,8 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
         c1, c2 = float(c[n1 - 1]), float(c[n1])
         c[n1 - 1] = c[n1] = 0.0  # c_rest; its norm scaled by a power of two, as _ramp_dot does
         e = math.frexp(float(np.max(np.abs(c))))[1]
-        rest = float(np.ldexp(np.linalg.norm(np.ldexp(c, -e)), e))
+        scaled = np.ldexp(c, -e)
+        rest = float(np.ldexp(math.sqrt(_dot(scaled, scaled)), e))
 
         targets = [lo, hi if math.isfinite(hi) else theta_u + 1.0]
         if lo <= 2.0 * l <= hi:

@@ -165,6 +165,13 @@ class TestSolveCommand:
 
 
 class TestSolveExitStatus:
+    def test_count_past_the_float_range_is_an_error(self, capsys, tmp_path):
+        # accepted, it printed an OverflowError traceback from the element length
+        code, out, err = run_cli(capsys, "solve", "--n1", "1" + "0" * 400,
+                                 "--outdir", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "past the float range" in err
+
     def test_infinite_tolerance_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--method", "gradient", "--f1", "3",
                                "--f2=-1", "--k1", "0.5", "--tol", "inf",

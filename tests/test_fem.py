@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,21 @@ class TestBuildMesh:
     def test_numpy_integer_count(self):
         mesh = build_mesh(GEO, np.int64(3), 2)
         assert mesh.n1 == 3 and len(mesh.nodes1) == 4
+
+    def test_count_past_the_float_range(self):
+        # accepted, it leaked an OverflowError from h1 = L1 / n1
+        with pytest.raises(ZeroElements, match="past the float range"):
+            build_mesh(GEO, 10 ** 400, 4)
+        # too long to print, and beside an empty count
+        with pytest.raises(ZeroElements, match="past the float range"):
+            build_mesh(GEO, 0, 10 ** 5000)
+        assert build_mesh(GEO, int(sys.float_info.max), 1).h1 > 0.0
+
+    def test_count_past_the_float_range_through_solve(self):
+        problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, -1.0),
+                               ConstraintVariant.NON_PENETRATION)
+        with pytest.raises(ZeroElements, match="past the float range"):
+            solve(problem, (1, 10 ** 400))
 
 
 class TestAssemble:
@@ -463,3 +482,42 @@ def test_field_bound_never_passes_an_overflowing_field():
         else:
             overflowed += 1
     assert min(passed, refused_finite, overflowed) >= 20, (passed, refused_finite, overflowed)
+
+
+#: Prints the hex of r, the pinned energy, g1, g2, s and the quadratic energy,
+#: and a hash of u, per solve; then vi_residual of a 12000+12000 solve.
+_THREADS_PROBE = """
+import hashlib
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw, assemble,
+                         build_mesh, schur_reduce, solve_exact, vi_residual)
+geo, mat, spring = Geometry(-1.3, 0.9, 0.4), Material(1.7, 0.6), SpringLaw(0.3, 0.5, 0.8)
+variant = ConstraintVariant.NON_PENETRATION
+for forces in (BodyForce(2.5, -1.5), (lambda x: 3.0 + x * x, lambda x: -1.0 - x)):
+    for n in (10001, 2 ** 15):
+        system = assemble(build_mesh(geo, n, n), mat, forces)
+        reduced = schur_reduce(system)
+        sol = solve_exact(reduced, spring, variant, geo.l)
+        u = sol.u.rod1.astype("<f8").tobytes() + sol.u.rod2.astype("<f8").tobytes()
+        print(*(float(x).hex() for x in (*reduced.r, reduced.offset, sol.g1, sol.g2, sol.s,
+                                         system.energy(sol.u))), hashlib.sha256(u).hexdigest())
+system = assemble(build_mesh(geo, 12000, 12000), mat, BodyForce(2.5, -1.5))
+sol = solve_exact(schur_reduce(system), spring, variant, geo.l)
+print(float(vi_residual(system, spring, variant, sol.u)).hex())
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10000 entries over its threads, which
+    # moved the last bits of r, and so of the whole solution, with the thread
+    # count; each run here is a fresh process, since OpenBLAS reads the count
+    # once, at load
+    import spring_rods
+
+    src = str(Path(spring_rods.__file__).resolve().parents[1])
+    outputs = [subprocess.run([sys.executable, "-c", _THREADS_PROBE], capture_output=True,
+                              text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src,
+                                   "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert outputs[0].count("\n") == 5
+    assert outputs[0] == outputs[1]

@@ -694,3 +694,79 @@ def test_chosen_grid_points_are_pinned(monkeypatch, mesh_sizes, block):
             else:
                 digest.update(dof.rod1.astype("<f8").tobytes() + dof.rod2.astype("<f8").tobytes())
     assert digest.hexdigest()[:32] == PINNED_GRID_POINTS[mesh_sizes, block]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(n1=st.integers(1, 3), n2=st.integers(1, 3),
+       variant=st.sampled_from(list(ConstraintVariant)),
+       l=st.floats(0.1, 0.8), L1=st.floats(0.5, 1.5), L2=st.floats(0.5, 1.5),
+       E1=st.floats(0.5, 4.0), E2=st.floats(0.5, 4.0),
+       k1=st.floats(0.01, 2.0), k2=st.floats(0.01, 2.0), natural=st.floats(0.05, 2.0),
+       f1=st.floats(-1e3, 1e3), f2=st.floats(-1e3, 1e3),
+       target=st.sampled_from(("natural", "lower", "upper", "rigid")),
+       step=st.floats(1e-3, 0.3), seed=st.integers(0, 2 ** 32 - 1),
+       budget=st.sampled_from((1, 2, 5, 16, 64, 2 ** 10)),
+       mu=st.one_of(st.sampled_from((0.0, "centre", 1e150, -1e150)),
+                    st.builds(lambda sign, e: sign * 10.0 ** e,
+                              st.sampled_from((-1.0, 1.0)), st.floats(-3.0, 3.0))))
+def test_tile_bounds_hold_every_energy(n1, n2, variant, l, L1, L2, E1, E2, k1, k2, natural,
+                                       f1, f2, target, step, seed, budget, mu):
+    # every energy the tile evaluation computes lies on or above its tile's
+    # bound, for any multiplier: the multiplier only sets how tight the bound is.
+    # Boxes lie near the rods' minimizer without the spring, their gap axes
+    # across the natural length, a gap bound or the rigid gap; one-point tiles
+    # make the bound as tight as the rounding slack allows
+    geo = Geometry(-l - L1, l + L2, l)
+    spring = SpringLaw(k1, k2, natural)
+    system = assemble(build_mesh(geo, n1, n2), Material(E1, E2), BodyForce(f1, f2))
+    ndof = n1 + n2
+    rng = np.random.default_rng(seed)
+    points = int(rng.integers(1, math.floor(600 ** (1 / ndof)) + 1))
+    span = (points - 1) * step
+    free = [np.linalg.solve(np.diag(dg) + np.diag(of, 1) + np.diag(of, -1), rhs)
+            for dg, of, rhs in ((system.diag1, system.off1, system.b1),
+                                (system.diag2, system.off2, system.b2))]
+    lows = np.concatenate(free) - rng.uniform(0.0, 1.0, ndof) * span
+    glo, ghi = variant.bounds(l)
+    gap = {"natural": natural, "lower": glo, "upper": ghi}.get(target, 2.0 * l)
+    gap = gap if math.isfinite(gap) else 2.0 * l
+    lows[n1] = lows[n1 - 1] + gap - 2.0 * l + step * rng.uniform(-points, points)
+    with mock.patch.object(oracle, "_BLOCK_POINTS", budget), np.errstate(all="ignore"):
+        grid = oracle._Grid(system, spring, variant, [(lo, lo + span) for lo in lows], step)
+        bound = grid.tile_bounds(grid.multiplier() if mu == "centre" else mu)
+        for t in range(bound.size):
+            energy = grid.tile_energies(t)
+            assert not np.any(energy < bound[t]), (t, energy.min(), bound[t])
+
+
+#: Grid points evaluated on each 1+1 problem of `_pin_problem`, 12 per variant
+#: in variant order, by the search whose tile bound minimized each term on its
+#: own, with tiles of 2**12 points: 18432 on average.
+SEPARATE_BOUND_POINTS = [
+    16384, 16384, 16384, 4096, 16384, 16384, 16384, 40960, 90112, 20480, 32768, 12288,
+    28672, 16384, 24576, 61440, 8192, 32768, 16384, 8192, 8192, 20480, 40960, 20480,
+    8192, 12288, 4096, 24576, 12288, 16384, 16384, 4096, 12288, 20480, 28672, 4096,
+    8192, 16384, 16384, 24576, 8192, 8192, 8192, 12288, 8192, 8192, 8192, 8192,
+]
+
+
+def test_the_multiplier_bound_evaluates_few_points(monkeypatch):
+    # points, not tiles, so the counts hold whatever the tile size
+    counted = []
+    tile_energies = oracle._Grid.tile_energies
+
+    def counting(grid, t):
+        energy = tile_energies(grid, t)
+        counted[-1] += energy.size
+        return energy
+
+    monkeypatch.setattr(oracle._Grid, "tile_energies", counting)
+    for variant in ConstraintVariant:
+        for i in range(12):
+            counted.append(0)
+            try:
+                grid_search_minimizer(*_pin_problem((1, 1), variant, i))
+            except EmptyFeasibleGrid:
+                pass
+    assert all(n <= before for n, before in zip(counted, SEPARATE_BOUND_POINTS)), counted
+    assert 3 * sum(counted) <= sum(SEPARATE_BOUND_POINTS), counted
