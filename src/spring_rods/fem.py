@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConsistentRegime, ZeroElements
+from .errors import NoConsistentRegime, ValidationError, ZeroElements
 from .model import BodyForce, Geometry, Material
 
 _GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
@@ -365,11 +365,13 @@ def interface_stress(mesh: Mesh, dof: DofVector, material: Material,
                      forces: BodyForce) -> tuple[float, float]:
     """Stress traces at the inner rod ends, read from the two end elements.
 
-    Each end element's stress E*(difference)/h is exact at its midpoint;
-    extrapolating to the end with the balance equation (stress rate =
-    -density) removes the half-element offset, so for constant loads the
-    traces are exact.  A one-element rod's outer neighbour is the clamp, 0.
+    Each end element's stress E*(difference)/h is exact at its midpoint; extrapolating to
+    the end with the balance equation (stress rate = -density) removes the half-element
+    offset, so the traces are exact for the constant loads of a BodyForce, the only loads
+    taken.  A one-element rod's outer neighbour is the clamp, 0.
     """
+    if not isinstance(forces, BodyForce):
+        raise ValidationError(f"stress traces need a BodyForce, got {type(forces).__name__}")
     u1_prev = float(dof.rod1[-2]) if mesh.n1 > 1 else 0.0
     u2_next = float(dof.rod2[1]) if mesh.n2 > 1 else 0.0
     return (material.E1 * (dof.g1 - u1_prev) / mesh.h1 - 0.5 * forces.f1 * mesh.h1,

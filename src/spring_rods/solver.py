@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InfeasibleCandidate, NoConsistentRegime, NonPositiveLambda, ValidationError
-from .fem import (DiscreteSystem, DofVector, ReducedSystem, _dot, build_mesh, assemble,
+from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce)
 from .model import (ConstraintVariant, PenaltyLaw, ProblemSpec, SpringLaw,
                     _check_natural_length, _real, spring_gap)
@@ -364,63 +364,41 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
 
 def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVariant,
                 candidate: DofVector, trials: int = 1000, seed: int = 0) -> float:
-    """Most negative VI value over the shifted probes and `trials` random feasible directions.
+    """Least VI value of the candidate u over the feasible directions d = v - u, |d|_1 <= 1.
 
-    For each feasible trial v the quantity (A u, v-u) + j(u,v) - j(u,u)
-    - (f, v-u) is evaluated, with j the frozen-force gap work; a result
-    above minus tolerance certifies the candidate.  With the force frozen
-    the quantity is linear in d = v - u, namely c.d with c = A u - f plus
-    the force at g1 and minus it at g2.  The probes are the gap shifted to
-    each bound (and to the natural length) plus `trials` directions d with
-    N(0, 0.5**2) entries, each moved back into the gap bounds through its g2
-    entry.  Only the two gap entries of d are drawn one by one; the rest of
-    c.d, a sum of independent normals, is exactly 0.5*|c_rest|*N(0, 1) with
-    c_rest the off-gap part of c, so each trial draws (g1 entry, g2 entry,
-    rest) as three N(0, 0.5**2) values.  `trials` and `seed` are integers
-    >= 0, and trials is capped at 2**21.  A candidate with a non-finite
-    entry is refused; if c or a probe value is not finite (the stiffness
-    product overflows), the result is -inf.
+    With the force frozen at u's gap the VI is c.d: c = A u - f on the full field, plus the
+    force at g1 (entry a = n1 - 1) and minus it at g2 (b = n1).  A feasible d keeps d_b - d_a
+    >= 0 at an active lower bound, <= 0 at an upper one and 0 at both, so the feasible l1 ball
+    has the vertices +-e_i off the gap, the +-e_a, +-e_b this cone admits and +-(e_a + e_b)/2.
+    As c_a d_a + c_b d_b = tau*(d_a + d_b) + mu*(d_b - d_a) with tau, mu = (c_b +- c_a)/2, the
+    least c.d is -max(max |c_i| off the gap, |tau| + v), v counting mu > 0 unless the lower
+    bound is active and mu < 0 unless the upper one is: the normal cone of a convex VI.  So a
+    value >= -tolerance certifies u.  The bound is read from u's gap within 1e-9 plus the
+    rounding of 2l - g1 + g2; a gap past a bound by more is InfeasibleCandidate, rods not
+    finite real arrays of shapes (n1,), (n2,) a ValidationError, and a c or a value not finite
+    gives -inf.  `trials` and `seed` are ignored, as nothing is drawn (`certify` passes them).
     """
-    mesh = system.mesh
-    n1 = mesh.n1
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
-            raise ValidationError(f"{name} must be an integer >= 0, got {value!r}")
-    if trials > 2 ** 21:
-        raise ValidationError(f"trials limited to 2**21, got {trials}")
-    if not (np.all(np.isfinite(candidate.rod1)) and np.all(np.isfinite(candidate.rod2))):
+    rods, (n1, n2) = (candidate.rod1, candidate.rod2), (system.mesh.n1, system.mesh.n2)
+    got = [r.shape if isinstance(r, np.ndarray) else type(r).__name__ for r in rods]
+    if got != [(n1,), (n2,)] or not all(r.dtype.kind in "iuf" for r in rods):
+        raise ValidationError(f"need real rod arrays of shapes ({n1},) and ({n2},), got {got}")
+    if not all(np.isfinite(r).all() for r in rods):
         raise ValidationError("candidate has a non-finite entry")
-    l = mesh.geometry.l
-    lo, hi = variant.bounds(l)
-    theta_u = spring_gap(l, candidate.g1, candidate.g2)
-    if theta_u < lo - 1e-9 or theta_u > hi + 1e-9:
-        raise InfeasibleCandidate(f"gap {theta_u} outside [{lo}, {hi}]")
-
+    l, g1, g2 = system.mesh.geometry.l, candidate.g1, candidate.g2
+    (lo, hi), theta = variant.bounds(l), spring_gap(l, g1, g2)
+    tol = 1e-9 + 8.0 * math.ulp(1.0) * (l + 0.5 * abs(g1) + 0.5 * abs(g2))
+    if not lo - tol <= theta <= hi + tol:
+        raise InfeasibleCandidate(f"gap {theta} outside [{lo}, {hi}]")
     with np.errstate(over="ignore", invalid="ignore"):
-        force = spring.force(theta_u)
         au = system.apply(candidate)
         c = np.concatenate((au.rod1 - system.b1, au.rod2 - system.b2))
-        c[n1 - 1] += force
-        c[n1] -= force
-        if not np.all(np.isfinite(c)):
-            return -math.inf
-        c1, c2 = float(c[n1 - 1]), float(c[n1])
-        c[n1 - 1] = c[n1] = 0.0  # c_rest; its norm scaled by a power of two, as _ramp_dot does
-        e = math.frexp(float(np.max(np.abs(c))))[1]
-        scaled = np.ldexp(c, -e)
-        rest = float(np.ldexp(math.sqrt(_dot(scaled, scaled)), e))
-
-        targets = [lo, hi if math.isfinite(hi) else theta_u + 1.0]
-        if lo <= 2.0 * l <= hi:
-            targets.append(2.0 * l)
-        shifted = min(c2 * (target - theta_u) for target in targets)
-
-        a, b, z = np.random.default_rng(seed).normal(0.0, 0.5, (trials, 3)).T
-        t = theta_u - a + b
-        b += np.clip(t, lo, hi) - t
-        sampled = np.min(a * c1 + b * c2 + z * rest, initial=np.inf)
-    # NaN: opposite infinities from products past DBL_MAX, which certify nothing
-    return -math.inf if math.isnan(sampled) else float(min(shifted, sampled))
+    ca, cb = float(c[n1 - 1]) + spring.force(theta), float(c[n1]) - spring.force(theta)
+    c[n1 - 1] = c[n1] = 0.0
+    if not (np.isfinite(c).all() and math.isfinite(ca) and math.isfinite(cb)):
+        return -math.inf
+    tau, mu = 0.5 * ca + 0.5 * cb, 0.5 * cb - 0.5 * ca
+    v = max(0.0, 0.0 if theta <= lo + tol else mu, 0.0 if theta >= hi - tol else -mu)
+    return -max(float(np.max(np.abs(c))), abs(tau) + v)  # -inf if the sum overflows
 
 
 # ---------------------------------------------------------------------------

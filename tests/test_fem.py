@@ -11,7 +11,7 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import cholesky_banded, solveh_banded
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw,
-                         ZeroElements, assemble, build_mesh, interface_stress,
+                         ValidationError, ZeroElements, assemble, build_mesh, interface_stress,
                          recover_full, schur_reduce, solve_exact, spring_gap)
 from spring_rods import analytic_solution, make_problem, solve
 from spring_rods.fem import DofVector, v_norm
@@ -271,6 +271,13 @@ class TestStress:
             s1, s2 = interface_stress(mesh, sol.u, MAT, BodyForce(6.0, -6.0))
             assert s1 == pytest.approx(-0.75, abs=1e-8)
             assert s2 == pytest.approx(-0.75, abs=1e-8)
+
+    def test_callable_loads_are_refused(self):
+        # the end-element extrapolation is exact for constant densities only
+        mesh, _ = make_system(4, 4)
+        dof = DofVector(np.zeros(4), np.zeros(4))
+        with pytest.raises(ValidationError, match="need a BodyForce, got tuple"):
+            interface_stress(mesh, dof, MAT, (lambda x: 1.0, lambda x: -1.0))
 
 
 def _hat_integrals(nodes, density):
