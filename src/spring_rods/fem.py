@@ -9,8 +9,11 @@ interface behaviour condenses exactly onto the two inner-end displacements
 (g1, g2), in closed form: every interior-minimized field is the field pinned
 at both rod ends plus g times the linear nodal ramp, so the condensed
 stiffness is diag(E1/L1, E2/L2) on any uniform mesh and the condensed load is
-the load dotted with the ramp.  Field recovery writes each rod's field in
-place into one output array.
+the load dotted with the ramp.  For the constant densities of a BodyForce
+that dot is exactly f*L/2 per rod, so the system keeps the force, builds its
+load vectors only when they are read, and condenses in O(1); other loads
+keep their vectors and the dot.  Field recovery writes each rod's field in
+place into one output array, with one scratch array for both rods.
 """
 
 from __future__ import annotations
@@ -31,6 +34,9 @@ _HALF_MAX = 0.5 * sys.float_info.max
 #: Entries per BLAS dot in `_dot`: OpenBLAS splits longer dots over its
 #: threads, and the split moves the last bits with the thread count.
 _DOT_CHUNK = 10_000
+#: The most elements per rod: the n + 1 doubles of a rod's nodes then span at
+#: most np.intp's largest value in bytes, the largest array numpy can address.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8 - 1
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -73,28 +79,20 @@ class Mesh:
     def h2(self) -> float:
         return self.geometry.L2 / self.n2
 
-    @cached_property
-    def _ramp_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """n times the nodal linear ramp on the free nodes of each rod.
-
-        The ramp (0 at the clamped end, 1 at the interface) is the discrete
-        harmonic extension of a unit interface value: its stiffness residual
-        vanishes at every interior node.  Integer weights with one division
-        after the dot product avoid rounding each j/n.
-        """
-        return np.arange(1.0, self.n1 + 1.0), np.arange(self.n2, 0.0, -1.0)
-
 
 def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
     """Partition both rods uniformly.
 
-    Raises ZeroElements for a non-integer or empty count, or one past the
-    float range, which leaves no element length; a bool is not a count.
+    Raises ZeroElements for a non-integer or empty count, or one above
+    `_MAX_ELEMENTS`, whose arrays no np.intp index can address; a bool is not
+    a count.
     """
     whole = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2))
-    if whole and max(n1, n2) > sys.float_info.max:  # the count may be too long to print
-        raise ZeroElements(f"need at most {sys.float_info.max:.4g} elements per rod, "
-                           f"got a count past the float range")
+    if whole and max(n1, n2) > _MAX_ELEMENTS:
+        got = ("a count past the float range" if max(n1, n2) > sys.float_info.max
+               else f"n1={n1}, n2={n2}")  # a count past the float range may be too long to print
+        raise ZeroElements(f"need at most {_MAX_ELEMENTS} elements per rod, the most whose "
+                           f"node arrays numpy can address, got {got}")
     if not (whole and min(n1, n2) >= 1):
         raise ZeroElements(f"need a whole number of at least one element per rod, "
                            f"got n1={n1}, n2={n2}")
@@ -147,22 +145,34 @@ def _quadrature_load(nodes: np.ndarray, f, skip_first: bool) -> np.ndarray:
     return full[1:] if skip_first else full[:-1]
 
 
-@dataclass(frozen=True)
 class DiscreteSystem:
-    """Stiffness and load vectors of both rods.
+    """Stiffness and loads of both rods.
 
     Each rod's stiffness block is its scalar E/h (`stiff1`, `stiff2`) times
     the stencil (-1, 2, -1), with 1 on the diagonal at the interface node;
     diag/off are the main and first off-diagonal of each SPD block, built on
-    each access.
+    each access.  `b1` and `b2` are the consistent load vectors.  A system
+    built from a BodyForce (`forces`, as `assemble` builds it) builds them on
+    first read; one built from the two vectors has `forces` None.
     """
 
-    mesh: Mesh
-    material: Material
-    stiff1: float
-    stiff2: float
-    b1: np.ndarray
-    b2: np.ndarray
+    def __init__(self, mesh: Mesh, material: Material, stiff1: float, stiff2: float,
+                 b1: np.ndarray | None = None, b2: np.ndarray | None = None,
+                 forces: BodyForce | None = None):
+        if (forces is None) == (b1 is None or b2 is None):
+            raise ValidationError("need the load vectors b1 and b2, or a BodyForce alone")
+        self.mesh, self.material, self.stiff1, self.stiff2 = mesh, material, stiff1, stiff2
+        self.forces = forces
+        if forces is None:
+            self.b1, self.b2 = b1, b2
+
+    @cached_property
+    def b1(self) -> np.ndarray:
+        return _constant_load(self.mesh.n1, self.mesh.h1, self.forces.f1, interface_last=True)
+
+    @cached_property
+    def b2(self) -> np.ndarray:
+        return _constant_load(self.mesh.n2, self.mesh.h2, self.forces.f2, interface_last=False)
 
     @property
     def diag1(self) -> np.ndarray:
@@ -212,17 +222,17 @@ def _rod_matvec(k: float, u: np.ndarray, interface: int) -> np.ndarray:
 def assemble(mesh: Mesh, material: Material, forces) -> DiscreteSystem:
     """Build the rod stiffnesses and consistent loads.
 
-    `forces` is either a BodyForce (constant densities, integrated exactly)
-    or a pair of callables integrated with two-point Gauss per element.
+    `forces` is either a BodyForce (constant densities, integrated exactly;
+    the system keeps it and builds the load vectors on first read) or a pair
+    of callables integrated with two-point Gauss per element.
     """
+    stiff = (material.E1 / mesh.h1, material.E2 / mesh.h2)
     if isinstance(forces, BodyForce):
-        b1 = _constant_load(mesh.n1, mesh.h1, forces.f1, interface_last=True)
-        b2 = _constant_load(mesh.n2, mesh.h2, forces.f2, interface_last=False)
-    else:
-        f1, f2 = forces
-        b1 = _quadrature_load(mesh.nodes1, f1, skip_first=True)
-        b2 = _quadrature_load(mesh.nodes2, f2, skip_first=False)
-    return DiscreteSystem(mesh, material, material.E1 / mesh.h1, material.E2 / mesh.h2, b1, b2)
+        return DiscreteSystem(mesh, material, *stiff, forces=forces)
+    f1, f2 = forces
+    return DiscreteSystem(mesh, material, *stiff,
+                          _quadrature_load(mesh.nodes1, f1, skip_first=True),
+                          _quadrature_load(mesh.nodes2, f2, skip_first=False))
 
 
 def v_norm(mesh: Mesh, dof: DofVector) -> float:
@@ -263,10 +273,38 @@ class ReducedSystem:
                                 np.max(np.abs(self.pinned.rod2))))
 
     @cached_property
+    def _constant_peak(self) -> float:
+        """For a BodyForce, a bound on every value that recovering the pinned field
+        computes, known in O(1); inf for load vectors or past 2**50 elements per rod.
+
+        A rod of n elements fills n - 1 entries with c = f*h and takes their running
+        sums, all of c's sign and so at most n*|c|; each minus their mean is at most as
+        large, and the running sums of those differences are at most n^2*|c|, scaled
+        by q = h/E.  So n^2*|c|*max(1, q) bounds every value, rounded at most 3n + 8
+        times on its way, a factor below exp(3/8) < 2 up to 2**50 elements: the half
+        of DBL_MAX that `field_surely_finite` asks for leaves room for it.  A NaN
+        (no load on a rod with an infinite q) is inf here, so it fails every bound.
+        """
+        sys_ = self.system
+        mesh, mat, forces = sys_.mesh, sys_.material, sys_.forces
+        if forces is None or max(mesh.n1, mesh.n2) > 2 ** 50:
+            return math.inf
+        p1, p2 = (float(n) * float(n) * abs(f * h) * max(1.0, h / E)
+                  for n, f, h, E in ((mesh.n1, forces.f1, mesh.h1, mat.E1),
+                                     (mesh.n2, forces.f2, mesh.h2, mat.E2)))
+        return max(p1, p2) if math.isfinite(p1 + p2) else math.inf
+
+    @cached_property
     def offset(self) -> float:
         """Energy of the pinned field; -inf or NaN, without a warning, if it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             return -0.5 * self.system.load_dot(self.pinned)
+
+    def _field_bounded(self, g1: float, g2: float) -> bool:
+        """True if `recover_full(self, g1, g2)` is surely finite, known in O(1) from
+        `_constant_peak`: each recovered entry adds g times a ramp value in [0, 1] to a
+        pinned entry, each step rounded once.  False for load vectors."""
+        return self._constant_peak + abs(g1) + abs(g2) < _HALF_MAX
 
     def field_surely_finite(self, g1: float, g2: float) -> bool:
         """True if `recover_full(self, g1, g2)` is surely finite, known without recovering it.
@@ -274,10 +312,12 @@ class ReducedSystem:
         Each recovered entry is a pinned entry plus g times a ramp value in
         [0, 1], each step rounded once, so its magnitude is at most
         max|pinned| + |g1| + |g2| up to rounding.  Below half of DBL_MAX that
-        bound leaves no room for an overflow.  False means the bound fails,
-        not that the field overflows.
+        bound leaves no room for an overflow.  `_field_bounded` bounds max|pinned|
+        in O(1) for a BodyForce; where it fails, the pinned field is recovered once.
+        False means the bound fails, not that the field overflows.
         """
-        return self._pinned_peak + abs(g1) + abs(g2) < _HALF_MAX
+        return (self._field_bounded(g1, g2)
+                or self._pinned_peak + abs(g1) + abs(g2) < _HALF_MAX)
 
     def energy(self, g) -> float:
         (g1, g2), (s1, s2), (r1, r2) = g, self.S, self.r
@@ -300,25 +340,60 @@ class ReducedSystem:
         return math.sqrt(sq)
 
 
-def _pinned(b: np.ndarray, h_over_E: float, carried: np.ndarray, out: np.ndarray) -> None:
+def _pinned(loads, h_over_E: float, carried: np.ndarray, out: np.ndarray) -> None:
     """Write the interior nodal values of a rod held at zero at both ends into out.
 
     Node equilibrium makes consecutive element stresses differ by the nodal
     load, so the stresses are a constant minus the running load sum; zero
     end values make the stresses sum to zero, which fixes the constant.
-    `carried` (one entry more than b) receives the running sums.  The bare
-    ufunc calls are what `mean` and `cumsum` run after their Python wrappers
-    (the same pairwise sum, division and running sum), so the bits match.
+    `carried` (one entry more than out) receives the interior loads, a vector
+    or one constant, and then in place their running sums.  The bare ufunc
+    calls are what `mean` and `cumsum` run after their Python wrappers (the
+    same pairwise sum, division and running sum), so the bits match.
     """
     carried[0] = 0.0
-    np.add.accumulate(b, out=carried[1:])
+    tail = carried[1:]
+    tail[:] = loads
+    np.add.accumulate(tail, out=tail)
     np.subtract(float(np.add.reduce(carried)) / carried.size, carried[:-1], out=out)
     np.add.accumulate(out, out=out)
     out *= h_over_E
 
 
-def _ramp_dot(b: np.ndarray, w: np.ndarray, n: int) -> float:
-    """b . w / n; if the sum overflows, b is scaled by a power of two first (exact)."""
+#: The first counts 1, 2, ... that `_ramp` doubles from.
+_COUNT_BLOCK = np.arange(1.0, 4097.0)
+
+
+def _ramp(out: np.ndarray) -> np.ndarray:
+    """Write the nodal ramp j/n, j = 1..n = out.size, into out and return it.
+
+    The counts j are exact integers, doubled from `_COUNT_BLOCK`, so each j/n
+    is one division, as from the `np.arange` weights the ramp dot uses.
+    """
+    n = out.size
+    if n <= _COUNT_BLOCK.size:
+        return np.divide(_COUNT_BLOCK[:n], n, out=out)
+    m = _COUNT_BLOCK.size
+    out[:m] = _COUNT_BLOCK
+    while m < n:
+        k = min(m, n - m)
+        np.add(out[:k], m, out=out[m:m + k])
+        m += k
+    out /= n
+    return out
+
+
+def _ramp_dot(b: np.ndarray, interface_last: bool) -> float:
+    """b dotted with the nodal linear ramp of a rod's free nodes.
+
+    The ramp (0 at the clamped end, 1 at the interface) is the discrete
+    harmonic extension of a unit interface value: its stiffness residual
+    vanishes at every interior node.  Integer weights n*ramp with one
+    division after the dot avoid rounding each j/n.  If the sum overflows, b
+    is scaled by a power of two first (exact).
+    """
+    n = b.size
+    w = np.arange(1.0, n + 1.0) if interface_last else np.arange(n, 0.0, -1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         r = _dot(b, w) / n
         if not math.isfinite(r):
@@ -328,11 +403,16 @@ def _ramp_dot(b: np.ndarray, w: np.ndarray, n: int) -> float:
 
 
 def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
-    """Condense both rods onto (g1, g2); raises NoConsistentRegime if the load overflows."""
-    mesh, mat = system.mesh, system.material
-    geo = mesh.geometry
-    w1, w2 = mesh._ramp_weights
-    r = (_ramp_dot(system.b1, w1, mesh.n1), _ramp_dot(system.b2, w2, mesh.n2))
+    """Condense both rods onto (g1, g2); raises NoConsistentRegime if the load overflows.
+
+    For a BodyForce the ramp dot of each rod's consistent load is exactly
+    f*L/2, rounded once here; load vectors take `_ramp_dot`.
+    """
+    mat, forces, geo = system.material, system.forces, system.mesh.geometry
+    if forces is not None:
+        r = ((0.5 * forces.f1) * geo.L1, (0.5 * forces.f2) * geo.L2)
+    else:
+        r = (_ramp_dot(system.b1, interface_last=True), _ramp_dot(system.b2, interface_last=False))
     if not all(map(math.isfinite, r)):
         raise NoConsistentRegime(f"condensed load {r} is not finite: the loads are too large")
     return ReducedSystem(system, (mat.E1 / geo.L1, mat.E2 / geo.L2), r)
@@ -342,20 +422,23 @@ def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
     """Interior argmin of the energy for prescribed interface values.
 
     Each rod's field is written into one output array; one scratch array
-    holds first the running load sums and then g times the ramp.
+    holds first the running load sums and then g times the ramp.  A BodyForce
+    fills the loads with its constant f*h, so its load vectors are not read.
     """
     sys_ = reduced.system
-    mesh, mat = sys_.mesh, sys_.material
-    w1, w2 = mesh._ramp_weights
+    mesh, mat, forces = sys_.mesh, sys_.material, sys_.forces
     n1, n2 = mesh.n1, mesh.n2
+    loads1, loads2 = ((sys_.b1[:-1], sys_.b2[1:]) if forces is None
+                      else (forces.f1 * mesh.h1, forces.f2 * mesh.h2))
     scratch = np.empty(max(n1, n2))
     u1, u2 = np.empty(n1), np.empty(n2)
-    _pinned(sys_.b1[:-1], mesh.h1 / mat.E1, scratch[:n1], u1[:-1])
+    _pinned(loads1, mesh.h1 / mat.E1, scratch[:n1], u1[:-1])
     u1[-1] = 0.0
-    _pinned(sys_.b2[1:], mesh.h2 / mat.E2, scratch[:n2], u2[1:])
+    _pinned(loads2, mesh.h2 / mat.E2, scratch[:n2], u2[1:])
     u2[0] = 0.0
-    for u, g, w, n in ((u1, g1, w1, n1), (u2, g2, w2, n2)):
-        ramp = np.divide(w, n, out=scratch[:n])
+    # rod 2's ramp falls from the interface: its reversed view rises as rod 1's does
+    for u, g, n in ((u1, g1, n1), (u2[::-1], g2, n2)):
+        ramp = _ramp(scratch[:n])
         ramp *= g
         u += ramp
     return DofVector(u1, u2)

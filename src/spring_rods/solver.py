@@ -168,12 +168,14 @@ class _Interface(NamedTuple):
 
     def solution(self, method: str, iterations: int = 0, converged: bool = True,
                  step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
-        """The field recovered at g; a non-finite state raises NoConsistentRegime."""
+        """The field recovered at g; a non-finite state raises NoConsistentRegime.  A field
+        that the O(1) bound of a BodyForce proves finite is not scanned."""
         (g1, g2), s = self.g, self.s
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             u = recover_full(self.reduced, g1, g2)
         if not (all(map(math.isfinite, (g1, g2, s)))
-                and np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all()):
+                and (self.reduced._field_bounded(g1, g2)
+                     or np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())):
             raise NoConsistentRegime(f"equilibrium overflows: g1={g1}, g2={g2}, s={s} "
                                      f"or the nodal field is not finite")
         diag = SolverDiagnostics(method, iterations, self.residual, self.label, converged,

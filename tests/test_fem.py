@@ -14,7 +14,7 @@ from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, Sprin
                          ValidationError, ZeroElements, assemble, build_mesh, interface_stress,
                          recover_full, schur_reduce, solve_exact, spring_gap)
 from spring_rods import analytic_solution, make_problem, solve
-from spring_rods.fem import DofVector, v_norm
+from spring_rods.fem import DiscreteSystem, DofVector, _ramp_dot, v_norm
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -78,7 +78,15 @@ class TestBuildMesh:
         # too long to print, and beside an empty count
         with pytest.raises(ZeroElements, match="past the float range"):
             build_mesh(GEO, 0, 10 ** 5000)
-        assert build_mesh(GEO, int(sys.float_info.max), 1).h1 > 0.0
+
+    def test_count_past_the_addressable_arrays(self):
+        # accepted, it leaked numpy's ValueError: Maximum allowed dimension exceeded
+        limit = np.iinfo(np.intp).max // 8 - 1  # n + 1 nodes of 8 bytes
+        for n1, n2 in ((limit + 1, 4), (4, 10 ** 20), (int(sys.float_info.max), 1)):
+            with pytest.raises(ZeroElements, match=f"at most {limit} elements per rod"):
+                build_mesh(GEO, n1, n2)
+        mesh = build_mesh(GEO, limit, 1)  # allocates nothing yet
+        assert mesh.h1 > 0.0
 
     def test_count_past_the_float_range_through_solve(self):
         problem = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(1.0, -1.0),
@@ -96,6 +104,16 @@ class TestAssemble:
         assert system.off1[0] == -4.0
         assert system.b1[0] == 0.25
         assert system.b1[-1] == 0.125
+
+    def test_system_takes_load_vectors_or_a_body_force(self):
+        mesh, system = make_system(2, 2, f1=1.0)
+        b1, b2 = system.b1, system.b2  # built on first read from the kept BodyForce
+        with pytest.raises(ValidationError, match="or a BodyForce alone"):
+            DiscreteSystem(mesh, MAT, system.stiff1, system.stiff2)
+        with pytest.raises(ValidationError, match="or a BodyForce alone"):
+            DiscreteSystem(mesh, MAT, system.stiff1, system.stiff2, b1, b2, forces=system.forces)
+        given = DiscreteSystem(mesh, MAT, system.stiff1, system.stiff2, b1, b2)
+        assert given.forces is None and given.b1 is b1 and given.b2 is b2
 
     def test_zero_forces_zero_load(self):
         _, system = make_system(3, 3)
@@ -386,6 +404,41 @@ class TestClosedFormCondensation:
         assert np.max(np.abs(u.rod2[1:] - want2), initial=0.0) <= 1e-13
 
 
+def test_constant_load_ramp_dot_is_the_closed_form():
+    # schur_reduce takes the condensed load of a BodyForce as (0.5*f)*L, one
+    # rounding of f*L/2; here the consistent load vector's ramp dot, computed
+    # independently, must agree.  The vector holds c = fl(f*fl(L/n)) at n - 1
+    # nodes and c/2 at the interface, so its exact ramp dot over n is
+    # c*n/2 = f*L/2*(1 + d)^2 with |d| <= u = 2**-53.  The floating dot of n
+    # same-signed products, summed in any order, is off by at most
+    # gamma_n = n*u/(1 - n*u) of the exact dot, and the division rounds once:
+    # with the closed form's own rounding, the two lie within (n + 6)*u of
+    # the closed form for n <= 2**12
+    rng = np.random.default_rng(11)
+    u = 2.0 ** -53
+    for _ in range(300):
+        l = float(rng.uniform(0.1, 0.8))
+        L1, L2 = (float(x) for x in 2.0 ** rng.uniform(-3.0, 3.0, 2))
+        geo = Geometry(-l - L1, l + L2, l)
+        n1, n2 = (int(n) for n in np.round(2.0 ** rng.uniform(0.0, 12.0, 2)))
+        f1, f2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(-3.0, 300.0, 2)))
+        system = assemble(build_mesh(geo, n1, n2), MAT, BodyForce(f1, f2))
+        for b, interface_last, f, L, n in ((system.b1, True, f1, geo.L1, n1),
+                                           (system.b2, False, f2, geo.L2, n2)):
+            closed = (0.5 * f) * L
+            assert abs(_ramp_dot(b, interface_last) - closed) <= (n + 6) * u * abs(closed), (
+                n, f, L)
+        assert schur_reduce(system).r == ((0.5 * f1) * geo.L1, (0.5 * f2) * geo.L2)
+
+
+def test_ramp_dot_survives_an_overflowing_sum():
+    # at 8+8 the integer-weighted sum b . (n * ramp) of these loads overflows;
+    # scaled by a power of two first, the dot is the representable f*L/2
+    system = assemble(build_mesh(GEO, 8, 8), MAT, BodyForce(1e308, -1e308))
+    assert (_ramp_dot(system.b1, True), _ramp_dot(system.b2, False)) == (2.5e307, -2.5e307)
+
+
 @pytest.mark.parametrize("variant", list(ConstraintVariant))
 def test_fine_mesh_field_matches_continuum_oracle(variant):
     n = 2 ** 15
@@ -398,8 +451,9 @@ def test_fine_mesh_field_matches_continuum_oracle(variant):
 
 
 def test_fine_mesh_solve_allocation_budget():
-    # an exact solve keeps the two load vectors, the two ramps, the two field
-    # arrays and one scratch array: 7 arrays of n doubles, checked against 8
+    # an exact solve of a BodyForce allocates the two field arrays and one
+    # scratch array: 3 arrays of n doubles, plus 8 KiB for the small objects
+    # of a solve (about 3 KiB), so no load vector or ramp array fits beside them
     n = 2 ** 15
     problem = make_problem(CLOSED_GEO, CLOSED_MAT, SpringLaw(0.3, 0.5, 0.8),
                            BodyForce(2.5, -1.5), ConstraintVariant.NON_PENETRATION)
@@ -410,7 +464,7 @@ def test_fine_mesh_solve_allocation_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * 8 * n
+    assert peak <= 3 * 8 * n + 8 * 1024
 
 
 PIN_GEO = Geometry(-1.3, 0.9, 0.4)
@@ -483,6 +537,37 @@ def test_field_bound_never_passes_an_overflowing_field():
         finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
         if reduced.field_surely_finite(g1, g2):
             assert finite, (n1, n2, f1, f2, g1, g2)
+            passed += 1
+        elif finite:
+            refused_finite += 1
+        else:
+            overflowed += 1
+    assert min(passed, refused_finite, overflowed) >= 20, (passed, refused_finite, overflowed)
+
+
+def test_constant_bound_never_passes_an_overflowing_field():
+    # the O(1) bound of a BodyForce, which a solve trusts without scanning the
+    # field: each rod's modulus puts its pinned field's peak |f|*L^2/(8E) at
+    # 2^x DBL_MAX, and on up to 2**12 elements the running sums of recovery
+    # (about n*|f|*L/8) overflow too at the larger loads; every field the
+    # bound passes must be finite
+    rng = np.random.default_rng(3)
+    passed = refused_finite = overflowed = 0
+    for _ in range(400):
+        n1, n2 = (int(n) for n in np.round(2.0 ** rng.uniform(0.0, 12.0, 2)))
+        f1, f2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.0, 2)))
+        e1, e2 = (abs(f) * GEO.L1 ** 2 / 8.0 / sys.float_info.max * 2.0 ** -float(x)
+                  for f, x in zip((f1, f2), rng.uniform(-8.0, 2.0, 2)))
+        g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.25, 2)))
+        reduced = schur_reduce(assemble(build_mesh(GEO, n1, n2), Material(e1, e2),
+                                        BodyForce(f1, f2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = recover_full(reduced, g1, g2)
+        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
+        if reduced._field_bounded(g1, g2):
+            assert finite, (n1, n2, f1, f2, e1, e2, g1, g2)
             passed += 1
         elif finite:
             refused_finite += 1
