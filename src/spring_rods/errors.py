@@ -18,7 +18,8 @@ class SmallnessViolation(ValidationError):
 
 
 class ZeroElements(ValidationError):
-    """A mesh was requested with a non-integer or fewer than one element on a rod."""
+    """A rod's element count is not a whole number of at least one, or is more than
+    its arrays can hold."""
 
 
 class NoConsistentRegime(SpringRodsError):

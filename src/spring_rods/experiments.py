@@ -76,9 +76,9 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
 
     The assembled system is stiffness-independent, so assembly and
     condensation happen once, and each point solves for the interface state
-    only: no nodal field is recovered.  A grid point the model rejects, or
-    whose field or energy overflows, is recorded as a failure, not fatal;
-    any other exception propagates.
+    only: `_label` recovers no field that the O(1) bound proves finite.  A grid
+    point the model rejects, or whose field or energy overflows, is recorded
+    as a failure, not fatal; any other exception propagates.
     """
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -94,7 +94,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
         try:
             spring = SpringLaw(k, k, 2.0 * l)
             _check_smallness(base.geometry, base.material, spring)
-            state = _exact(reduced, spring, lo, hi, l).checked()
+            state = _exact(reduced, spring, lo, hi, l)
             (g1, g2), theta = state.g, state.theta
             energy = reduced.energy((g1, g2)) + spring.potential(theta)
             if not math.isfinite(energy):
@@ -134,7 +134,7 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
         except (OverflowError, TypeError) as exc:
             raise ValidationError(f"n must be a real number with 2**(3 - n) finite, "
                                   f"got {n!r}") from exc
-        state = _exact(reduced, *_penalized(PenaltyProblem(base_np, law, lam))).checked()
+        state = _exact(reduced, *_penalized(PenaltyProblem(base_np, law, lam)))
         (g1, g2), theta = state.g, state.theta
         err = reduced.interface_vnorm((g1 - limit.g1, g2 - limit.g2))
         records.append(ConvergenceRecord(n, lam, theta, g1, g2, err))

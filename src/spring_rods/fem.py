@@ -261,63 +261,46 @@ class ReducedSystem:
     r: tuple[float, float]
 
     @cached_property
-    def pinned(self) -> DofVector:
-        """The field pinned at both rod ends, g = (0, 0), recovered once; it may overflow."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return recover_full(self, 0.0, 0.0)
+    def _peak_bound(self) -> float:
+        """A bound on every value that recovering the pinned field computes; inf past
+        2**50 elements per rod or where it is not finite.
 
-    @cached_property
-    def _pinned_peak(self) -> float:
-        """max |pinned| over both rods; inf or NaN if the pinned field is not finite."""
-        return float(np.maximum(np.max(np.abs(self.pinned.rod1)),
-                                np.max(np.abs(self.pinned.rod2))))
-
-    @cached_property
-    def _constant_peak(self) -> float:
-        """For a BodyForce, a bound on every value that recovering the pinned field
-        computes, known in O(1); inf for load vectors or past 2**50 elements per rod.
-
-        A rod of n elements fills n - 1 entries with c = f*h and takes their running
-        sums, all of c's sign and so at most n*|c|; each minus their mean is at most as
-        large, and the running sums of those differences are at most n^2*|c|, scaled
-        by q = h/E.  So n^2*|c|*max(1, q) bounds every value, rounded at most 3n + 8
-        times on its way, a factor below exp(3/8) < 2 up to 2**50 elements: the half
-        of DBL_MAX that `field_surely_finite` asks for leaves room for it.  A NaN
-        (no load on a rod with an infinite q) is inf here, so it fails every bound.
+        A rod's n - 1 interior loads are at most M in magnitude: |f*h| for a BodyForce,
+        the largest interior entry of a load vector.  Their running sums are at most
+        (n - 1)*M, each minus their mean at most 2(n - 1)*M, and the running sums of
+        those at most 2(n - 1)^2*M, scaled by q = h/E.  So 2*n^2*M*max(1, q) bounds
+        every value, rounded at most 3n + 8 times on its way, a factor below
+        exp(3/8) < 2 up to 2**50 elements: the half of DBL_MAX that
+        `field_surely_finite` asks for leaves room for it.  A NaN (no load on a rod
+        with an infinite q) is inf here, so it fails every bound.
         """
         sys_ = self.system
-        mesh, mat, forces = sys_.mesh, sys_.material, sys_.forces
-        if forces is None or max(mesh.n1, mesh.n2) > 2 ** 50:
+        mesh, mat = sys_.mesh, sys_.material
+        if max(mesh.n1, mesh.n2) > 2 ** 50:
             return math.inf
-        p1, p2 = (float(n) * float(n) * abs(f * h) * max(1.0, h / E)
-                  for n, f, h, E in ((mesh.n1, forces.f1, mesh.h1, mat.E1),
-                                     (mesh.n2, forces.f2, mesh.h2, mat.E2)))
+        m1, m2 = (abs(x) if isinstance(x, float) else float(np.max(np.abs(x), initial=0.0))
+                  for x in _interior_loads(sys_))
+        p1, p2 = (2.0 * float(n) * float(n) * m * max(1.0, h / E)
+                  for n, m, h, E in ((mesh.n1, m1, mesh.h1, mat.E1),
+                                     (mesh.n2, m2, mesh.h2, mat.E2)))
         return max(p1, p2) if math.isfinite(p1 + p2) else math.inf
 
     @cached_property
     def offset(self) -> float:
         """Energy of the pinned field; -inf or NaN, without a warning, if it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return -0.5 * self.system.load_dot(self.pinned)
-
-    def _field_bounded(self, g1: float, g2: float) -> bool:
-        """True if `recover_full(self, g1, g2)` is surely finite, known in O(1) from
-        `_constant_peak`: each recovered entry adds g times a ramp value in [0, 1] to a
-        pinned entry, each step rounded once.  False for load vectors."""
-        return self._constant_peak + abs(g1) + abs(g2) < _HALF_MAX
+            return -0.5 * self.system.load_dot(recover_full(self, 0.0, 0.0))
 
     def field_surely_finite(self, g1: float, g2: float) -> bool:
-        """True if `recover_full(self, g1, g2)` is surely finite, known without recovering it.
+        """True if `recover_full(self, g1, g2)` is surely finite, known in O(1).
 
         Each recovered entry is a pinned entry plus g times a ramp value in
         [0, 1], each step rounded once, so its magnitude is at most
-        max|pinned| + |g1| + |g2| up to rounding.  Below half of DBL_MAX that
-        bound leaves no room for an overflow.  `_field_bounded` bounds max|pinned|
-        in O(1) for a BodyForce; where it fails, the pinned field is recovered once.
-        False means the bound fails, not that the field overflows.
+        `_peak_bound` + |g1| + |g2| up to rounding.  Below half of DBL_MAX that
+        bound leaves no room for an overflow.  False means the bound fails, not
+        that the field overflows.
         """
-        return (self._field_bounded(g1, g2)
-                or self._pinned_peak + abs(g1) + abs(g2) < _HALF_MAX)
+        return self._peak_bound + abs(g1) + abs(g2) < _HALF_MAX
 
     def energy(self, g) -> float:
         (g1, g2), (s1, s2), (r1, r2) = g, self.S, self.r
@@ -371,10 +354,8 @@ def _ramp(out: np.ndarray) -> np.ndarray:
     is one division, as from the `np.arange` weights the ramp dot uses.
     """
     n = out.size
-    if n <= _COUNT_BLOCK.size:
-        return np.divide(_COUNT_BLOCK[:n], n, out=out)
-    m = _COUNT_BLOCK.size
-    out[:m] = _COUNT_BLOCK
+    m = min(n, _COUNT_BLOCK.size)
+    out[:m] = _COUNT_BLOCK[:m]
     while m < n:
         k = min(m, n - m)
         np.add(out[:k], m, out=out[m:m + k])
@@ -418,20 +399,31 @@ def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
     return ReducedSystem(system, (mat.E1 / geo.L1, mat.E2 / geo.L2), r)
 
 
+def _interior_loads(system: DiscreteSystem):
+    """Each rod's interior nodal loads: a load vector's entries, or a BodyForce's constant f*h."""
+    mesh, forces = system.mesh, system.forces
+    if forces is None:
+        return system.b1[:-1], system.b2[1:]
+    return forces.f1 * mesh.h1, forces.f2 * mesh.h2
+
+
 def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
     """Interior argmin of the energy for prescribed interface values.
 
     Each rod's field is written into one output array; one scratch array
     holds first the running load sums and then g times the ramp.  A BodyForce
     fills the loads with its constant f*h, so its load vectors are not read.
+    Arrays that do not fit in memory raise ZeroElements.
     """
-    sys_ = reduced.system
-    mesh, mat, forces = sys_.mesh, sys_.material, sys_.forces
+    mesh, mat = reduced.system.mesh, reduced.system.material
     n1, n2 = mesh.n1, mesh.n2
-    loads1, loads2 = ((sys_.b1[:-1], sys_.b2[1:]) if forces is None
-                      else (forces.f1 * mesh.h1, forces.f2 * mesh.h2))
-    scratch = np.empty(max(n1, n2))
-    u1, u2 = np.empty(n1), np.empty(n2)
+    loads1, loads2 = _interior_loads(reduced.system)
+    try:
+        scratch = np.empty(max(n1, n2))
+        u1, u2 = np.empty(n1), np.empty(n2)
+    except MemoryError as exc:
+        raise ZeroElements(f"the arrays of n1={n1}, n2={n2} elements per rod do not fit "
+                           f"in memory") from exc
     _pinned(loads1, mesh.h1 / mat.E1, scratch[:n1], u1[:-1])
     u1[-1] = 0.0
     _pinned(loads2, mesh.h2 / mat.E2, scratch[:n2], u2[1:])

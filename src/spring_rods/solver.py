@@ -10,8 +10,9 @@ and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2, both from
 `_spring_free`.  `solve_exact` clamps its minimizer d/(1 + k*C) into the gap
 bounds; the projected gradient and fixed-point solvers are independent
 iterative cross-checks.  Each solver's gap goes to `_label`, the one regime
-labeller, whose immutable `_Interface` record the studies read and whose
-`solution` alone builds an `EquilibriumSolution`.  All work on plain floats.
+labeller and the one place that refuses an overflowing state, whose immutable
+`_Interface` record the studies read and whose `solution` alone builds an
+`EquilibriumSolution`.  All work on plain floats.
 """
 
 from __future__ import annotations
@@ -159,29 +160,13 @@ class _Interface(NamedTuple):
                           "both": 0.0}.get(self.bound, abs(mu))
         return max(tangential, sign_violation, feas)
 
-    def checked(self) -> _Interface:
-        """This state, or the error `solution` would raise; a field that `field_surely_finite`
-        proves finite (the pinned field plus g times ramps in [0, 1]) is not recovered."""
-        if not (math.isfinite(self.s) and self.reduced.field_surely_finite(*self.g)):
-            self.solution("exact")
-        return self
-
     def solution(self, method: str, iterations: int = 0, converged: bool = True,
                  step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
-        """The field recovered at g; a non-finite state raises NoConsistentRegime.  A field
-        that the O(1) bound of a BodyForce proves finite is not scanned."""
-        (g1, g2), s = self.g, self.s
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-            u = recover_full(self.reduced, g1, g2)
-        if not (all(map(math.isfinite, (g1, g2, s)))
-                and (self.reduced._field_bounded(g1, g2)
-                     or np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())):
-            raise NoConsistentRegime(f"equilibrium overflows: g1={g1}, g2={g2}, s={s} "
-                                     f"or the nodal field is not finite")
+        """The field recovered at g, which `_label` has shown to be finite."""
         diag = SolverDiagnostics(method, iterations, self.residual, self.label, converged,
                                  step_ratios)
-        return EquilibriumSolution(u, g1, g2, self.theta, s, self.label == "contact",
-                                   self.bound, diag)
+        return EquilibriumSolution(recover_full(self.reduced, *self.g), *self.g, self.theta,
+                                   self.s, self.label == "contact", self.bound, diag)
 
 
 def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
@@ -192,7 +177,20 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
     though, a gap within 1e-11 of 2l is the breakpoint, with no active bound,
     whenever d lies within _BREAKPOINT_TOL*C of zero, as in `_exact`; a bound
     that would snap such a gap snaps it to 2l.
+
+    It is the one place that refuses an overflowing state: unless g1, g2, s and
+    the field at g are finite, it raises NoConsistentRegime.  The field is
+    recovered for this check only where `field_surely_finite` cannot prove it.
     """
+    s = reduced.S[0] * g[0] - reduced.r[0]
+    finite = all(map(math.isfinite, (*g, s)))
+    if finite and not reduced.field_surely_finite(*g):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+            u = recover_full(reduced, *g)
+        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
+    if not finite:
+        raise NoConsistentRegime(f"equilibrium overflows: g1={g[0]}, g2={g[1]}, s={s} "
+                                 f"or the nodal field is not finite")
     d, compliance = _spring_free(reduced)
     near_two_l = abs(theta - two_l) <= 1e-11
     bound = None

@@ -180,6 +180,24 @@ class TestSolveExitStatus:
         assert err.startswith("error:") and "elements per rod" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_count_past_the_memory_is_an_error(self, tmp_path, command):
+        # numpy can address these 8-EiB arrays but refuses at once to allocate
+        # them; that leaked from field recovery as an _ArrayMemoryError traceback
+        import spring_rods
+
+        src = str(Path(spring_rods.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "spring_rods.cli", command,
+                               "--n1", "1152921504606846974", "--outdir", str(tmp_path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith(("error:", "note:")) for line in lines), lines
+        assert "do not fit in memory" in lines[0] and lines[-1].startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_infinite_tolerance_is_runtime_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "solve", "--method", "gradient", "--f1", "3",
                                "--f2=-1", "--k1", "0.5", "--tol", "inf",

@@ -10,9 +10,9 @@ import pytest
 from numpy.polynomial import Polynomial
 from scipy.linalg import cholesky_banded, solveh_banded
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw,
-                         ValidationError, ZeroElements, assemble, build_mesh, interface_stress,
-                         recover_full, schur_reduce, solve_exact, spring_gap)
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, NoConsistentRegime,
+                         SpringLaw, ValidationError, ZeroElements, assemble, build_mesh,
+                         interface_stress, recover_full, schur_reduce, solve_exact, spring_gap)
 from spring_rods import analytic_solution, make_problem, solve
 from spring_rods.fem import DiscreteSystem, DofVector, _ramp_dot, v_norm
 
@@ -519,30 +519,56 @@ def test_recovered_field_bits_are_pinned(sizes, load):
     assert hashlib.sha256(blob).hexdigest()[:32] == PINNED_FIELDS[sizes, load]
 
 
+def _mixed_loads(rng, n):
+    """n nodal loads of magnitude up to M = 2^x DBL_MAX/(2n^2), the scale of the field
+    bound's 2*n^2*M: random signs, or one sign change at a random node."""
+    m = min(sys.float_info.max, sys.float_info.max / (2.0 * n * n) * 2.0 ** rng.uniform(-6.0, 8.0))
+    signs = (rng.choice([-1.0, 1.0], n) if rng.random() < 0.5
+             else np.where(np.arange(n) < rng.integers(0, n + 1), 1.0, -1.0))
+    return signs * rng.uniform(0.5, 1.0, n) * m
+
+
 def test_field_bound_never_passes_an_overflowing_field():
     # fields near DBL_MAX: with E = 1/64 on the half-unit rods the pinned
-    # field peaks at 2|f| (inf beyond DBL_MAX), and g1, g2 take either sign
+    # field peaks at 2|f| (inf beyond DBL_MAX), and g1, g2 take either sign;
+    # then the same for mixed-sign load vectors, whose bound is read from them
     rng = np.random.default_rng(7)
-    passed = refused_finite = overflowed = 0
+    mat = Material(1 / 64, 1 / 64)
+    outcomes = {"force": [0, 0, 0], "vectors": [0, 0, 0]}  # passed, refused finite, overflowed
+
+    def tally(kind, reduced, g1, g2, case):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = recover_full(reduced, g1, g2)
+        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
+        if reduced.field_surely_finite(g1, g2):
+            assert finite, case
+            outcomes[kind][0] += 1
+        else:
+            outcomes[kind][1 if finite else 2] += 1
+
     for _ in range(400):
         n1, n2 = (int(n) for n in rng.integers(1, 65, 2))
         f1, f2 = (float(sign) * 10.0 ** float(e) for sign, e in
                   zip(rng.choice([-1.0, 1.0], 2), rng.uniform(305.0, 308.25, 2)))
         g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
                   zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.25, 2)))
-        reduced = schur_reduce(assemble(build_mesh(GEO, n1, n2), Material(1 / 64, 1 / 64),
-                                        BodyForce(f1, f2)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = recover_full(reduced, g1, g2)
-        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
-        if reduced.field_surely_finite(g1, g2):
-            assert finite, (n1, n2, f1, f2, g1, g2)
-            passed += 1
-        elif finite:
-            refused_finite += 1
-        else:
-            overflowed += 1
-    assert min(passed, refused_finite, overflowed) >= 20, (passed, refused_finite, overflowed)
+        reduced = schur_reduce(assemble(build_mesh(GEO, n1, n2), mat, BodyForce(f1, f2)))
+        tally("force", reduced, g1, g2, (n1, n2, f1, f2, g1, g2))
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n1, n2 = (int(n) for n in rng.integers(1, 65, 2))
+        mesh = build_mesh(GEO, n1, n2)
+        b1, b2 = _mixed_loads(rng, n1), _mixed_loads(rng, n2)
+        g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.25, 2)))
+        try:
+            reduced = schur_reduce(DiscreteSystem(mesh, mat, mat.E1 / mesh.h1,
+                                                  mat.E2 / mesh.h2, b1, b2))
+        except NoConsistentRegime:  # the condensed load overflows
+            continue
+        tally("vectors", reduced, g1, g2, (n1, n2, b1, b2, g1, g2))
+    for kind, counts in outcomes.items():
+        assert min(counts) >= 20, (kind, counts)
 
 
 def test_constant_bound_never_passes_an_overflowing_field():
@@ -566,7 +592,7 @@ def test_constant_bound_never_passes_an_overflowing_field():
         with np.errstate(over="ignore", invalid="ignore"):
             u = recover_full(reduced, g1, g2)
         finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
-        if reduced._field_bounded(g1, g2):
+        if reduced.field_surely_finite(g1, g2):
             assert finite, (n1, n2, f1, f2, e1, e2, g1, g2)
             passed += 1
         elif finite:

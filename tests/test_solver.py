@@ -799,6 +799,23 @@ class TestOffsetCache:
         offsets = [id(reduced) for reduced in calls["fem"]]
         assert len(set(offsets)) == len(offsets) and set(offsets) <= systems
 
+    def test_vector_loaded_exact_solve_recovers_its_field_once(self, monkeypatch):
+        # the overflow bound of load vectors is read from their largest entry, so
+        # refusing an overflow recovers nothing: the solution's field is the one recovery
+        original = fem_module.recover_full
+        calls = []
+
+        def counting(reduced, g1, g2):
+            calls.append((g1, g2))
+            return original(reduced, g1, g2)
+
+        monkeypatch.setattr(fem_module, "recover_full", counting)
+        monkeypatch.setattr(solver_module, "recover_full", counting)
+        system = assemble(build_mesh(GEO, 64, 5), MAT, (lambda x: 3.0 + x * x, lambda x: -1.0 - x))
+        assert system.forces is None
+        sol = solve_exact(schur_reduce(system), SpringLaw(1.0, 1.0, 1.0), NP_, GEO.l)
+        assert calls == [(sol.g1, sol.g2)]
+
 
 def _random_problem(rng, variant):
     l = rng.uniform(0.1, 0.8)
