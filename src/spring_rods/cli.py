@@ -10,8 +10,6 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParseError, SpringRodsError, ValidationError
 from .experiments import (_fmt, export_csv, export_svg, run_penalty_convergence,
                           run_stiffness_sweep)
@@ -187,11 +185,12 @@ def _cmd_solve(config: RunConfig, command: str) -> int:
         rundir = _run_dir(config, command)
         rundir.mkdir(parents=True, exist_ok=True)
         mesh = build_mesh(problem.geometry, config.n1, config.n2)
-        lines = ["rod,x,u"]
-        for x, u in zip(mesh.nodes1, np.concatenate(([0.0], sol.u.rod1))):
-            lines.append(f"1,{_fmt(x)},{_fmt(u)}")
-        for x, u in zip(mesh.nodes2, np.concatenate((sol.u.rod2, [0.0]))):
-            lines.append(f"2,{_fmt(x)},{_fmt(u)}")
+        # one bound format per rod over Python floats: _fmt's digits, row by row
+        lines = ["rod,x,u",
+                 *map("1,{:.11e},{:.11e}".format, mesh.nodes1.tolist(),
+                      [0.0, *sol.u.rod1.tolist()]),
+                 *map("2,{:.11e},{:.11e}".format, mesh.nodes2.tolist(),
+                      [*sol.u.rod2.tolist(), 0.0])]
         out = rundir / "solution.csv"
         out.write_text("\n".join(lines) + "\n", encoding="ascii")
         print(f"wrote {out}")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from .errors import NoConsistentRegime, SpringRodsError, ValidationError
+from .errors import NoConsistentRegime, SpringRodsError, ValidationError, ZeroElements
 from .fem import assemble, build_mesh, schur_reduce
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
                     ProblemSpec, SpringLaw, _check_smallness)
@@ -78,7 +78,8 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     condensation happen once, and each point solves for the interface state
     only: `_label` recovers no field that the O(1) bound proves finite.  A grid
     point the model rejects, or whose field or energy overflows, is recorded
-    as a failure, not fatal; any other exception propagates.
+    as a failure, not fatal; any other exception propagates, ZeroElements
+    too: arrays that do not fit in memory fail alike at every k.
     """
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
@@ -99,6 +100,8 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
             energy = reduced.energy((g1, g2)) + spring.potential(theta)
             if not math.isfinite(energy):
                 raise NoConsistentRegime(f"energy overflows: {energy} at g1={g1}, g2={g2}")
+        except ZeroElements:
+            raise
         except SpringRodsError as exc:
             failures.append((k, f"{type(exc).__name__}: {exc}"))
             continue

@@ -11,9 +11,11 @@ Econometrica 28, 1960) that returns the dense search's point bit for bit.
 Its tile bounds split the spring's coupling of the two gap DOFs with a
 multiplier mu on the gap, a Lagrangian relaxation (Geoffrion, Math.
 Programming Study 2, 1974): the energy equals the split sum exactly for every
-mu, so any mu gives a valid bound, less a rounding slack.  The mu taken from
-the spring's slope at the box centre makes the pieces bottom out near the
-same point, and a `certify` grid evaluates about 3 of its 256 tiles.
+mu, so any mu gives a valid bound, less a rounding slack.  The mu of the
+box's own gap problem (the two gap DOFs and the spring alone, with a gap
+bound's reaction where one is active) makes the pieces bottom out at the
+same point: a `certify` grid evaluates 1 of its 256 tiles where the spring
+is free and about 1.7 where a bound is active.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ import numpy as np
 
 from .errors import EmptyFeasibleGrid, NoConsistentRegime, ValidationError
 from .fem import DiscreteSystem, DofVector, Mesh
-from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real, spring_gap
+from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real
 
 _SELECT_TOL = 1e-12
 #: Grid points per tile of grid_search_minimizer, read at call time: a tile's
 #: arrays stay within 8 KB each, and a 501**2 grid has 16**2 tiles to bound and
-#: order.  With the multiplier bound about 3 of them are evaluated; tiles of
-#: 2**12 points evaluate 3 times the points and take about as long.
+#: order.  With the multiplier bound 1 to 3 of them are evaluated; tiles of
+#: 2**12 points evaluate more points and take about as long.
 _BLOCK_POINTS = 2 ** 10
 
 
@@ -237,6 +239,7 @@ class _Grid:
         # the energy's per-axis factors, by the operations a point's energy uses
         self.outer = 2.0 * l - axes[n1 - 1]  # the gap is outer + axes[n1], as in spring_gap
         self.terms = [(0.5 * diag[i] * axis - b[i]) * axis for i, axis in enumerate(axes)]
+        self.gap_diag, self.gap_load = diag[n1 - 1:n1 + 1], b[n1 - 1:n1 + 1]
         # at least the largest magnitude of each DOF and pair term over the box
         peak = [max(-float(axis[0]), float(axis[-1])) for axis in axes]  # the axes ascend
         self.term_peaks = sum((0.5 * diag[i] * x + abs(b[i])) * x for i, x in enumerate(peak))
@@ -266,13 +269,30 @@ class _Grid:
         return np.maximum.reduceat(values, self.starts[i])
 
     def multiplier(self) -> float:
-        """Minus the spring force at the gap of the box centre clamped into the gap
-        bounds: the spring's slope where the box's own minimizer most likely lies.
-        0 if that is not finite."""
-        a, b = self.axes[self.n1 - 1], self.axes[self.n1]
-        theta = spring_gap(self.l, 0.5 * (float(a[0]) + float(a[-1])),
-                           0.5 * (float(b[0]) + float(b[-1])))
-        mu = -self.spring.force(min(max(theta, self.glo), self.ghi))
+        """The multiplier of the box's own gap problem, 0 if it is not finite.
+
+        The two gap DOFs' terms T_i = (0.5*d_i*x - b_i)*x without their
+        neighbours' couplings make the shifted DOF brackets of `tile_bounds`
+        bottom out at the gap theta0 - mu*c, with theta0 = 2l - b_a/d_a +
+        b_b/d_b and c = 1/d_a + 1/d_b, and the spring bracket at nat + mu/k.
+        The two meet at mu = k*(theta0 - nat)/(1 + k*c), k on theta0's side of
+        the natural length; where that gap lies outside the gap bounds, the
+        bound's reaction (theta0 - lo)/c or (theta0 - hi)/c.  0 also where a
+        d_i is 0 or inf (for an E/h that underflows or overflows) or a step is
+        not finite.
+        """
+        (da, db), (ba, bb) = self.gap_diag, self.gap_load
+        if not (0.0 < da < math.inf and 0.0 < db < math.inf):  # so c is above 0
+            return 0.0
+        theta0 = 2.0 * self.l - ba / da + bb / db
+        c = 1.0 / da + 1.0 / db
+        k = self.spring.k1 if theta0 < self.nat else self.spring.k2
+        mu = k * (theta0 - self.nat) / (1.0 + k * c)
+        gap = theta0 - mu * c
+        if gap < self.glo:
+            mu = (theta0 - self.glo) / c
+        elif gap > self.ghi:
+            mu = (theta0 - self.ghi) / c
         return mu if math.isfinite(mu) else 0.0
 
     def tile_bounds(self, mu: float) -> np.ndarray:
@@ -441,8 +461,9 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     a multiplier mu on the gap splits the spring's coupling of the two gap
     DOFs, so the spring bracket and the shifted DOF terms bottom out near the
     same point, and the bound gives up a rounding slack derived there.  mu
-    is minus the spring force at the gap of the box centre (`_Grid.multiplier`),
-    0 if that is not finite; any mu gives a valid bound.
+    is the multiplier of the box's own gap problem (`_Grid.multiplier`), a
+    gap bound's reaction where one is active, 0 if that is not finite; any
+    mu gives a valid bound.
 
     Tiles are evaluated in ascending order of bound (stable), each into
     arrays of the tile's size, and the search stops at the first tile whose bound

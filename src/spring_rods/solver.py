@@ -131,7 +131,8 @@ def _spring_free(reduced: ReducedSystem) -> _Pair:
 class _Interface(NamedTuple):
     """One labelled interface state: the gap pair g, its gap theta, the regime
     label and the active bound, with the condensed system, the spring and the
-    gap bounds [lo, hi] it was reached under.  `_label` builds every one."""
+    gap bounds [lo, hi] it was reached under.  `_label` builds every one, and
+    hands over the field u where it recovered it for its overflow check."""
 
     reduced: ReducedSystem
     spring: SpringLaw
@@ -141,6 +142,7 @@ class _Interface(NamedTuple):
     theta: float
     label: str
     bound: str | None
+    u: DofVector | None = None
 
     @property
     def s(self) -> float:
@@ -162,11 +164,13 @@ class _Interface(NamedTuple):
 
     def solution(self, method: str, iterations: int = 0, converged: bool = True,
                  step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
-        """The field recovered at g, which `_label` has shown to be finite."""
+        """The field at g, which `_label` has shown to be finite: the one it
+        recovered for that, else recovered here."""
         diag = SolverDiagnostics(method, iterations, self.residual, self.label, converged,
                                  step_ratios)
-        return EquilibriumSolution(recover_full(self.reduced, *self.g), *self.g, self.theta,
-                                   self.s, self.label == "contact", self.bound, diag)
+        u = recover_full(self.reduced, *self.g) if self.u is None else self.u
+        return EquilibriumSolution(u, *self.g, self.theta, self.s, self.label == "contact",
+                                   self.bound, diag)
 
 
 def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
@@ -180,10 +184,12 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
 
     It is the one place that refuses an overflowing state: unless g1, g2, s and
     the field at g are finite, it raises NoConsistentRegime.  The field is
-    recovered for this check only where `field_surely_finite` cannot prove it.
+    recovered for this check only where `field_surely_finite` cannot prove it,
+    and the record then carries it.
     """
     s = reduced.S[0] * g[0] - reduced.r[0]
     finite = all(map(math.isfinite, (*g, s)))
+    u = None
     if finite and not reduced.field_surely_finite(*g):
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
             u = recover_full(reduced, *g)
@@ -205,7 +211,7 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
         theta, label, bound = hi, "bound-upper", "upper"
     else:
         label = "breakpoint" if near_two_l else "compression" if theta < two_l else "extension"
-    return _Interface(reduced, spring, lo, hi, g, theta, label, bound)
+    return _Interface(reduced, spring, lo, hi, g, theta, label, bound, u)
 
 
 def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,

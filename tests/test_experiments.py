@@ -8,7 +8,7 @@ import pytest
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
                          Material, NoConsistentRegime, NonPositiveLambda, PenaltyLaw,
                          PenaltyProblem, PenaltyVariant, SmallnessViolation, SpringLaw,
-                         SweepResult, ValidationError,
+                         SweepResult, ValidationError, ZeroElements,
                          assemble, build_mesh, export_csv, export_svg, make_problem,
                          run_penalty_convergence, run_stiffness_sweep, schur_reduce,
                          solve_exact, solve_penalized)
@@ -100,6 +100,21 @@ class TestStiffnessSweep:
         monkeypatch.setattr(experiments_module, "_exact", broken)
         with pytest.raises(ValueError, match="not a model rejection"):
             run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), GRID)
+
+    def test_arrays_past_the_memory_propagate_from_the_first_point(self, monkeypatch):
+        # numpy refuses an 8-EiB array at once; the mesh fails alike at every k,
+        # so the first point's ZeroElements ends the sweep
+        calls = []
+        original = experiments_module._exact
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments_module, "_exact", counting)
+        with pytest.raises(ZeroElements, match="do not fit in memory"):
+            run_stiffness_sweep(problem(), BodyForce(1.0, -1.0), GRID, (2 ** 60 - 2, 4))
+        assert len(calls) == 1
 
     def test_grid_must_increase(self):
         with pytest.raises(ValueError):

@@ -770,3 +770,34 @@ def test_the_multiplier_bound_evaluates_few_points(monkeypatch):
                 pass
     assert all(n <= before for n, before in zip(counted, SEPARATE_BOUND_POINTS)), counted
     assert 3 * sum(counted) <= sum(SEPARATE_BOUND_POINTS), counted
+    # the box's own gap multiplier: a gap bound's reaction included, at most 3 tiles each
+    assert all(n <= 3 * oracle._BLOCK_POINTS for n in counted), counted
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("geo, mat, forces", [
+    # the gap DOFs' stiffness E1/h1 underflows to 0
+    (Geometry(-5.0, 5.0, 0.5), Material(5e-324, 1.0), BodyForce(1.0, -1.0)),
+    # b/d overflows: the free gap theta0 is -inf
+    (Geometry(-2.5, 2.5, 0.5), Material(1.0, 1.0), BodyForce(1e308, -1e308)),
+    # E1/h1 overflows to inf: no grid energy on rod 1's axis is finite
+    (Geometry(-1e-300, 1.0, 5e-301), Material(1e10, 1.0), BodyForce(1.0, -1.0)),
+], ids=["stiffness-underflows", "loads-near-1e308", "stiffness-overflows"])
+def test_a_degenerate_gap_problem_has_multiplier_0(geo, mat, forces):
+    system = assemble(build_mesh(geo, 1, 1), mat, forces)
+    # the box centre's gap 1.0 is off the natural length: its spring slope is not 0
+    spring, variant = SpringLaw(1.0, 1.0, 0.5), ConstraintVariant.NON_PENETRATION
+    with np.errstate(all="ignore"):  # as the search builds it: an inf stiffness makes NaN terms
+        grid = oracle._Grid(system, spring, variant, (-1.0, 1.0), 0.05)
+    assert grid.multiplier() == 0.0
+    with np.errstate(all="ignore"):  # the dense search sums energies past 1e308
+        try:
+            want = _dense_grid_search(system, spring, variant, (-1.0, 1.0), 0.05)
+        except EmptyFeasibleGrid:
+            want = None
+    if want is None:
+        with pytest.raises(EmptyFeasibleGrid):
+            grid_search_minimizer(system, spring, variant, (-1.0, 1.0), 0.05)
+    else:
+        assert _same_dof(grid_search_minimizer(system, spring, variant, (-1.0, 1.0), 0.05),
+                         want)

@@ -816,6 +816,24 @@ class TestOffsetCache:
         sol = solve_exact(schur_reduce(system), SpringLaw(1.0, 1.0, 1.0), NP_, GEO.l)
         assert calls == [(sol.g1, sol.g2)]
 
+    def test_field_recovered_for_the_overflow_check_is_the_solutions(self, monkeypatch):
+        # the O(1) bound fails at loads of 1e308 but the field is finite: the
+        # field `_label` recovers to check it is the one the solution carries
+        original = fem_module.recover_full
+        calls = []
+
+        def counting(reduced, g1, g2):
+            calls.append((g1, g2))
+            return original(reduced, g1, g2)
+
+        monkeypatch.setattr(fem_module, "recover_full", counting)
+        monkeypatch.setattr(solver_module, "recover_full", counting)
+        problem = make_problem(GEO, Material(0.03, 0.03), SpringLaw(0.01, 0.01, 1.0),
+                               BodyForce(1e308, -1e308), NP_)
+        sol = solve(problem, (4, 4), "exact")
+        assert calls == [(0.5, -0.5)] == [(sol.g1, sol.g2)]
+        assert np.isfinite(sol.u.rod1).all() and np.isfinite(sol.u.rod2).all()
+
 
 def _random_problem(rng, variant):
     l = rng.uniform(0.1, 0.8)
