@@ -7,12 +7,13 @@ constraint variant.  The condensed stiffness S = (s1, s2) is diagonal, so
 minimizing out (g1, g2) at a fixed gap change t = g2 - g1 leaves a convex
 function of t alone, set by d = r2/s2 - r1/s1 (the spring-free gap change)
 and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2, both from
-`_spring_free`.  `solve_exact` clamps its minimizer d/(1 + k*C) into the gap
-bounds; the projected gradient and fixed-point solvers are independent
-iterative cross-checks.  Each solver's gap goes to `_label`, the one regime
-labeller and the one place that refuses an overflowing state, whose immutable
-`_Interface` record the studies read and whose `solution` alone builds an
-`EquilibriumSolution`.  All work on plain floats.
+`_spring_free`, which returns d/2.  `solve_exact` clamps its minimizer
+d/(1 + k*C) into the gap bounds; the projected gradient and fixed-point
+solvers are independent iterative cross-checks.  Each solver's gap goes to
+`_label`, the one regime labeller and the one place that refuses an
+overflowing state, whose immutable `_Interface` record the studies read and
+whose `solution` alone builds an `EquilibriumSolution`.  All work on plain
+floats.
 """
 
 from __future__ import annotations
@@ -123,16 +124,21 @@ def _at_gap(reduced: ReducedSystem, t: float) -> _Pair:
 
 
 def _spring_free(reduced: ReducedSystem) -> _Pair:
-    """(d, C): the spring-free gap change r2/s2 - r1/s1 and the compliance 1/s1 + 1/s2."""
+    """(d/2, C): half the spring-free gap change r2/s2 - r1/s1 and the compliance 1/s1 + 1/s2."""
     (s1, s2), (r1, r2) = reduced.S, reduced.r
-    return r2 / s2 - r1 / s1, 1.0 / s1 + 1.0 / s2
+    return 0.5 * (r2 / s2) - 0.5 * (r1 / s1), 1.0 / s1 + 1.0 / s2
+
+
+#: The bound each bound-active label holds; every other label holds none.
+_ACTIVE_BOUND = {"rigid": "both", "contact": "lower", "bound-lower": "lower",
+                 "bound-upper": "upper"}
 
 
 class _Interface(NamedTuple):
     """One labelled interface state: the gap pair g, its gap theta, the regime
-    label and the active bound, with the condensed system, the spring and the
-    gap bounds [lo, hi] it was reached under.  `_label` builds every one, and
-    hands over the field u where it recovered it for its overflow check."""
+    label and the stress s, with the condensed system, the spring and the gap
+    bounds [lo, hi] it was reached under.  `_label` builds every one, and hands
+    over the field u where it recovered it for its overflow check."""
 
     reduced: ReducedSystem
     spring: SpringLaw
@@ -141,12 +147,8 @@ class _Interface(NamedTuple):
     g: _Pair
     theta: float
     label: str
-    bound: str | None
+    s: float
     u: DofVector | None = None
-
-    @property
-    def s(self) -> float:
-        return self.reduced.S[0] * self.g[0] - self.reduced.r[0]
 
     @property
     def residual(self) -> float:
@@ -159,7 +161,7 @@ class _Interface(NamedTuple):
         mu = (grad2 - grad1) / 2.0
         tangential = max(abs(grad1 + mu), abs(grad2 - mu))
         sign_violation = {"lower": max(0.0, -mu), "upper": max(0.0, mu),
-                          "both": 0.0}.get(self.bound, abs(mu))
+                          "both": 0.0}.get(_ACTIVE_BOUND.get(self.label), abs(mu))
         return max(tangential, sign_violation, feas)
 
     def solution(self, method: str, iterations: int = 0, converged: bool = True,
@@ -170,7 +172,7 @@ class _Interface(NamedTuple):
                                  step_ratios)
         u = recover_full(self.reduced, *self.g) if self.u is None else self.u
         return EquilibriumSolution(u, *self.g, self.theta, self.s, self.label == "contact",
-                                   self.bound, diag)
+                                   _ACTIVE_BOUND.get(self.label), diag)
 
 
 def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
@@ -179,8 +181,8 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
 
     A gap within 1e-11 of a bound is snapped to the exact bound value.  First,
     though, a gap within 1e-11 of 2l is the breakpoint, with no active bound,
-    whenever d lies within _BREAKPOINT_TOL*C of zero, as in `_exact`; a bound
-    that would snap such a gap snaps it to 2l.
+    whenever d lies within _BREAKPOINT_TOL*C of zero; a bound that would snap
+    such a gap snaps it to 2l.
 
     It is the one place that refuses an overflowing state: unless g1, g2, s and
     the field at g are finite, it raises NoConsistentRegime.  The field is
@@ -197,21 +199,20 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
     if not finite:
         raise NoConsistentRegime(f"equilibrium overflows: g1={g[0]}, g2={g[1]}, s={s} "
                                  f"or the nodal field is not finite")
-    d, compliance = _spring_free(reduced)
+    half, compliance = _spring_free(reduced)
     near_two_l = abs(theta - two_l) <= 1e-11
-    bound = None
     if lo == hi:
-        theta, label, bound = lo, "rigid", "both"
-    elif near_two_l and abs(d / compliance) <= _BREAKPOINT_TOL:
+        theta, label = lo, "rigid"
+    elif near_two_l and abs(half / compliance) <= 0.5 * _BREAKPOINT_TOL:
         theta = two_l if min(abs(theta - lo), abs(theta - hi)) <= 1e-11 else theta
         label = "breakpoint"
     elif abs(theta - lo) <= 1e-11:
-        theta, label, bound = lo, ("contact" if lo == 0.0 else "bound-lower"), "lower"
+        theta, label = lo, ("contact" if lo == 0.0 else "bound-lower")
     elif abs(theta - hi) <= 1e-11:
-        theta, label, bound = hi, "bound-upper", "upper"
+        theta, label = hi, "bound-upper"
     else:
         label = "breakpoint" if near_two_l else "compression" if theta < two_l else "extension"
-    return _Interface(reduced, spring, lo, hi, g, theta, label, bound, u)
+    return _Interface(reduced, spring, lo, hi, g, theta, label, s, u)
 
 
 def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
@@ -220,17 +221,12 @@ def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
 
     Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
     2l + t, convex in t alone, so the minimizer is d/(1 + k*C) clamped into
-    the gap bounds, k the stiffness on the side d points to; a d within
-    _BREAKPOINT_TOL*C of zero is the breakpoint t = 0."""
+    the gap bounds, k the stiffness on the side d points to.  It is formed
+    from d/2, so it is finite wherever d/2 is; `_label` names its state."""
     two_l = 2.0 * l
-    d, compliance = _spring_free(reduced)
-    t = 0.0
-    if lo == hi or not abs(d / compliance) <= _BREAKPOINT_TOL:
-        k = spring.k1 if d < 0.0 else spring.k2
-        t = min(max(d / (1.0 + k * compliance), lo - two_l), hi - two_l)
-        if not lo <= two_l + t <= hi:
-            raise NoConsistentRegime(
-                f"gap {two_l + t} outside [{lo}, {hi}] with k1={spring.k1}, k2={spring.k2}")
+    half, compliance = _spring_free(reduced)
+    k = spring.k1 if half < 0.0 else spring.k2
+    t = min(max(2.0 * (half / (1.0 + k * compliance)), lo - two_l), hi - two_l)
     return _label(reduced, spring, lo, hi, two_l, _at_gap(reduced, t), two_l + t)
 
 
@@ -243,7 +239,9 @@ def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]
 
 def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVariant,
                 l: float) -> EquilibriumSolution:
-    """Global minimizer of the reduced convex energy: the clamped scalar gap."""
+    """Global minimizer of the reduced convex energy at its mesh's half-gap l: the clamped gap."""
+    if l != (mesh_l := reduced.system.mesh.geometry.l):
+        raise ValidationError(f"half-gap {l!r} is not the mesh's {mesh_l!r}")
     return _exact(reduced, spring, *variant.bounds(l), l).solution("exact")
 
 
@@ -342,7 +340,8 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     l = system.mesh.geometry.l
     two_l = 2.0 * l
     lo, hi = variant.bounds(l)
-    d, compliance = _spring_free(reduced)
+    half, compliance = _spring_free(reduced)
+    d = 2.0 * half
     omega = 1.0 / (1.0 + spring.lipschitz * compliance)
 
     def inner(t: float) -> float:

@@ -126,9 +126,9 @@ def test_mirror_symmetry(l, L1, L2, E1, E2, q1, q2, f1, f2, variant, n1, n2):
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(**_DRAWS)
+@given(m=st.integers(-60, 60), **_DRAWS)
 def test_scaling_moduli_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, f1, f2, variant,
-                                            n1, n2):
+                                            n1, n2, m):
     # the energy scales by c, so the displacements stay and the stress scales by c
     c, k_max = 2.5, (E1 + E2) / (2.0 * max(L1, L2))
     g1, g2, theta, s = _interface(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2,
@@ -136,6 +136,12 @@ def test_scaling_moduli_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, f1, f2, v
     scaled = _interface(l, L1, L2, c * E1, c * E2, c * q1 * k_max, c * q2 * k_max,
                         c * f1, c * f2, variant, n1, n2)
     _assert_close(scaled, (g1, g2, theta, c * s))
+    # a power of two scales every product exactly, and the exact solve has no
+    # tolerance in force units: its gap pair and gap keep their bits
+    c = 2.0 ** m
+    scaled = _interface(l, L1, L2, c * E1, c * E2, c * q1 * k_max, c * q2 * k_max,
+                        c * f1, c * f2, variant, n1, n2)
+    assert scaled == (g1, g2, theta, c * s)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

@@ -87,6 +87,12 @@ class TestSolveExact:
         assert s1 == pytest.approx(sol.s, abs=1e-10)
         assert s2 == pytest.approx(sol.s, abs=1e-10)
 
+    def test_half_gap_of_another_mesh_is_refused(self):
+        # the mesh's half-gap is 0.5: 0.7 would set the bounds and 2l of another geometry
+        _, _, red, spring = setup_case(1.0, (1.0, -1.0))
+        with pytest.raises(ValidationError, match="half-gap"):
+            solve_exact(red, spring, NP_, 0.7)
+
     def test_scaling_exact_in_linear_regime(self):
         # doubling the load scales the linear-regime response exactly
         _, _, red1, spring = setup_case(0.8, (1.0, -0.5))
@@ -496,6 +502,18 @@ def test_certifies_exact_solves_at_large_loads(f, variant):
     assert vi_residual(system, spring, variant, sol.u) >= -rounding
 
 
+def test_certifies_the_clamp_of_a_small_spring_free_gap_change():
+    # |d| is far below 1e-9*C, yet the exact gap change is the clamp's, as in the
+    # closed form: a tie t = 0 here would leave a multiplier of |d|/C
+    problem = make_problem(Geometry(-1.5, 1.5, 0.5), MAT, SpringLaw(0.5, 0.5, 1.0),
+                           BodyForce(9.84e-12, 0.0), NP_)
+    sol = solve(problem, (1, 1))
+    assert sol.theta - 1.0 == analytic_solution(problem).theta - 1.0 == -2.460032177964422e-12
+    system = assemble(build_mesh(problem.geometry, 1, 1), MAT, problem.forces)
+    rounding, _ = _rounding_scale(problem.geometry, problem.forces, (1, 1))
+    assert vi_residual(system, problem.spring, NP_, sol.u) >= -rounding
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(l=st.floats(0.2, 0.8), L1=st.floats(0.5, 1.5), L2=st.floats(0.5, 1.5),
        log_E1=st.floats(math.log(0.5), math.log(4.0)),
@@ -521,11 +539,7 @@ def test_certificate_passes_solves_and_flags_perturbations(l, L1, L2, log_E1, lo
         return vi_residual(system, problem.spring, variant, u)
 
     sol = solve(problem, mesh_sizes)
-    # the exact solve takes a spring-free gap change d within 1e-9*C of zero as the
-    # breakpoint t = 0, which leaves a multiplier of |d|/C that the certificate sees
-    d, compliance = solver_module._spring_free(reduced)
-    snap = abs(d / compliance) if sol.diagnostics.regime == "breakpoint" else 0.0
-    assert certify(sol.u) >= -(rounding + snap)
+    assert certify(sol.u) >= -rounding
     for method in ("gradient", "fixed-point"):
         iterative = solve(problem, mesh_sizes, method, SolverConfig(tolerance=1e-10))
         assert certify(iterative.u) >= -1e-8 * scale, method
@@ -712,6 +726,17 @@ class TestOverflow:
                                BodyForce(1e10, -1e10), NP_)
         with pytest.raises(NoConsistentRegime, match="overflows"):
             solve(problem, (4, 4), method, SolverConfig(max_iterations=50))
+
+    def test_representable_equilibrium_with_an_overflowing_spring_free_gap(self):
+        # d = r2/s2 - r1/s1 overflows, but d/2 does not: exact finds the
+        # equilibrium that the gradient iterates to
+        problem = make_problem(GEO, Material(0.01, 0.01), SpringLaw(0.004, 0.004, 1.0),
+                               BodyForce(-1e307, 1e307), NP_)
+        exact, gradient = solve(problem), solve(problem, method="gradient")
+        assert exact.diagnostics.regime == gradient.diagnostics.regime == "extension"
+        for got, want in zip((exact.g1, exact.g2, exact.theta),
+                             (gradient.g1, gradient.g2, gradient.theta)):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_gradient_stops_on_a_nan_step(self, monkeypatch):
         # the first step overflows the iterates; a NaN step norm ends the loop
