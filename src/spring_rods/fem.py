@@ -4,16 +4,16 @@ Each rod gets a uniform mesh; the outer ends carry homogeneous Dirichlet
 conditions, so the free unknowns are all remaining nodal displacements.  On
 a uniform mesh each rod's tridiagonal stiffness block is the scalar E/h times
 a fixed stencil, so only that scalar is stored; the node coordinates and the
-diagonals are built on demand for the callers that read them.  The whole
+diagonals are built on demand for the callers that read them.  The loads are
+the constant densities of a BodyForce, the one load model.  The whole
 interface behaviour condenses exactly onto the two inner-end displacements
 (g1, g2), in closed form: every interior-minimized field is the field pinned
 at both rod ends plus g times the linear nodal ramp, so the condensed
 stiffness is diag(E1/L1, E2/L2) on any uniform mesh and the condensed load is
-the load dotted with the ramp.  For the constant densities of a BodyForce
-that dot is exactly f*L/2 per rod, so the system keeps the force, builds its
-load vectors only when they are read, and condenses in O(1); other loads
-keep their vectors and the dot.  Field recovery writes each rod's field in
-place into one output array, with one scratch array for both rods.
+the load dotted with the ramp, exactly f*L/2 per rod.  So the system keeps
+the force, builds its load vectors only when they are read, and condenses in
+O(1).  Field recovery writes each rod's field in place into one output array,
+with one scratch array for both rods.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoConsistentRegime, ValidationError, ZeroElements
-from .model import BodyForce, Geometry, Material
+from .errors import NoConsistentRegime, ZeroElements
+from .model import BodyForce, Geometry, Material, _check_forces
 
-_GAUSS2 = (-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0))
 _HALF_MAX = 0.5 * sys.float_info.max
 #: Entries per BLAS dot in `_dot`: OpenBLAS splits longer dots over its
 #: threads, and the split moves the last bits with the thread count.
@@ -129,42 +128,20 @@ def _constant_load(n: int, h: float, f: float, interface_last: bool) -> np.ndarr
     return b
 
 
-def _quadrature_load(nodes: np.ndarray, f, skip_first: bool) -> np.ndarray:
-    """Two-point Gauss load for a callable density; drops the Dirichlet node."""
-    n = len(nodes) - 1
-    full = np.zeros(n + 1)
-    for e in range(n):
-        x0, x1 = nodes[e], nodes[e + 1]
-        h = x1 - x0
-        mid = 0.5 * (x0 + x1)
-        for xi in _GAUSS2:
-            x = mid + 0.5 * h * xi
-            w = 0.5 * h
-            full[e] += w * f(x) * (x1 - x) / h
-            full[e + 1] += w * f(x) * (x - x0) / h
-    return full[1:] if skip_first else full[:-1]
-
-
 class DiscreteSystem:
-    """Stiffness and loads of both rods.
+    """Stiffness and loads of both rods under a BodyForce.
 
     Each rod's stiffness block is its scalar E/h (`stiff1`, `stiff2`) times
     the stencil (-1, 2, -1), with 1 on the diagonal at the interface node;
     diag/off are the main and first off-diagonal of each SPD block, built on
-    each access.  `b1` and `b2` are the consistent load vectors.  A system
-    built from a BodyForce (`forces`, as `assemble` builds it) builds them on
-    first read; one built from the two vectors has `forces` None.
+    each access.  `b1` and `b2` are the consistent load vectors of `forces`,
+    built on first read.  Any load but a BodyForce raises ValidationError.
     """
 
-    def __init__(self, mesh: Mesh, material: Material, stiff1: float, stiff2: float,
-                 b1: np.ndarray | None = None, b2: np.ndarray | None = None,
-                 forces: BodyForce | None = None):
-        if (forces is None) == (b1 is None or b2 is None):
-            raise ValidationError("need the load vectors b1 and b2, or a BodyForce alone")
-        self.mesh, self.material, self.stiff1, self.stiff2 = mesh, material, stiff1, stiff2
-        self.forces = forces
-        if forces is None:
-            self.b1, self.b2 = b1, b2
+    def __init__(self, mesh: Mesh, material: Material, forces: BodyForce):
+        _check_forces(forces)
+        self.mesh, self.material, self.forces = mesh, material, forces
+        self.stiff1, self.stiff2 = material.E1 / mesh.h1, material.E2 / mesh.h2
 
     @cached_property
     def b1(self) -> np.ndarray:
@@ -219,20 +196,14 @@ def _rod_matvec(k: float, u: np.ndarray, interface: int) -> np.ndarray:
     return out
 
 
-def assemble(mesh: Mesh, material: Material, forces) -> DiscreteSystem:
-    """Build the rod stiffnesses and consistent loads.
+def assemble(mesh: Mesh, material: Material, forces: BodyForce) -> DiscreteSystem:
+    """Build the rod stiffnesses and the consistent loads of a BodyForce.
 
-    `forces` is either a BodyForce (constant densities, integrated exactly;
-    the system keeps it and builds the load vectors on first read) or a pair
-    of callables integrated with two-point Gauss per element.
+    The constant densities are integrated exactly; the system keeps the force
+    and builds the load vectors on first read.  Any other load raises
+    ValidationError.
     """
-    stiff = (material.E1 / mesh.h1, material.E2 / mesh.h2)
-    if isinstance(forces, BodyForce):
-        return DiscreteSystem(mesh, material, *stiff, forces=forces)
-    f1, f2 = forces
-    return DiscreteSystem(mesh, material, *stiff,
-                          _quadrature_load(mesh.nodes1, f1, skip_first=True),
-                          _quadrature_load(mesh.nodes2, f2, skip_first=False))
+    return DiscreteSystem(mesh, material, forces)
 
 
 def v_norm(mesh: Mesh, dof: DofVector) -> float:
@@ -265,24 +236,20 @@ class ReducedSystem:
         """A bound on every value that recovering the pinned field computes; inf past
         2**50 elements per rod or where it is not finite.
 
-        A rod's n - 1 interior loads are at most M in magnitude: |f*h| for a BodyForce,
-        the largest interior entry of a load vector.  Their running sums are at most
-        (n - 1)*M, each minus their mean at most 2(n - 1)*M, and the running sums of
-        those at most 2(n - 1)^2*M, scaled by q = h/E.  So 2*n^2*M*max(1, q) bounds
-        every value, rounded at most 3n + 8 times on its way, a factor below
-        exp(3/8) < 2 up to 2**50 elements: the half of DBL_MAX that
-        `field_surely_finite` asks for leaves room for it.  A NaN (no load on a rod
-        with an infinite q) is inf here, so it fails every bound.
+        A rod's n - 1 interior loads are the constant f*h, of magnitude M = |f*h|.
+        Their running sums are at most (n - 1)*M, each minus their mean at most
+        2(n - 1)*M, and the running sums of those at most 2(n - 1)^2*M, scaled by
+        q = h/E.  So 2*n^2*M*max(1, q) bounds every value, rounded at most 3n + 8
+        times on its way, a factor below exp(3/8) < 2 up to 2**50 elements: the half
+        of DBL_MAX that `field_surely_finite` asks for leaves room for it.  A NaN (no
+        load on a rod with an infinite q) is inf here, so it fails every bound.
         """
-        sys_ = self.system
-        mesh, mat = sys_.mesh, sys_.material
+        mesh, mat, forces = self.system.mesh, self.system.material, self.system.forces
         if max(mesh.n1, mesh.n2) > 2 ** 50:
             return math.inf
-        m1, m2 = (abs(x) if isinstance(x, float) else float(np.max(np.abs(x), initial=0.0))
-                  for x in _interior_loads(sys_))
-        p1, p2 = (2.0 * float(n) * float(n) * m * max(1.0, h / E)
-                  for n, m, h, E in ((mesh.n1, m1, mesh.h1, mat.E1),
-                                     (mesh.n2, m2, mesh.h2, mat.E2)))
+        p1, p2 = (2.0 * float(n) * float(n) * abs(f * h) * max(1.0, h / E)
+                  for n, f, h, E in ((mesh.n1, forces.f1, mesh.h1, mat.E1),
+                                     (mesh.n2, forces.f2, mesh.h2, mat.E2)))
         return max(p1, p2) if math.isfinite(p1 + p2) else math.inf
 
     @cached_property
@@ -310,7 +277,7 @@ class ReducedSystem:
         """Energy norm sqrt(dg1^2/L1 + dg2^2/L2) of the harmonic field with interface jump dg.
 
         A finite jump beyond 1e154 squares past DBL_MAX; it is then scaled by
-        a power of two (exact) before squaring, as `_ramp_dot` does.
+        a power of two (exact) before squaring.
         """
         (dg1, dg2), geo = dg, self.system.mesh.geometry
         sq = dg1 * (1.0 / geo.L1) * dg1 + dg2 * (1.0 / geo.L2) * dg2
@@ -323,20 +290,20 @@ class ReducedSystem:
         return math.sqrt(sq)
 
 
-def _pinned(loads, h_over_E: float, carried: np.ndarray, out: np.ndarray) -> None:
+def _pinned(load: float, h_over_E: float, carried: np.ndarray, out: np.ndarray) -> None:
     """Write the interior nodal values of a rod held at zero at both ends into out.
 
     Node equilibrium makes consecutive element stresses differ by the nodal
     load, so the stresses are a constant minus the running load sum; zero
     end values make the stresses sum to zero, which fixes the constant.
-    `carried` (one entry more than out) receives the interior loads, a vector
-    or one constant, and then in place their running sums.  The bare ufunc
+    `carried` (one entry more than out) receives the interior loads, each the
+    constant `load`, and then in place their running sums.  The bare ufunc
     calls are what `mean` and `cumsum` run after their Python wrappers (the
     same pairwise sum, division and running sum), so the bits match.
     """
     carried[0] = 0.0
     tail = carried[1:]
-    tail[:] = loads
+    tail[:] = load
     np.add.accumulate(tail, out=tail)
     np.subtract(float(np.add.reduce(carried)) / carried.size, carried[:-1], out=out)
     np.add.accumulate(out, out=out)
@@ -351,7 +318,7 @@ def _ramp(out: np.ndarray) -> np.ndarray:
     """Write the nodal ramp j/n, j = 1..n = out.size, into out and return it.
 
     The counts j are exact integers, doubled from `_COUNT_BLOCK`, so each j/n
-    is one division, as from the `np.arange` weights the ramp dot uses.
+    is one division.
     """
     n = out.size
     m = min(n, _COUNT_BLOCK.size)
@@ -364,69 +331,37 @@ def _ramp(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ramp_dot(b: np.ndarray, interface_last: bool) -> float:
-    """b dotted with the nodal linear ramp of a rod's free nodes.
-
-    The ramp (0 at the clamped end, 1 at the interface) is the discrete
-    harmonic extension of a unit interface value: its stiffness residual
-    vanishes at every interior node.  Integer weights n*ramp with one
-    division after the dot avoid rounding each j/n.  If the sum overflows, b
-    is scaled by a power of two first (exact).
-    """
-    n = b.size
-    w = np.arange(1.0, n + 1.0) if interface_last else np.arange(n, 0.0, -1.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _dot(b, w) / n
-        if not math.isfinite(r):
-            e = math.frexp(float(np.max(np.abs(b))))[1]
-            r = float(np.ldexp(_dot(np.ldexp(b, -e), w) / n, e))
-    return r
-
-
 def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
     """Condense both rods onto (g1, g2); raises NoConsistentRegime if the load overflows.
 
-    For a BodyForce the ramp dot of each rod's consistent load is exactly
-    f*L/2, rounded once here; load vectors take `_ramp_dot`.
+    The ramp dot of each rod's consistent load is exactly f*L/2, rounded once here.
     """
     mat, forces, geo = system.material, system.forces, system.mesh.geometry
-    if forces is not None:
-        r = ((0.5 * forces.f1) * geo.L1, (0.5 * forces.f2) * geo.L2)
-    else:
-        r = (_ramp_dot(system.b1, interface_last=True), _ramp_dot(system.b2, interface_last=False))
+    r = ((0.5 * forces.f1) * geo.L1, (0.5 * forces.f2) * geo.L2)
     if not all(map(math.isfinite, r)):
         raise NoConsistentRegime(f"condensed load {r} is not finite: the loads are too large")
     return ReducedSystem(system, (mat.E1 / geo.L1, mat.E2 / geo.L2), r)
-
-
-def _interior_loads(system: DiscreteSystem):
-    """Each rod's interior nodal loads: a load vector's entries, or a BodyForce's constant f*h."""
-    mesh, forces = system.mesh, system.forces
-    if forces is None:
-        return system.b1[:-1], system.b2[1:]
-    return forces.f1 * mesh.h1, forces.f2 * mesh.h2
 
 
 def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
     """Interior argmin of the energy for prescribed interface values.
 
     Each rod's field is written into one output array; one scratch array
-    holds first the running load sums and then g times the ramp.  A BodyForce
-    fills the loads with its constant f*h, so its load vectors are not read.
-    Arrays that do not fit in memory raise ZeroElements.
+    holds first the running sums of the constant loads f*h and then g times
+    the ramp, so the load vectors are not read.  Arrays that do not fit in
+    memory raise ZeroElements.
     """
-    mesh, mat = reduced.system.mesh, reduced.system.material
+    mesh, mat, forces = reduced.system.mesh, reduced.system.material, reduced.system.forces
     n1, n2 = mesh.n1, mesh.n2
-    loads1, loads2 = _interior_loads(reduced.system)
     try:
         scratch = np.empty(max(n1, n2))
         u1, u2 = np.empty(n1), np.empty(n2)
     except MemoryError as exc:
         raise ZeroElements(f"the arrays of n1={n1}, n2={n2} elements per rod do not fit "
                            f"in memory") from exc
-    _pinned(loads1, mesh.h1 / mat.E1, scratch[:n1], u1[:-1])
+    _pinned(forces.f1 * mesh.h1, mesh.h1 / mat.E1, scratch[:n1], u1[:-1])
     u1[-1] = 0.0
-    _pinned(loads2, mesh.h2 / mat.E2, scratch[:n2], u2[1:])
+    _pinned(forces.f2 * mesh.h2, mesh.h2 / mat.E2, scratch[:n2], u2[1:])
     u2[0] = 0.0
     # rod 2's ramp falls from the interface: its reversed view rises as rod 1's does
     for u, g, n in ((u1, g1, n1), (u2[::-1], g2, n2)):
@@ -445,8 +380,7 @@ def interface_stress(mesh: Mesh, dof: DofVector, material: Material,
     offset, so the traces are exact for the constant loads of a BodyForce, the only loads
     taken.  A one-element rod's outer neighbour is the clamp, 0.
     """
-    if not isinstance(forces, BodyForce):
-        raise ValidationError(f"stress traces need a BodyForce, got {type(forces).__name__}")
+    _check_forces(forces)
     u1_prev = float(dof.rod1[-2]) if mesh.n1 > 1 else 0.0
     u2_next = float(dof.rod2[1]) if mesh.n2 > 1 else 0.0
     return (material.E1 * (dof.g1 - u1_prev) / mesh.h1 - 0.5 * forces.f1 * mesh.h1,

@@ -184,6 +184,12 @@ class BodyForce:
         _set_real(self, "f2", "force density f2", -math.inf, math.inf)
 
 
+def _check_forces(forces) -> None:
+    """Raise ValidationError unless forces is a BodyForce, the one load model."""
+    if not isinstance(forces, BodyForce):
+        raise ValidationError(f"loads: need a BodyForce, got {type(forces).__name__}")
+
+
 class ConstraintVariant(Enum):
     """Admissible interval for the current spring length.
 
@@ -249,6 +255,7 @@ class ProblemSpec:
     coupling_bound: float = field(init=False)
 
     def __post_init__(self):
+        _check_forces(self.forces)
         _check_natural_length("spring", self.spring.natural_length, self.geometry)
         m, alpha = _check_smallness(self.geometry, self.material, self.spring)
         object.__setattr__(self, "stiffness_sum", m)

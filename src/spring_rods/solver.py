@@ -105,7 +105,7 @@ def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLa
     The penalty potential is quadratic on the side(s) it acts on, so adding
     (1/lam) of it just raises the corresponding stiffness coefficient.
     """
-    dk = 1.0 / lam
+    dk = 1.0 / _real("penalty parameter", lam, 0.0, math.inf, NonPositiveLambda)
     below, above = law.variant.sides
     return SpringLaw(spring.k1 + (dk if below else 0.0), spring.k2 + (dk if above else 0.0),
                      spring.natural_length)
@@ -328,6 +328,8 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     slope in [-Lp*C, 0], and the relaxation T(t) = (1 - w)*t + w*inner(t)
     with the damping w = 1/(1 + Lp*C) is nondecreasing with slope in
     [0, Lp*C/(1 + Lp*C)]: in exact arithmetic the steps cannot grow.
+    The relaxation runs on t/2 from d/2, so d, which may overflow where its
+    half does not, is never formed; halving is exact, so each t is the same.
     A step is the energy norm between the `_at_gap` pairs of consecutive t,
     the first measured from the zero pair.  The loop stops on the first
     step that is not above the tolerance: converged if it is at most the
@@ -341,24 +343,25 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     two_l = 2.0 * l
     lo, hi = variant.bounds(l)
     half, compliance = _spring_free(reduced)
-    d = 2.0 * half
     omega = 1.0 / (1.0 + spring.lipschitz * compliance)
+    half_lo, half_hi = 0.5 * (lo - two_l), 0.5 * (hi - two_l)
 
-    def inner(t: float) -> float:
-        return min(max(d + compliance * spring.force(two_l + t), lo - two_l), hi - two_l)
+    def inner(tau: float) -> float:  # half the inner gap change at the gap change 2*tau
+        force = spring.force(two_l + 2.0 * tau)
+        return min(max(half + (0.5 * compliance) * force, half_lo), half_hi)
 
-    t = 0.0
+    tau = 0.0
     g = (0.0, 0.0)
     steps: list[float] = []
     while len(steps) < cfg.max_iterations:
-        t += omega * (inner(t) - t)
-        new = _at_gap(reduced, t)
+        tau += omega * (inner(tau) - tau)
+        new = _at_gap(reduced, 2.0 * tau)
         steps.append(reduced.interface_vnorm((new[0] - g[0], new[1] - g[1])))
         g = new
         if not steps[-1] > cfg.tolerance:
             break
     ratios = tuple(b / a for a, b in zip(steps, steps[1:]) if a > 0.0)
-    t = inner(t)
+    t = 2.0 * inner(tau)
     return _label(reduced, spring, lo, hi, two_l, _at_gap(reduced, t), two_l + t).solution(
         "fixed-point", len(steps), steps[-1] <= cfg.tolerance, ratios)
 

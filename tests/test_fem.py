@@ -7,14 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
 from scipy.linalg import cholesky_banded, solveh_banded
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, NoConsistentRegime,
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material,
                          SpringLaw, ValidationError, ZeroElements, assemble, build_mesh,
                          interface_stress, recover_full, schur_reduce, solve_exact, spring_gap)
 from spring_rods import analytic_solution, make_problem, solve
-from spring_rods.fem import DiscreteSystem, DofVector, _ramp_dot, v_norm
+from spring_rods.fem import DiscreteSystem, DofVector, v_norm
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -105,15 +104,25 @@ class TestAssemble:
         assert system.b1[0] == 0.25
         assert system.b1[-1] == 0.125
 
-    def test_system_takes_load_vectors_or_a_body_force(self):
-        mesh, system = make_system(2, 2, f1=1.0)
-        b1, b2 = system.b1, system.b2  # built on first read from the kept BodyForce
-        with pytest.raises(ValidationError, match="or a BodyForce alone"):
-            DiscreteSystem(mesh, MAT, system.stiff1, system.stiff2)
-        with pytest.raises(ValidationError, match="or a BodyForce alone"):
-            DiscreteSystem(mesh, MAT, system.stiff1, system.stiff2, b1, b2, forces=system.forces)
-        given = DiscreteSystem(mesh, MAT, system.stiff1, system.stiff2, b1, b2)
-        assert given.forces is None and given.b1 is b1 and given.b2 is b2
+    def test_system_is_a_mesh_a_material_and_a_body_force(self):
+        # the stiffnesses E/h come from the mesh and material, the load vectors
+        # from the kept BodyForce on first read
+        mesh = build_mesh(GEO, 2, 2)
+        system = DiscreteSystem(mesh, Material(1.0, 0.5), BodyForce(1.0, -2.0))
+        assert (system.stiff1, system.stiff2) == (4.0, 2.0)
+        assert system.b1.tolist() == [0.25, 0.125] and system.b2.tolist() == [-0.25, -0.5]
+
+    @pytest.mark.parametrize("forces", [None, "ab", (1.0, 2.0), (lambda x: 1.0, lambda x: -1.0)],
+                             ids=["None", "str", "pair", "callables"])
+    def test_only_a_body_force_is_a_load(self, forces):
+        # make_problem took each of these: solve then leaked TypeError, or
+        # solved the callables that no study, oracle or stress trace takes
+        mesh = build_mesh(GEO, 2, 2)
+        for build in (lambda: make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), forces),
+                      lambda: assemble(mesh, MAT, forces),
+                      lambda: DiscreteSystem(mesh, MAT, forces)):
+            with pytest.raises(ValidationError, match="need a BodyForce"):
+                build()
 
     def test_zero_forces_zero_load(self):
         _, system = make_system(3, 3)
@@ -141,24 +150,6 @@ class TestAssemble:
                 ab[0, 1:] = e
                 ab[1, :] = d
                 cholesky_banded(ab)  # raises on non-SPD
-
-    def test_quadrature_load_matches_constant(self):
-        mesh = build_mesh(GEO, 5, 3)
-        const = assemble(mesh, MAT, BodyForce(2.0, -1.5))
-        gauss = assemble(mesh, MAT, (lambda x: 2.0, lambda x: -1.5))
-        assert np.allclose(const.b1, gauss.b1, atol=1e-14)
-        assert np.allclose(const.b2, gauss.b2, atol=1e-14)
-
-    def test_quadrature_load_linear_density(self):
-        # two-point Gauss is exact for cubics, so a linear density is exact
-        mesh = build_mesh(GEO, 4, 4)
-        system = assemble(mesh, MAT, (lambda x: x, lambda x: 0.0))
-        h = mesh.h1
-        for i in range(mesh.n1 - 1):
-            x = mesh.nodes1[i + 1]
-            assert system.b1[i] == pytest.approx(x * h, abs=1e-14)
-        x_end = mesh.nodes1[-1]
-        assert system.b1[-1] == pytest.approx(x_end * h / 2 - h * h / 6, abs=1e-14)
 
     def test_galerkin_consistency_quadratic_field(self):
         # interpolant of u with -E u'' = f has vanishing interior residual
@@ -298,37 +289,6 @@ class TestStress:
             interface_stress(mesh, dof, MAT, (lambda x: 1.0, lambda x: -1.0))
 
 
-def _hat_integrals(nodes, density):
-    """Exact integral of the polynomial density against each node's hat function."""
-    out = np.zeros(len(nodes))
-    for e, (x0, x1) in enumerate(zip(nodes[:-1], nodes[1:])):
-        for node, hat in ((e, Polynomial([x1, -1.0]) / (x1 - x0)),
-                          (e + 1, Polynomial([-x0, 1.0]) / (x1 - x0))):
-            antiderivative = (density * hat).integ()
-            out[node] += antiderivative(x1) - antiderivative(x0)
-    return out
-
-
-class TestCallableLoads:
-    def test_quadratic_density_matches_the_exact_hat_integrals(self):
-        # two-point Gauss is exact up to degree 3, so for a quadratic density
-        # times a hat; a cubic density's quartic integrand is not integrated
-        # exactly at the end entries (4e-5 off at the interface here)
-        geo = Geometry(-1.3, 0.9, 0.4)
-        f1 = Polynomial([0.7, -1.1, 2.3])
-        f2 = Polynomial([-0.4, 1.6, -2.2])
-        mesh = build_mesh(geo, 3, 7)
-        system = assemble(mesh, MAT, (f1, f2))
-        # rod 1 drops its clamped node x=a, rod 2 its clamped node x=b; the
-        # interface entries b1[-1] and b2[0] are half hats
-        expected1 = _hat_integrals(mesh.nodes1, f1)[1:]
-        expected2 = _hat_integrals(mesh.nodes2, f2)[:-1]
-        assert system.b1.shape == (3,) and system.b2.shape == (7,)
-        scale = max(np.max(np.abs(expected1)), np.max(np.abs(expected2)))
-        assert np.max(np.abs(system.b1 - expected1)) <= 1e-14 * scale
-        assert np.max(np.abs(system.b2 - expected2)) <= 1e-14 * scale
-
-
 # ---------------------------------------------------------------------------
 # closed-form condensation and recovery against independent references
 
@@ -337,7 +297,6 @@ CLOSED_MAT = Material(1.7, 0.6)
 CLOSED_MESHES = ((1, 1), (3, 7), (64, 5), (4096, 3))
 CLOSED_LOADS = {
     "constant": BodyForce(2.5, -1.5),
-    "callable": (lambda x: np.sin(3.0 * x) + x * x, lambda x: 1.0 - np.exp(x)),
 }
 
 
@@ -407,8 +366,9 @@ class TestClosedFormCondensation:
 def test_constant_load_ramp_dot_is_the_closed_form():
     # schur_reduce takes the condensed load of a BodyForce as (0.5*f)*L, one
     # rounding of f*L/2; here the consistent load vector's ramp dot, computed
-    # independently, must agree.  The vector holds c = fl(f*fl(L/n)) at n - 1
-    # nodes and c/2 at the interface, so its exact ramp dot over n is
+    # independently with the integer weights n*ramp and one division, must
+    # agree.  The vector holds c = fl(f*fl(L/n)) at n - 1 nodes and c/2 at
+    # the interface, so its exact ramp dot over n is
     # c*n/2 = f*L/2*(1 + d)^2 with |d| <= u = 2**-53.  The floating dot of n
     # same-signed products, summed in any order, is off by at most
     # gamma_n = n*u/(1 - n*u) of the exact dot, and the division rounds once:
@@ -424,19 +384,11 @@ def test_constant_load_ramp_dot_is_the_closed_form():
         f1, f2 = (float(sign) * 10.0 ** float(e) for sign, e in
                   zip(rng.choice([-1.0, 1.0], 2), rng.uniform(-3.0, 300.0, 2)))
         system = assemble(build_mesh(geo, n1, n2), MAT, BodyForce(f1, f2))
-        for b, interface_last, f, L, n in ((system.b1, True, f1, geo.L1, n1),
-                                           (system.b2, False, f2, geo.L2, n2)):
+        for b, w, f, L, n in ((system.b1, np.arange(1.0, n1 + 1.0), f1, geo.L1, n1),
+                              (system.b2, np.arange(n2, 0.0, -1.0), f2, geo.L2, n2)):
             closed = (0.5 * f) * L
-            assert abs(_ramp_dot(b, interface_last) - closed) <= (n + 6) * u * abs(closed), (
-                n, f, L)
+            assert abs(float(b @ w) / n - closed) <= (n + 6) * u * abs(closed), (n, f, L)
         assert schur_reduce(system).r == ((0.5 * f1) * geo.L1, (0.5 * f2) * geo.L2)
-
-
-def test_ramp_dot_survives_an_overflowing_sum():
-    # at 8+8 the integer-weighted sum b . (n * ramp) of these loads overflows;
-    # scaled by a power of two first, the dot is the representable f*L/2
-    system = assemble(build_mesh(GEO, 8, 8), MAT, BodyForce(1e308, -1e308))
-    assert (_ramp_dot(system.b1, True), _ramp_dot(system.b2, False)) == (2.5e307, -2.5e307)
 
 
 @pytest.mark.parametrize("variant", list(ConstraintVariant))
@@ -471,40 +423,22 @@ PIN_GEO = Geometry(-1.3, 0.9, 0.4)
 PIN_MAT = Material(1.7, 0.6)
 
 
-def _poly1(x):
-    return 3.0 * x * x - x + 0.5
-
-
-def _poly2(x):
-    return -2.0 * x * x * x + 0.25 * x - 1.0
-
-
 #: Each load as (forces, scale); the prescribed interface values scale with it.
 PIN_LOADS = {
     "constant": (BodyForce(2.5, -1.5), 1.0),
-    "callable": ((_poly1, _poly2), 1.0),
     "constant-1e17": (BodyForce(1e17, -1e17), 1e17),
-    "callable-1e17": ((lambda x: 1e17 * _poly1(x), lambda x: 1e17 * _poly2(x)), 1e17),
 }
 
 #: First 128 bits of the sha256 of the recovered little-endian rod1 and rod2 bytes.
 PINNED_FIELDS = {
     ((1, 1), "constant"): "b51fd4fba7d129029d1a936694c2ec55",
-    ((1, 1), "callable"): "b51fd4fba7d129029d1a936694c2ec55",
     ((1, 1), "constant-1e17"): "92b9eb3d34a7c99ac84a9a0e40a78b17",
-    ((1, 1), "callable-1e17"): "92b9eb3d34a7c99ac84a9a0e40a78b17",
     ((3, 7), "constant"): "099461161bebd371097dd05da62dd807",
-    ((3, 7), "callable"): "145bc644a6d9c3c86a2673ee5709e54d",
     ((3, 7), "constant-1e17"): "46f600401a2bb823254cf9cacf558cf0",
-    ((3, 7), "callable-1e17"): "9f260b6ebd0e6b354eb819081caabfcf",
     ((64, 5), "constant"): "94c4e3aa2182fc63f7c638c45fafb7b8",
-    ((64, 5), "callable"): "46d9841214519cf6822b90a7e0377c97",
     ((64, 5), "constant-1e17"): "34b9ffe59cb3e20556cf7fbf9038382c",
-    ((64, 5), "callable-1e17"): "e33d8eb547d05ada3ac90671772c0bd4",
     ((4096, 4096), "constant"): "ade64378526186f6d1c620c51c9863ac",
-    ((4096, 4096), "callable"): "2de97338876faeecc88b79da8ada27ae",
     ((4096, 4096), "constant-1e17"): "0f0578ffdfaa69548c2a2e5b3097c730",
-    ((4096, 4096), "callable-1e17"): "b6a3764997b3599932d3080c949b21de",
 }
 
 
@@ -519,33 +453,12 @@ def test_recovered_field_bits_are_pinned(sizes, load):
     assert hashlib.sha256(blob).hexdigest()[:32] == PINNED_FIELDS[sizes, load]
 
 
-def _mixed_loads(rng, n):
-    """n nodal loads of magnitude up to M = 2^x DBL_MAX/(2n^2), the scale of the field
-    bound's 2*n^2*M: random signs, or one sign change at a random node."""
-    m = min(sys.float_info.max, sys.float_info.max / (2.0 * n * n) * 2.0 ** rng.uniform(-6.0, 8.0))
-    signs = (rng.choice([-1.0, 1.0], n) if rng.random() < 0.5
-             else np.where(np.arange(n) < rng.integers(0, n + 1), 1.0, -1.0))
-    return signs * rng.uniform(0.5, 1.0, n) * m
-
-
 def test_field_bound_never_passes_an_overflowing_field():
     # fields near DBL_MAX: with E = 1/64 on the half-unit rods the pinned
-    # field peaks at 2|f| (inf beyond DBL_MAX), and g1, g2 take either sign;
-    # then the same for mixed-sign load vectors, whose bound is read from them
+    # field peaks at 2|f| (inf beyond DBL_MAX), and g1, g2 take either sign
     rng = np.random.default_rng(7)
     mat = Material(1 / 64, 1 / 64)
-    outcomes = {"force": [0, 0, 0], "vectors": [0, 0, 0]}  # passed, refused finite, overflowed
-
-    def tally(kind, reduced, g1, g2, case):
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = recover_full(reduced, g1, g2)
-        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
-        if reduced.field_surely_finite(g1, g2):
-            assert finite, case
-            outcomes[kind][0] += 1
-        else:
-            outcomes[kind][1 if finite else 2] += 1
-
+    counts = [0, 0, 0]  # passed, refused finite, overflowed
     for _ in range(400):
         n1, n2 = (int(n) for n in rng.integers(1, 65, 2))
         f1, f2 = (float(sign) * 10.0 ** float(e) for sign, e in
@@ -553,24 +466,15 @@ def test_field_bound_never_passes_an_overflowing_field():
         g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
                   zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.25, 2)))
         reduced = schur_reduce(assemble(build_mesh(GEO, n1, n2), mat, BodyForce(f1, f2)))
-        tally("force", reduced, g1, g2, (n1, n2, f1, f2, g1, g2))
-    rng = np.random.default_rng(11)
-    for _ in range(400):
-        n1, n2 = (int(n) for n in rng.integers(1, 65, 2))
-        mesh = build_mesh(GEO, n1, n2)
-        b1, b2 = _mixed_loads(rng, n1), _mixed_loads(rng, n2)
-        g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
-                  zip(rng.choice([-1.0, 1.0], 2), rng.uniform(300.0, 308.25, 2)))
-        try:
-            reduced = schur_reduce(DiscreteSystem(mesh, mat, mat.E1 / mesh.h1,
-                                                  mat.E2 / mesh.h2, b1, b2))
-        except NoConsistentRegime:  # the condensed load overflows
-            continue
-        tally("vectors", reduced, g1, g2, (n1, n2, b1, b2, g1, g2))
-    for kind, counts in outcomes.items():
-        assert min(counts) >= 20, (kind, counts)
-
-
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = recover_full(reduced, g1, g2)
+        finite = bool(np.isfinite(u.rod1).all() and np.isfinite(u.rod2).all())
+        if reduced.field_surely_finite(g1, g2):
+            assert finite, (n1, n2, f1, f2, g1, g2)
+            counts[0] += 1
+        else:
+            counts[1 if finite else 2] += 1
+    assert min(counts) >= 20, counts
 def test_constant_bound_never_passes_an_overflowing_field():
     # the O(1) bound of a BodyForce, which a solve trusts without scanning the
     # field: each rod's modulus puts its pinned field's peak |f|*L^2/(8E) at
@@ -610,14 +514,13 @@ from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, Sprin
                          build_mesh, schur_reduce, solve_exact, vi_residual)
 geo, mat, spring = Geometry(-1.3, 0.9, 0.4), Material(1.7, 0.6), SpringLaw(0.3, 0.5, 0.8)
 variant = ConstraintVariant.NON_PENETRATION
-for forces in (BodyForce(2.5, -1.5), (lambda x: 3.0 + x * x, lambda x: -1.0 - x)):
-    for n in (10001, 2 ** 15):
-        system = assemble(build_mesh(geo, n, n), mat, forces)
-        reduced = schur_reduce(system)
-        sol = solve_exact(reduced, spring, variant, geo.l)
-        u = sol.u.rod1.astype("<f8").tobytes() + sol.u.rod2.astype("<f8").tobytes()
-        print(*(float(x).hex() for x in (*reduced.r, reduced.offset, sol.g1, sol.g2, sol.s,
-                                         system.energy(sol.u))), hashlib.sha256(u).hexdigest())
+for n in (10001, 2 ** 15):
+    system = assemble(build_mesh(geo, n, n), mat, BodyForce(2.5, -1.5))
+    reduced = schur_reduce(system)
+    sol = solve_exact(reduced, spring, variant, geo.l)
+    u = sol.u.rod1.astype("<f8").tobytes() + sol.u.rod2.astype("<f8").tobytes()
+    print(*(float(x).hex() for x in (*reduced.r, reduced.offset, sol.g1, sol.g2, sol.s,
+                                     system.energy(sol.u))), hashlib.sha256(u).hexdigest())
 system = assemble(build_mesh(geo, 12000, 12000), mat, BodyForce(2.5, -1.5))
 sol = solve_exact(schur_reduce(system), spring, variant, geo.l)
 print(float(vi_residual(system, spring, variant, sol.u)).hex())
@@ -637,5 +540,5 @@ def test_results_do_not_depend_on_the_blas_thread_count():
                               env={**os.environ, "PYTHONPATH": src,
                                    "OPENBLAS_NUM_THREADS": threads}).stdout
                for threads in ("1", "2")]
-    assert outputs[0].count("\n") == 5
+    assert outputs[0].count("\n") == 3
     assert outputs[0] == outputs[1]

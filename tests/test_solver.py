@@ -178,9 +178,13 @@ class TestSolvePenalized:
         assert sol.contact
 
     def test_nonpositive_lambda(self):
-        for lam in (0.0, math.inf, math.nan):
+        # effective_spring takes the same check: a zero lam leaked ZeroDivisionError
+        law = PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0)
+        for lam in (0.0, -1.0, math.inf, math.nan, "x"):
             with pytest.raises(NonPositiveLambda):
-                PenaltyProblem(self.base(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), lam)
+                PenaltyProblem(self.base(), law, lam)
+            with pytest.raises(NonPositiveLambda):
+                effective_spring(SpringLaw(1.0, 0.5, 1.0), law, lam)
 
     def test_base_must_be_non_penetration(self):
         rigid = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(0.0, 0.0),
@@ -472,12 +476,15 @@ class TestViResidual:
     @pytest.mark.parametrize("c, want", HAND_BUILT, ids=["off-gap", "mu>0", "mu<0", "tau"])
     @pytest.mark.parametrize("variant", list(ConstraintVariant), ids=lambda v: v.value)
     def test_exact_value_on_a_hand_built_c(self, c, want, variant):
-        # a zero field leaves A u = 0 and the spring at its natural length, so c = -b
-        system = assemble(build_mesh(GEO, 2, 2), MAT, BodyForce(0.0, 0.0))
-        b = -np.array(c)
-        system = fem_module.DiscreteSystem(system.mesh, MAT, system.stiff1, system.stiff2,
-                                           b[:2], b[2:])
-        u = DofVector(np.zeros(2), np.zeros(2))
+        # on 2+2 elements with E/h = 4 the field u1 = (x, 0), u2 = (0, y) keeps the
+        # spring at its natural length, and with x = c0/16 - c1/8, y = c3/16 - c2/8
+        # the loads f1 = -2(c0 + 2c1), f2 = -2(2c2 + c3) make A u - b this c, exactly
+        c0, c1, c2, c3 = c
+        system = assemble(build_mesh(GEO, 2, 2), MAT,
+                          BodyForce(-2.0 * (c0 + 2.0 * c1), -2.0 * (2.0 * c2 + c3)))
+        u = DofVector(np.array([c0 / 16 - c1 / 8, 0.0]), np.array([0.0, c3 / 16 - c2 / 8]))
+        au = system.apply(u)
+        assert [*(au.rod1 - system.b1), *(au.rod2 - system.b2)] == list(c)
         assert vi_residual(system, SpringLaw(1.0, 1.0, 1.0), variant, u) == want[variant.value]
 
 
@@ -727,14 +734,16 @@ class TestOverflow:
         with pytest.raises(NoConsistentRegime, match="overflows"):
             solve(problem, (4, 4), method, SolverConfig(max_iterations=50))
 
-    def test_representable_equilibrium_with_an_overflowing_spring_free_gap(self):
-        # d = r2/s2 - r1/s1 overflows, but d/2 does not: exact finds the
-        # equilibrium that the gradient iterates to
+    @pytest.mark.parametrize("method", ["exact", "fixed-point"])
+    def test_representable_equilibrium_with_an_overflowing_spring_free_gap(self, method):
+        # d = r2/s2 - r1/s1 overflows, but d/2 does not: exact and the fixed
+        # point, which relaxes half the gap change, find the equilibrium that
+        # the gradient iterates to
         problem = make_problem(GEO, Material(0.01, 0.01), SpringLaw(0.004, 0.004, 1.0),
                                BodyForce(-1e307, 1e307), NP_)
-        exact, gradient = solve(problem), solve(problem, method="gradient")
-        assert exact.diagnostics.regime == gradient.diagnostics.regime == "extension"
-        for got, want in zip((exact.g1, exact.g2, exact.theta),
+        sol, gradient = solve(problem, method=method), solve(problem, method="gradient")
+        assert sol.diagnostics.regime == gradient.diagnostics.regime == "extension"
+        for got, want in zip((sol.g1, sol.g2, sol.theta),
                              (gradient.g1, gradient.g2, gradient.theta)):
             assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -759,24 +768,26 @@ class TestOverflow:
         monkeypatch.setattr(fem_module.ReducedSystem, "interface_vnorm",
                             lambda self, dg: steps.append(dg) or real(self, dg))
         problem = make_problem(GEO, Material(0.01, 0.01), SpringLaw(0.004, 0.004, 1.0),
-                               BodyForce(-1e307, 1e307), NP_)
+                               BodyForce(-1e308, 1e308), NP_)
         with pytest.raises(NoConsistentRegime, match="overflows"):
             solve(problem, (4, 4), "fixed-point")
         assert 1 <= len(steps) <= 2
 
-    def test_gradient_keeps_iterating_on_an_infinite_step(self):
+    def test_gradient_keeps_iterating_on_an_infinite_step(self, monkeypatch):
         # |dg| > 1e154 squares to an infinite step norm between finite
-        # iterates: that is no reason to stop early.  The load vectors are
-        # given explicitly, so the condensed load is their rounded ramp dot,
-        # whose rounding keeps the iterates moving; from the BodyForce itself
-        # the exact f*L/2 lets the gradient converge in two steps
-        forced = assemble(build_mesh(GEO, 4, 4), Material(1e3, 1e3), BodyForce(1e200, -1e200))
-        system = fem_module.DiscreteSystem(forced.mesh, forced.material, forced.stiff1,
-                                           forced.stiff2, forced.b1, forced.b2)
+        # iterates: that is no reason to stop early.  On unequal rods every
+        # step of these 40 moves the iterates by more than 1e154
+        steps = []
+        real = fem_module.ReducedSystem.interface_vnorm
+        monkeypatch.setattr(fem_module.ReducedSystem, "interface_vnorm",
+                            lambda self, dg: steps.append(dg) or real(self, dg))
+        system = assemble(build_mesh(GEO, 4, 4), Material(1.7e3, 0.6e3),
+                          BodyForce(-1e200, 1e200))
         sol = solve_projected_gradient(system, SpringLaw(300.0, 300.0, 1.0), NP_,
                                        SolverConfig(max_iterations=40))
         assert math.isfinite(sol.g1) and math.isfinite(sol.g2)
         assert (sol.diagnostics.iterations, sol.diagnostics.converged) == (40, False)
+        assert len(steps) == 40 and all(max(map(abs, dg)) > 1e154 for dg in steps)
 
 
 @pytest.mark.parametrize("scale", [1e17, 1e307])
@@ -823,23 +834,6 @@ class TestOffsetCache:
         assert len(systems) == 2  # the gradient solve's and the sweep's
         offsets = [id(reduced) for reduced in calls["fem"]]
         assert len(set(offsets)) == len(offsets) and set(offsets) <= systems
-
-    def test_vector_loaded_exact_solve_recovers_its_field_once(self, monkeypatch):
-        # the overflow bound of load vectors is read from their largest entry, so
-        # refusing an overflow recovers nothing: the solution's field is the one recovery
-        original = fem_module.recover_full
-        calls = []
-
-        def counting(reduced, g1, g2):
-            calls.append((g1, g2))
-            return original(reduced, g1, g2)
-
-        monkeypatch.setattr(fem_module, "recover_full", counting)
-        monkeypatch.setattr(solver_module, "recover_full", counting)
-        system = assemble(build_mesh(GEO, 64, 5), MAT, (lambda x: 3.0 + x * x, lambda x: -1.0 - x))
-        assert system.forces is None
-        sol = solve_exact(schur_reduce(system), SpringLaw(1.0, 1.0, 1.0), NP_, GEO.l)
-        assert calls == [(sol.g1, sol.g2)]
 
     def test_field_recovered_for_the_overflow_check_is_the_solutions(self, monkeypatch):
         # the O(1) bound fails at loads of 1e308 but the field is finite: the
