@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.linalg import cholesky_banded, solveh_banded
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material,
@@ -297,6 +299,7 @@ CLOSED_MAT = Material(1.7, 0.6)
 CLOSED_MESHES = ((1, 1), (3, 7), (64, 5), (4096, 3))
 CLOSED_LOADS = {
     "constant": BodyForce(2.5, -1.5),
+    "rod2-only": BodyForce(0.0, 4.0),
 }
 
 
@@ -361,6 +364,49 @@ class TestClosedFormCondensation:
         assert u.g1 == g1 and u.g2 == g2
         assert np.max(np.abs(u.rod1[:-1] - want1), initial=0.0) <= 1e-13
         assert np.max(np.abs(u.rod2[1:] - want2), initial=0.0) <= 1e-13
+
+
+def _hat_integrals(n, h, f):
+    """Exact integrals of the constant density f against the n + 1 hat functions of
+    n elements of length h, element by element on [0, h]: for a constant density
+    they do not depend on where the element lies."""
+    falling = (Polynomial([f]) * Polynomial([h, -1.0]) / h).integ()
+    rising = (Polynomial([f]) * Polynomial([0.0, 1.0]) / h).integ()
+    out = np.zeros(n + 1)
+    out[:-1] += falling(h) - falling(0.0)
+    out[1:] += rising(h) - rising(0.0)
+    return out
+
+
+@pytest.mark.parametrize("load", sorted(CLOSED_LOADS))
+@pytest.mark.parametrize("n1,n2", CLOSED_MESHES)
+def test_constant_load_matches_the_exact_hat_integrals(n1, n2, load):
+    # rod 1 drops its clamped node x=a, rod 2 its clamped node x=b; the
+    # interface entries b1[-1] and b2[0] are half hats
+    mesh, system, _ = closed_case(n1, n2, load)
+    forces = CLOSED_LOADS[load]
+    expected1 = _hat_integrals(n1, mesh.h1, forces.f1)[1:]
+    expected2 = _hat_integrals(n2, mesh.h2, forces.f2)[:-1]
+    assert system.b1.shape == (n1,) and system.b2.shape == (n2,)
+    scale = max(np.max(np.abs(expected1)), np.max(np.abs(expected2)))
+    assert np.max(np.abs(system.b1 - expected1)) <= 1e-14 * scale
+    assert np.max(np.abs(system.b2 - expected2)) <= 1e-14 * scale
+
+
+def test_condensed_load_survives_an_overflowing_sum():
+    # at 8+8 the integer-weighted sum b . (n * ramp) of these loads overflows;
+    # the condensed load of a BodyForce is the representable f*L/2 all the same
+    system = assemble(build_mesh(GEO, 8, 8), MAT, BodyForce(1e308, -1e308))
+    with np.errstate(over="ignore"):
+        assert system.b1 @ np.arange(1.0, 9.0) == np.inf
+    assert schur_reduce(system).r == (2.5e307, -2.5e307)
+
+
+def test_condensation_and_recovery_read_no_load_vector():
+    # both read the force itself, so the cached load vectors are never built
+    system = assemble(build_mesh(CLOSED_GEO, 64, 5), CLOSED_MAT, BodyForce(2.5, -1.5))
+    recover_full(schur_reduce(system), 0.3, -0.2)
+    assert "b1" not in vars(system) and "b2" not in vars(system)
 
 
 def test_constant_load_ramp_dot_is_the_closed_form():
@@ -475,6 +521,40 @@ def test_field_bound_never_passes_an_overflowing_field():
         else:
             counts[1 if finite else 2] += 1
     assert min(counts) >= 20, counts
+
+
+def test_peak_bound_is_the_closed_form():
+    # 2*n^2*|f*h|*max(1, h/E), the larger of the two rods'
+    reduced = schur_reduce(assemble(build_mesh(GEO, 3, 8), Material(0.125, 4.0),
+                                    BodyForce(-3.0, 5.0)))
+    # rod 1: h = 1/6, h/E = 4/3; rod 2: h = 1/16, h/E < 1
+    assert reduced._peak_bound == max(2.0 * 9 * abs(-3.0 / 6.0) * (4.0 / 3.0),
+                                      2.0 * 64 * abs(5.0 / 16.0))
+    # past 2**50 elements per rod the rounding allowance no longer holds, and
+    # an unloaded rod with an infinite h/E gives NaN: both fail every bound
+    huge = schur_reduce(assemble(build_mesh(GEO, 2 ** 51, 1), MAT, BodyForce(1.0, 1.0)))
+    unloaded = schur_reduce(assemble(build_mesh(GEO, 1, 1), Material(5e-324, 1.0),
+                                     BodyForce(0.0, 1.0)))
+    for reduced in (huge, unloaded):
+        assert reduced._peak_bound == math.inf and not reduced.field_surely_finite(0.0, 0.0)
+
+
+def test_peak_bound_bounds_every_recovered_value():
+    # the pinned field peaks at |f|*L^2/(8E) = n^2*|f*h|*(h/E)/8, below the
+    # bound, and g times the ramp adds at most |g|
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        n1, n2 = (int(n) for n in np.round(2.0 ** rng.uniform(0.0, 10.0, 2)))
+        e1, e2 = (float(e) for e in 2.0 ** rng.uniform(-12.0, 12.0, 2))
+        f1, f2, g1, g2 = (float(sign) * 10.0 ** float(e) for sign, e in
+                          zip(rng.choice([-1.0, 1.0], 4), rng.uniform(-3.0, 3.0, 4)))
+        reduced = schur_reduce(assemble(build_mesh(GEO, n1, n2), Material(e1, e2),
+                                        BodyForce(f1, f2)))
+        u = recover_full(reduced, g1, g2)
+        peak = max(np.max(np.abs(u.rod1)), np.max(np.abs(u.rod2)))
+        assert peak <= reduced._peak_bound + abs(g1) + abs(g2), (n1, n2, e1, e2, f1, f2)
+
+
 def test_constant_bound_never_passes_an_overflowing_field():
     # the O(1) bound of a BodyForce, which a solve trusts without scanning the
     # field: each rod's modulus puts its pinned field's peak |f|*L^2/(8E) at
@@ -510,6 +590,7 @@ def test_constant_bound_never_passes_an_overflowing_field():
 #: and a hash of u, per solve; then vi_residual of a 12000+12000 solve.
 _THREADS_PROBE = """
 import hashlib
+import math
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, SpringLaw, assemble,
                          build_mesh, schur_reduce, solve_exact, vi_residual)
 geo, mat, spring = Geometry(-1.3, 0.9, 0.4), Material(1.7, 0.6), SpringLaw(0.3, 0.5, 0.8)

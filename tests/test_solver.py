@@ -835,6 +835,22 @@ class TestOffsetCache:
         offsets = [id(reduced) for reduced in calls["fem"]]
         assert len(set(offsets)) == len(offsets) and set(offsets) <= systems
 
+    def test_body_force_exact_solve_recovers_its_field_once(self, monkeypatch):
+        # the O(1) overflow bound passes at these loads, so no field is recovered
+        # to check it: the solution's field is the one recovery
+        original = fem_module.recover_full
+        calls = []
+
+        def counting(reduced, g1, g2):
+            calls.append((g1, g2))
+            return original(reduced, g1, g2)
+
+        monkeypatch.setattr(fem_module, "recover_full", counting)
+        monkeypatch.setattr(solver_module, "recover_full", counting)
+        system = assemble(build_mesh(GEO, 64, 5), MAT, BodyForce(3.0, -1.0))
+        sol = solve_exact(schur_reduce(system), SpringLaw(1.0, 1.0, 1.0), NP_, GEO.l)
+        assert calls == [(sol.g1, sol.g2)]
+
     def test_field_recovered_for_the_overflow_check_is_the_solutions(self, monkeypatch):
         # the O(1) bound fails at loads of 1e308 but the field is finite: the
         # field `_label` recovers to check it is the one the solution carries
