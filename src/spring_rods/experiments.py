@@ -10,7 +10,7 @@ from typing import Sequence
 from .errors import NoConsistentRegime, SpringRodsError, ValidationError, ZeroElements
 from .fem import assemble, build_mesh, schur_reduce
 from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
-                    ProblemSpec, SpringLaw, _check_smallness)
+                    ProblemSpec, SpringLaw, _check_smallness, _check_type)
 from .solver import EquilibriumSolution, PenaltyProblem, _exact, _penalized, solve_exact
 
 #: Limit problem enforced by each penalty variant as the parameter vanishes.
@@ -76,7 +76,7 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
 
     The assembled system is stiffness-independent, so assembly and
     condensation happen once, and each point solves for the interface state
-    only: `_label` recovers no field that the O(1) bound proves finite.  A grid
+    only: `_record` recovers no field that the O(1) bound proves finite.  A grid
     point the model rejects, or whose field or energy overflows, is recorded
     as a failure, not fatal; any other exception propagates, ZeroElements
     too: arrays that do not fit in memory fail alike at every k.
@@ -161,6 +161,7 @@ def _fmt(x: float) -> str:
 
 def export_csv(result, path) -> Path:
     """Write a sweep or convergence table; 12 significant digits per value."""
+    _check_type("result", result, SweepResult, ConvergenceStudy)
     path = Path(path)
     if isinstance(result, SweepResult):
         if not result.records:
@@ -170,15 +171,13 @@ def export_csv(result, path) -> Path:
             lines.append(",".join([_fmt(r.k), _fmt(r.g1), _fmt(r.g2), _fmt(r.theta),
                                    _fmt(r.s), "true" if r.contact else "false",
                                    _fmt(r.energy)]))
-    elif isinstance(result, ConvergenceStudy):
+    else:
         if not result.records:
             raise ValidationError("refusing to write an empty convergence study")
         lines = [_CONV_HEADER]
         for r in result.records:
             lines.append(",".join([str(r.n), _fmt(r.lam), _fmt(r.theta),
                                    _fmt(r.g1), _fmt(r.g2), _fmt(r.error)]))
-    else:
-        raise TypeError(f"cannot export {type(result).__name__}")
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     return path
@@ -202,13 +201,12 @@ _CONV_PANELS = {
 
 def export_svg(result, path, panel: str) -> Path:
     """Write one standalone SVG chart with a polyline per series."""
+    _check_type("result", result, SweepResult, ConvergenceStudy)
     path = Path(path)
     if isinstance(result, SweepResult):
         kind, panels, xs = "sweep", _SWEEP_PANELS, [r.k for r in result.records]
-    elif isinstance(result, ConvergenceStudy):
-        kind, panels, xs = "convergence", _CONV_PANELS, [float(r.n) for r in result.records]
     else:
-        raise TypeError(f"cannot plot {type(result).__name__}")
+        kind, panels, xs = "convergence", _CONV_PANELS, [float(r.n) for r in result.records]
     if not result.records:
         raise ValidationError(f"refusing to plot an empty {kind} result")
     if panel not in panels:

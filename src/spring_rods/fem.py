@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoConsistentRegime, ZeroElements
-from .model import BodyForce, Geometry, Material, _check_forces
+from .model import BodyForce, Geometry, Material, _check_type
 
 _HALF_MAX = 0.5 * sys.float_info.max
 #: Entries per BLAS dot in `_dot`: OpenBLAS splits longer dots over its
@@ -139,7 +139,7 @@ class DiscreteSystem:
     """
 
     def __init__(self, mesh: Mesh, material: Material, forces: BodyForce):
-        _check_forces(forces)
+        _check_type("loads", forces, BodyForce)
         self.mesh, self.material, self.forces = mesh, material, forces
         self.stiff1, self.stiff2 = material.E1 / mesh.h1, material.E2 / mesh.h2
 
@@ -380,7 +380,7 @@ def interface_stress(mesh: Mesh, dof: DofVector, material: Material,
     offset, so the traces are exact for the constant loads of a BodyForce, the only loads
     taken.  A one-element rod's outer neighbour is the clamp, 0.
     """
-    _check_forces(forces)
+    _check_type("loads", forces, BodyForce)
     u1_prev = float(dof.rod1[-2]) if mesh.n1 > 1 else 0.0
     u2_next = float(dof.rod2[1]) if mesh.n2 > 1 else 0.0
     return (material.E1 * (dof.g1 - u1_prev) / mesh.h1 - 0.5 * forces.f1 * mesh.h1,

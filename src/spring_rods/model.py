@@ -32,6 +32,13 @@ def _real(name: str, value, lo: float, hi: float, error: type[SpringRodsError]) 
     return x
 
 
+def _check_type(name: str, value, *kinds: type) -> None:
+    """Raise ValidationError unless value is an instance of one of `kinds`."""
+    if not isinstance(value, kinds):
+        raise ValidationError(f"{name}: need a {' or a '.join(k.__name__ for k in kinds)}, "
+                              f"got {type(value).__name__}")
+
+
 def _set_real(obj, attr: str, name: str, lo: float, hi: float,
               error: type[SpringRodsError] = ValidationError) -> None:
     """Check the field `attr` of the frozen `obj` with `_real` and store its float."""
@@ -114,10 +121,8 @@ class SpringLaw:
     def potential(self, length: float) -> float:
         """Convex stored energy; derivative equals minus the force; inf if it overflows."""
         k = self.k1 if length < self.natural_length else self.k2
-        try:
-            return 0.5 * k * (length - self.natural_length) ** 2
-        except OverflowError:  # a float power raises where a product would round to inf
-            return math.inf
+        d = length - self.natural_length
+        return 0.5 * k * (d * d)
 
     def potential_slope(self, length: float) -> float:
         """Derivative of the stored energy (continuous across the natural length)."""
@@ -182,12 +187,6 @@ class BodyForce:
     def __post_init__(self):
         _set_real(self, "f1", "force density f1", -math.inf, math.inf)
         _set_real(self, "f2", "force density f2", -math.inf, math.inf)
-
-
-def _check_forces(forces) -> None:
-    """Raise ValidationError unless forces is a BodyForce, the one load model."""
-    if not isinstance(forces, BodyForce):
-        raise ValidationError(f"loads: need a BodyForce, got {type(forces).__name__}")
 
 
 class ConstraintVariant(Enum):
@@ -255,7 +254,7 @@ class ProblemSpec:
     coupling_bound: float = field(init=False)
 
     def __post_init__(self):
-        _check_forces(self.forces)
+        _check_type("loads", self.forces, BodyForce)
         _check_natural_length("spring", self.spring.natural_length, self.geometry)
         m, alpha = _check_smallness(self.geometry, self.material, self.spring)
         object.__setattr__(self, "stiffness_sum", m)

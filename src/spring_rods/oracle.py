@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import EmptyFeasibleGrid, NoConsistentRegime, ValidationError
 from .fem import DiscreteSystem, DofVector, Mesh
-from .model import ConstraintVariant, ProblemSpec, SpringLaw, _real
+from .model import ConstraintVariant, ProblemSpec, SpringLaw, _check_type, _real
 
-_SELECT_TOL = 1e-12
 #: Grid points per tile of grid_search_minimizer, read at call time: a tile's
 #: arrays stay within 8 KB each, and a 501**2 grid has 16**2 tiles to bound and
 #: order.  With the multiplier bound 1 to 3 of them are evaluated; tiles of
@@ -82,34 +81,26 @@ def _scalar_regime(theta_free: float, compliance: float, spring: SpringLaw,
     """Select the consistent regime of the scalar interface equation.
 
     The gap responds to the interface force as theta = theta_free -
-    compliance * s; the admissible closure per regime mirrors the discrete
-    enumeration.  Returns (s, theta, regime).
+    compliance * s.  The regime is named by its branch, with no tolerance, as
+    `solve_exact` names its clamp: rigid if lo == hi, the breakpoint if
+    theta_free == 2l, else the bound on theta_free's side of 2l if the free
+    branch's gap reaches it, else that side.  Returns (s, theta, regime).
     """
     if lo == hi:
         return (theta_free - lo) / compliance, lo, "rigid"
-
-    if lo - _SELECT_TOL <= two_l <= hi + _SELECT_TOL and abs(theta_free - two_l) <= _SELECT_TOL:
+    if theta_free == two_l:
         return 0.0, two_l, "breakpoint"
-
-    if math.isfinite(lo):
-        s = (theta_free - lo) / compliance
-        if s <= -spring.force(lo) + _SELECT_TOL:
-            label = "contact" if lo == 0.0 else "bound-lower"
-            return s, lo, label
-    if math.isfinite(hi):
-        s = (theta_free - hi) / compliance
-        if s >= -spring.force(hi) - _SELECT_TOL:
-            return s, hi, "bound-upper"
-
-    for k, label, low_side in ((spring.k1, "compression", True),
-                               (spring.k2, "extension", False)):
-        s = k * (theta_free - two_l) / (1.0 + k * compliance)
-        theta = theta_free - compliance * s
-        on_side = theta <= two_l + _SELECT_TOL if low_side else theta >= two_l - _SELECT_TOL
-        if on_side and lo - _SELECT_TOL <= theta <= hi + _SELECT_TOL:
-            return s, theta, label
-
-    raise AssertionError("scalar regime selection failed for a convex problem")
+    below = theta_free < two_l
+    k = spring.k1 if below else spring.k2
+    s = k * (theta_free - two_l) / (1.0 + k * compliance)
+    theta = theta_free - compliance * s
+    # exactly, theta lies strictly between theta_free and 2l: the branch reaches only
+    # the bound on its side of 2l, and a theta rounded past 2l reads as 2l
+    if below and min(theta, two_l) <= lo:
+        return (theta_free - lo) / compliance, lo, "contact" if lo == 0.0 else "bound-lower"
+    if not below and max(theta, two_l) >= hi:
+        return (theta_free - hi) / compliance, hi, "bound-upper"
+    return s, theta, "compression" if below else "extension"
 
 
 def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
@@ -117,6 +108,7 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
 
     Raises NoConsistentRegime when the closed form overflows.
     """
+    _check_type("problem", problem, ProblemSpec)
     geo, mat, spring = problem.geometry, problem.material, problem.spring
     f1, f2 = problem.forces.f1, problem.forces.f2
     l = geo.l
@@ -124,31 +116,29 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     two_l = 2.0 * l
     lo, hi = problem.gap_bounds()
 
-    try:
-        compliance = L1 / mat.E1 + L2 / mat.E2
-        theta_free = two_l - f1 * L1 ** 2 / (2.0 * mat.E1) + f2 * L2 ** 2 / (2.0 * mat.E2)
-        if not (math.isfinite(compliance) and math.isfinite(theta_free)):
-            raise NoConsistentRegime(f"closed form overflows: free gap {theta_free}")
+    compliance = L1 / mat.E1 + L2 / mat.E2
+    theta_free = two_l - f1 * (L1 * L1) / (2.0 * mat.E1) + f2 * (L2 * L2) / (2.0 * mat.E2)
+    if not (0.0 < compliance < math.inf and math.isfinite(theta_free)):  # s divides by it
+        raise NoConsistentRegime(f"closed form overflows: compliance {compliance}, "
+                                 f"free gap {theta_free}")
 
-        s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
+    s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
 
-        # The rod balances (E1/L1)*g1 = s + f1*L1/2 and (E2/L2)*g2 = -s + f2*L2/2
-        # sum to an equation free of s, whose large terms would cancel; with
-        # g2 - g1 = theta - 2l it fixes g1.
-        S1, S2 = mat.E1 / L1, mat.E2 / L2
-        g1 = (0.5 * (f1 * L1 + f2 * L2) - S2 * (theta - two_l)) / (S1 + S2)
-        g2 = g1 + (theta - two_l)
+    # The rod balances (E1/L1)*g1 = s + f1*L1/2 and (E2/L2)*g2 = -s + f2*L2/2
+    # sum to an equation free of s, whose large terms would cancel; with
+    # g2 - g1 = theta - 2l it fixes g1.
+    S1, S2 = mat.E1 / L1, mat.E2 / L2
+    g1 = (0.5 * (f1 * L1 + f2 * L2) - S2 * (theta - two_l)) / (S1 + S2)
+    g2 = g1 + (theta - two_l)
 
-        # u1(x) = g1 + (s*(x + l) - f1*(x + l)^2/2)/E1 and
-        # u2(x) = g2 + (s*(x - l) - f2*(x - l)^2/2)/E2, expanded about x = 0
-        u1_coeffs = (g1 + (s * l - 0.5 * f1 * l * l) / mat.E1,
-                     (s - f1 * l) / mat.E1,
-                     -f1 / (2.0 * mat.E1))
-        u2_coeffs = (g2 - (s * l + 0.5 * f2 * l * l) / mat.E2,
-                     (s + f2 * l) / mat.E2,
-                     -f2 / (2.0 * mat.E2))
-    except OverflowError as exc:  # float ** raises where * would give inf
-        raise NoConsistentRegime(f"closed form overflows: {exc}") from None
+    # u1(x) = g1 + (s*(x + l) - f1*(x + l)^2/2)/E1 and
+    # u2(x) = g2 + (s*(x - l) - f2*(x - l)^2/2)/E2, expanded about x = 0
+    u1_coeffs = (g1 + (s * l - 0.5 * f1 * l * l) / mat.E1,
+                 (s - f1 * l) / mat.E1,
+                 -f1 / (2.0 * mat.E1))
+    u2_coeffs = (g2 - (s * l + 0.5 * f2 * l * l) / mat.E2,
+                 (s + f2 * l) / mat.E2,
+                 -f2 / (2.0 * mat.E2))
     if not all(map(math.isfinite, (s, g1, g2, *u1_coeffs, *u2_coeffs))):
         raise NoConsistentRegime(f"closed form overflows: s={s}, g1={g1}, g2={g2}")
     return AnalyticSolution(problem, u1_coeffs, u2_coeffs, g1, g2, theta, s, regime)

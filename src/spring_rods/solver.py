@@ -8,12 +8,13 @@ minimizing out (g1, g2) at a fixed gap change t = g2 - g1 leaves a convex
 function of t alone, set by d = r2/s2 - r1/s1 (the spring-free gap change)
 and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2, both from
 `_spring_free`, which returns d/2.  `solve_exact` clamps its minimizer
-d/(1 + k*C) into the gap bounds; the projected gradient and fixed-point
-solvers are independent iterative cross-checks.  Each solver's gap goes to
-`_label`, the one regime labeller and the one place that refuses an
-overflowing state, whose immutable `_Interface` record the studies read and
-whose `solution` alone builds an `EquilibriumSolution`.  All work on plain
-floats.
+d/(1 + k*C) into the gap bounds and names the regime by the branch of its
+clamp, with no tolerance.  The projected gradient and fixed-point solvers
+are independent iterative cross-checks; `_label` names their gaps with 1e-11
+bands around the bounds and 2l, the breakpoint only where d == 0 exactly.
+Every state goes to `_record`, the one place that refuses an overflowing
+state, whose immutable `_Interface` record the studies read and whose
+`solution` alone builds an `EquilibriumSolution`.  All work on plain floats.
 """
 
 from __future__ import annotations
@@ -29,12 +30,9 @@ from .errors import InfeasibleCandidate, NoConsistentRegime, NonPositiveLambda, 
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce)
 from .model import (ConstraintVariant, PenaltyLaw, ProblemSpec, SpringLaw,
-                    _check_natural_length, _real, spring_gap)
+                    _check_natural_length, _check_type, _real, spring_gap)
 
 _Pair = tuple[float, float]
-
-#: A spring-free gap change below this fraction of the compliance is the breakpoint.
-_BREAKPOINT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ _ACTIVE_BOUND = {"rigid": "both", "contact": "lower", "bound-lower": "lower",
 class _Interface(NamedTuple):
     """One labelled interface state: the gap pair g, its gap theta, the regime
     label and the stress s, with the condensed system, the spring and the gap
-    bounds [lo, hi] it was reached under.  `_label` builds every one, and hands
+    bounds [lo, hi] it was reached under.  `_record` builds every one, and hands
     over the field u where it recovered it for its overflow check."""
 
     reduced: ReducedSystem
@@ -166,7 +164,7 @@ class _Interface(NamedTuple):
 
     def solution(self, method: str, iterations: int = 0, converged: bool = True,
                  step_ratios: tuple[float, ...] = ()) -> EquilibriumSolution:
-        """The field at g, which `_label` has shown to be finite: the one it
+        """The field at g, which `_record` has shown to be finite: the one it
         recovered for that, else recovered here."""
         diag = SolverDiagnostics(method, iterations, self.residual, self.label, converged,
                                  step_ratios)
@@ -175,20 +173,11 @@ class _Interface(NamedTuple):
                                    _ACTIVE_BOUND.get(self.label), diag)
 
 
-def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
-           g: _Pair, theta: float) -> _Interface:
-    """The one regime labeller: the state of every solver's gap theta at its pair g.
-
-    A gap within 1e-11 of a bound is snapped to the exact bound value.  First,
-    though, a gap within 1e-11 of 2l is the breakpoint, with no active bound,
-    whenever d lies within _BREAKPOINT_TOL*C of zero; a bound that would snap
-    such a gap snaps it to 2l.
-
-    It is the one place that refuses an overflowing state: unless g1, g2, s and
-    the field at g are finite, it raises NoConsistentRegime.  The field is
-    recovered for this check only where `field_surely_finite` cannot prove it,
-    and the record then carries it.
-    """
+def _record(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, g: _Pair,
+            theta: float, label: str) -> _Interface:
+    """The record of a labelled state: NoConsistentRegime unless g1, g2, s and
+    the field at g are finite.  The field is recovered for this check only where
+    `field_surely_finite` cannot prove it, and the record then carries it."""
     s = reduced.S[0] * g[0] - reduced.r[0]
     finite = all(map(math.isfinite, (*g, s)))
     u = None
@@ -199,11 +188,21 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
     if not finite:
         raise NoConsistentRegime(f"equilibrium overflows: g1={g[0]}, g2={g[1]}, s={s} "
                                  f"or the nodal field is not finite")
-    half, compliance = _spring_free(reduced)
+    return _Interface(reduced, spring, lo, hi, g, theta, label, s, u)
+
+
+def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
+           g: _Pair, theta: float) -> _Interface:
+    """The iterative solvers' labeller: the state of a gap theta at its pair g.
+
+    A gap within 1e-11 of a bound is snapped to the bound.  First, though, a gap
+    within 1e-11 of 2l where d == 0, as `_exact` has it, is the breakpoint with no
+    active bound; a bound that would snap such a gap snaps it to 2l.  Any other
+    gap within 1e-11 of 2l and of no bound is the breakpoint too."""
     near_two_l = abs(theta - two_l) <= 1e-11
     if lo == hi:
         theta, label = lo, "rigid"
-    elif near_two_l and abs(half / compliance) <= 0.5 * _BREAKPOINT_TOL:
+    elif near_two_l and _spring_free(reduced)[0] == 0.0:
         theta = two_l if min(abs(theta - lo), abs(theta - hi)) <= 1e-11 else theta
         label = "breakpoint"
     elif abs(theta - lo) <= 1e-11:
@@ -212,22 +211,35 @@ def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_
         theta, label = hi, "bound-upper"
     else:
         label = "breakpoint" if near_two_l else "compression" if theta < two_l else "extension"
-    return _Interface(reduced, spring, lo, hi, g, theta, label, s, u)
+    return _record(reduced, spring, lo, hi, g, theta, label)
 
 
 def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
            l: float) -> _Interface:
-    """The reduced energy's minimizer over the gap change t = g2 - g1.
+    """The reduced energy's minimizer over the gap change t = g2 - g1, labelled by its branch.
 
     Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
     2l + t, convex in t alone, so the minimizer is d/(1 + k*C) clamped into
     the gap bounds, k the stiffness on the side d points to.  It is formed
-    from d/2, so it is finite wherever d/2 is; `_label` names its state."""
+    from d/2, so it is finite wherever d/2 is.  The clamp's branch is the
+    label, with no tolerance; a clamped gap 2l + t is the bound itself, as each
+    finite bound is 0 or 2l."""
     two_l = 2.0 * l
     half, compliance = _spring_free(reduced)
     k = spring.k1 if half < 0.0 else spring.k2
-    t = min(max(2.0 * (half / (1.0 + k * compliance)), lo - two_l), hi - two_l)
-    return _label(reduced, spring, lo, hi, two_l, _at_gap(reduced, t), two_l + t)
+    free = 2.0 * (half / (1.0 + k * compliance))
+    t = min(max(free, lo - two_l), hi - two_l)
+    if lo == hi:
+        label = "rigid"
+    elif half == 0.0:
+        label = "breakpoint"
+    elif free <= lo - two_l:
+        label = "contact" if lo == 0.0 else "bound-lower"
+    elif free >= hi - two_l:
+        label = "bound-upper"
+    else:
+        label = "compression" if half < 0.0 else "extension"
+    return _record(reduced, spring, lo, hi, _at_gap(reduced, t), two_l + t, label)
 
 
 def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
@@ -240,6 +252,7 @@ def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]
 def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVariant,
                 l: float) -> EquilibriumSolution:
     """Global minimizer of the reduced convex energy at its mesh's half-gap l: the clamped gap."""
+    _check_type("variant", variant, ConstraintVariant)
     if l != (mesh_l := reduced.system.mesh.geometry.l):
         raise ValidationError(f"half-gap {l!r} is not the mesh's {mesh_l!r}")
     return _exact(reduced, spring, *variant.bounds(l), l).solution("exact")
@@ -419,9 +432,7 @@ def solve(problem: ProblemSpec | PenaltyProblem, mesh_sizes: tuple[int, int] = (
 
     A `PenaltyProblem` is posed on its base's mesh and loads; "fixed-point" refuses it.
     """
-    if not isinstance(problem, (ProblemSpec, PenaltyProblem)):
-        raise ValidationError(
-            f"need a ProblemSpec or a PenaltyProblem, got {type(problem).__name__}")
+    _check_type("problem", problem, ProblemSpec, PenaltyProblem)
     penalty = problem if isinstance(problem, PenaltyProblem) else None
     base = problem if penalty is None else penalty.base
     mesh = build_mesh(base.geometry, *mesh_sizes)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geometry,
                          Material, NoConsistentRegime, SpringLaw, ValidationError,
                          analytic_solution, assemble, build_mesh, grid_search_minimizer,
-                         make_problem, schur_reduce, solve_exact, spring_gap)
+                         make_problem, schur_reduce, solve, solve_exact, spring_gap)
 from spring_rods import oracle
 from spring_rods.fem import DofVector
 
@@ -126,10 +126,19 @@ class TestAnalyticSolution:
             analytic_solution(prob)
 
     def test_overflowing_square_raises(self):
-        # L1 ** 2 raises OverflowError instead of returning inf
+        # L1 * L1 overflows to inf, which the closed form's finite check refuses
         prob = make_problem(Geometry(-1e200, 1e200, 0.5), MAT, SpringLaw(1e-201, 1e-201, 1.0),
                             BodyForce(1.0, -1.0), ConstraintVariant.NON_PENETRATION)
         with pytest.raises(NoConsistentRegime, match="overflows"):
+            analytic_solution(prob)
+
+    def test_underflowing_compliance_raises(self):
+        # L/E = 1e-400 rounds to 0, and the rigid reaction divided by it leaked
+        # ZeroDivisionError
+        prob = make_problem(Geometry(-2e-200, 2e-200, 1e-200), Material(1e200, 1e200),
+                            SpringLaw(1.0, 1.0, 2e-200), BodyForce(1.0, -1.0),
+                            ConstraintVariant.FULLY_RIGID)
+        with pytest.raises(NoConsistentRegime, match="compliance 0.0"):
             analytic_solution(prob)
 
     def test_large_loads_keep_the_interface_values(self):
@@ -137,6 +146,16 @@ class TestAnalyticSolution:
         # cancelled to 0 instead of 0.5
         sol = analytic_solution(problem(1.0, (1e17, -1e17)))
         assert (sol.g1, sol.g2, sol.theta, sol.s) == (0.5, -0.5, 0.0, -2.5e16)
+
+    def test_a_gap_rounded_past_2l_keeps_its_branch_side(self):
+        # at k*C = 2e19 the compression branch's theta_free - C*s rounds 3.8e-6
+        # above 2l; the rigid-compression bound at 2l holds that branch all the same
+        prob = make_problem(Geometry(-1.5, 1.5, 0.5), Material(1e-20, 1.0),
+                            SpringLaw(0.2, 0.2, 1.0), BodyForce(5e-10, 0.0),
+                            ConstraintVariant.RIGID_COMPRESSION)
+        sol = analytic_solution(prob)
+        assert (sol.regime, sol.theta) == ("bound-lower", 1.0)
+        assert sol.regime == solve(prob).diagnostics.regime
 
 
 #: Bad grid steps and the error each gets; the comments say what leaked before.

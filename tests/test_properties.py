@@ -101,11 +101,17 @@ _DRAWS = dict(l=_positive(0.05, 1.0), L1=_positive(0.2, 2.0), L2=_positive(0.2, 
               n1=st.integers(1, 16), n2=st.integers(1, 16))
 
 
-def _interface(l, L1, L2, E1, E2, k1, k2, f1, f2, variant, n1, n2):
+def _states(l, L1, L2, E1, E2, k1, k2, f1, f2, variant, n1, n2):
+    """(g1, g2, theta, s, regime) of the exact solve, and of the continuum oracle."""
     problem = make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
                            SpringLaw(k1, k2, 2.0 * l), BodyForce(f1, f2), variant)
-    sol = solve(problem, (n1, n2))
-    return sol.g1, sol.g2, sol.theta, sol.s
+    sol, ref = solve(problem, (n1, n2)), analytic_solution(problem)
+    return ((sol.g1, sol.g2, sol.theta, sol.s, sol.diagnostics.regime),
+            (ref.g1, ref.g2, ref.theta, ref.s, ref.regime))
+
+
+def _interface(*spec):
+    return _states(*spec)[0][:4]
 
 
 def _assert_close(got, want):
@@ -118,11 +124,12 @@ def _assert_close(got, want):
 def test_mirror_symmetry(l, L1, L2, E1, E2, q1, q2, f1, f2, variant, n1, n2):
     # reflecting x -> -x swaps the rods and reverses the loads and displacements
     k_max = (E1 + E2) / (2.0 * max(L1, L2))
-    g1, g2, theta, s = _interface(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2,
-                                  variant, n1, n2)
-    mirrored = _interface(l, L2, L1, E2, E1, q1 * k_max, q2 * k_max, -f2, -f1,
-                          variant, n2, n1)
-    _assert_close(mirrored, (-g2, -g1, theta, s))
+    states = _states(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant, n1, n2)
+    mirrored = _states(l, L2, L1, E2, E1, q1 * k_max, q2 * k_max, -f2, -f1, variant, n2, n1)
+    g1, g2, theta, s, _ = states[0]
+    _assert_close(mirrored[0][:4], (-g2, -g1, theta, s))
+    # the exact solve and the oracle name the same regime on both sides
+    assert [m[4] for m in mirrored] == [x[4] for x in states]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -131,17 +138,49 @@ def test_scaling_moduli_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, f1, f2, v
                                             n1, n2, m):
     # the energy scales by c, so the displacements stay and the stress scales by c
     c, k_max = 2.5, (E1 + E2) / (2.0 * max(L1, L2))
-    g1, g2, theta, s = _interface(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2,
-                                  variant, n1, n2)
+    states = _states(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant, n1, n2)
+    g1, g2, theta, s, _ = states[0]
     scaled = _interface(l, L1, L2, c * E1, c * E2, c * q1 * k_max, c * q2 * k_max,
                         c * f1, c * f2, variant, n1, n2)
     _assert_close(scaled, (g1, g2, theta, c * s))
-    # a power of two scales every product exactly, and the exact solve has no
-    # tolerance in force units: its gap pair and gap keep their bits
+    # a power of two scales every product exactly, and neither the exact solve
+    # nor the oracle has a tolerance: both keep their bits and their labels
     c = 2.0 ** m
-    scaled = _interface(l, L1, L2, c * E1, c * E2, c * q1 * k_max, c * q2 * k_max,
-                        c * f1, c * f2, variant, n1, n2)
-    assert scaled == (g1, g2, theta, c * s)
+    scaled = _states(l, L1, L2, c * E1, c * E2, c * q1 * k_max, c * q2 * k_max,
+                     c * f1, c * f2, variant, n1, n2)
+    assert scaled == tuple((g1, g2, theta, c * s, regime)
+                           for g1, g2, theta, s, regime in states)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(m=st.integers(-40, 40), **_DRAWS)
+def test_scaling_lengths_against_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, f1, f2, variant,
+                                                     n1, n2, m):
+    # lengths times c = 2**m, k and f over c: the gap pair and the gap scale by
+    # c, the stress and the regime stay, bit for bit, in the exact solve and the
+    # oracle alike, as neither compares a length with a constant
+    c, k_max = 2.0 ** m, (E1 + E2) / (2.0 * max(L1, L2))
+    states = _states(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant, n1, n2)
+    scaled = _states(c * l, c * L1, c * L2, E1, E2, q1 * k_max / c, q2 * k_max / c,
+                     f1 / c, f2 / c, variant, n1, n2)
+    assert scaled == tuple((c * g1, c * g2, c * theta, s, regime)
+                           for g1, g2, theta, s, regime in states)
+
+
+@pytest.mark.parametrize("variant, loads, regime", [
+    (ConstraintVariant.RIGID_COMPRESSION, (1.0, -1.0), "bound-lower"),
+    (ConstraintVariant.RIGID_EXTENSION, (-1.0, 1.0), "bound-upper")])
+def test_a_rigid_bound_keeps_its_label_at_tiny_stiffness(variant, loads, regime):
+    # moduli, stiffness and loads times 2**-60 once made the exact solve call the
+    # bound at 2l the breakpoint (a force-unit tie), and the oracle call the
+    # rigid-extension state contact (a 1e-12 tolerance on forces and lengths)
+    for c in (1.0, 2.0 ** -60):
+        states = _states(0.5, 0.5, 0.5, c, c, 0.4 * c, 0.4 * c, c * loads[0], c * loads[1],
+                         variant, 4, 4)
+        for g1, g2, theta, s, label in states:
+            assert label == regime
+            assert theta == 1.0
+            assert s == math.copysign(0.25 * c, loads[1])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)

@@ -1,3 +1,5 @@
+import pytest
+
 import spring_rods
 import spring_rods.fem
 
@@ -30,3 +32,27 @@ def test_energy_norm_is_a_fem_helper_only():
     # the reference energy norm of the tests, not a package-level name
     assert not hasattr(spring_rods, "v_norm")
     assert callable(spring_rods.fem.v_norm)
+
+
+def _solve_exact_by_variant_name(_):
+    problem = spring_rods.make_problem(spring_rods.Geometry(-1.0, 1.0, 0.5),
+                                       spring_rods.Material(1.0, 1.0),
+                                       spring_rods.SpringLaw(0.4, 0.4, 1.0),
+                                       spring_rods.BodyForce(1.0, -1.0))
+    system = spring_rods.assemble(spring_rods.build_mesh(problem.geometry, 4, 4),
+                                  problem.material, problem.forces)
+    return spring_rods.solve_exact(spring_rods.schur_reduce(system), problem.spring,
+                                   "non-penetration", problem.geometry.l)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda tmp: spring_rods.export_csv(None, tmp / "out.csv"), "result"),
+    (lambda tmp: spring_rods.export_svg(None, tmp / "out.svg", "gap"), "result"),
+    (lambda tmp: spring_rods.analytic_solution(None), "problem"),
+    (_solve_exact_by_variant_name, "variant"),
+], ids=["export_csv", "export_svg", "analytic_solution", "solve_exact"])
+def test_an_argument_of_the_wrong_type_is_a_validation_error(call, what, tmp_path):
+    # these leaked TypeError or AttributeError from inside the call
+    with pytest.raises(spring_rods.ValidationError, match=f"^{what}: need a "):
+        call(tmp_path)
+    assert not list(tmp_path.iterdir())
