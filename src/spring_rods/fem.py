@@ -86,6 +86,7 @@ def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
     `_MAX_ELEMENTS`, whose arrays no np.intp index can address; a bool is not
     a count.
     """
+    _check_type("geometry", geometry, Geometry)
     whole = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2))
     if whole and max(n1, n2) > _MAX_ELEMENTS:
         got = ("a count past the float range" if max(n1, n2) > sys.float_info.max
@@ -139,6 +140,8 @@ class DiscreteSystem:
     """
 
     def __init__(self, mesh: Mesh, material: Material, forces: BodyForce):
+        _check_type("mesh", mesh, Mesh)
+        _check_type("material", material, Material)
         _check_type("loads", forces, BodyForce)
         self.mesh, self.material, self.forces = mesh, material, forces
         self.stiff1, self.stiff2 = material.E1 / mesh.h1, material.E2 / mesh.h2
@@ -380,6 +383,7 @@ def interface_stress(mesh: Mesh, dof: DofVector, material: Material,
     offset, so the traces are exact for the constant loads of a BodyForce, the only loads
     taken.  A one-element rod's outer neighbour is the clamp, 0.
     """
+    _check_type("field", dof, DofVector)
     _check_type("loads", forces, BodyForce)
     u1_prev = float(dof.rod1[-2]) if mesh.n1 > 1 else 0.0
     u2_next = float(dof.rod2[1]) if mesh.n2 > 1 else 0.0

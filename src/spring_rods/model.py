@@ -158,6 +158,7 @@ class PenaltyLaw:
     natural_length: float
 
     def __post_init__(self):
+        _check_type("penalty variant", self.variant, PenaltyVariant)
         _set_real(self, "natural_length", "natural length", 0.0, math.inf)
 
     @property
@@ -254,7 +255,9 @@ class ProblemSpec:
     coupling_bound: float = field(init=False)
 
     def __post_init__(self):
-        _check_type("loads", self.forces, BodyForce)
+        for name, kind in (("geometry", Geometry), ("material", Material), ("spring", SpringLaw),
+                           ("forces", BodyForce), ("variant", ConstraintVariant)):
+            _check_type(name, getattr(self, name), kind)
         _check_natural_length("spring", self.spring.natural_length, self.geometry)
         m, alpha = _check_smallness(self.geometry, self.material, self.spring)
         object.__setattr__(self, "stiffness_sum", m)

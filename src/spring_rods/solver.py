@@ -8,13 +8,12 @@ minimizing out (g1, g2) at a fixed gap change t = g2 - g1 leaves a convex
 function of t alone, set by d = r2/s2 - r1/s1 (the spring-free gap change)
 and the interface compliance C = 1/s1 + 1/s2 = L1/E1 + L2/E2, both from
 `_spring_free`, which returns d/2.  `solve_exact` clamps its minimizer
-d/(1 + k*C) into the gap bounds and names the regime by the branch of its
-clamp, with no tolerance.  The projected gradient and fixed-point solvers
-are independent iterative cross-checks; `_label` names their gaps with 1e-11
-bands around the bounds and 2l, the breakpoint only where d == 0 exactly.
-Every state goes to `_record`, the one place that refuses an overflowing
-state, whose immutable `_Interface` record the studies read and whose
-`solution` alone builds an `EquilibriumSolution`.  All work on plain floats.
+d/(1 + k*C) into the gap bounds; the projected gradient and the fixed point
+are independent iterative cross-checks, each ending on a clamp of its own.
+Each state goes with the bound its last `_clamp` reached to `_record`, which
+labels it by `_regime`, with no tolerance, refuses it if it overflows, and
+builds the immutable `_Interface` that the studies read and whose `solution`
+alone builds an `EquilibriumSolution`.  All work on plain floats.
 """
 
 from __future__ import annotations
@@ -91,6 +90,8 @@ class PenaltyProblem:
     lam: float
 
     def __post_init__(self):
+        _check_type("base problem", self.base, ProblemSpec)
+        _check_type("penalty law", self.law, PenaltyLaw)
         _real("penalty parameter", self.lam, 0.0, math.inf, NonPositiveLambda)
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
             raise ValidationError("penalized problems are posed over the non-penetration set")
@@ -173,11 +174,29 @@ class _Interface(NamedTuple):
                                    _ACTIVE_BOUND.get(self.label), diag)
 
 
+def _clamp(x: float, lo: float, hi: float) -> tuple[float, str | None]:
+    """min(max(x, lo), hi), and the bound reached: "lower" if x <= lo, else "upper" if x >= hi."""
+    return min(max(x, lo), hi), ("lower" if x <= lo else "upper" if x >= hi else None)
+
+
+def _regime(lo: float, hi: float, half: float, bound: str | None) -> str:
+    """The label of a clamp's branch: rigid if lo == hi, the breakpoint if d/2 == 0, then
+    the bound the clamp reached (its gap is that bound, 0 or 2l), else the side of d."""
+    if lo == hi:
+        return "rigid"
+    if half == 0.0:
+        return "breakpoint"
+    if bound is not None:
+        return "bound-upper" if bound == "upper" else "contact" if lo == 0.0 else "bound-lower"
+    return "compression" if half < 0.0 else "extension"
+
+
 def _record(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, g: _Pair,
-            theta: float, label: str) -> _Interface:
-    """The record of a labelled state: NoConsistentRegime unless g1, g2, s and
-    the field at g are finite.  The field is recovered for this check only where
-    `field_surely_finite` cannot prove it, and the record then carries it."""
+            theta: float, bound: str | None) -> _Interface:
+    """The record of the pair g at the gap theta, labelled by `_regime` from the bound its
+    last `_clamp` reached: NoConsistentRegime unless g1, g2, s and the field at g are
+    finite.  The field is recovered for this check only where `field_surely_finite` cannot
+    prove it, and the record then carries it."""
     s = reduced.S[0] * g[0] - reduced.r[0]
     finite = all(map(math.isfinite, (*g, s)))
     u = None
@@ -188,30 +207,8 @@ def _record(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, g: 
     if not finite:
         raise NoConsistentRegime(f"equilibrium overflows: g1={g[0]}, g2={g[1]}, s={s} "
                                  f"or the nodal field is not finite")
+    label = _regime(lo, hi, _spring_free(reduced)[0], bound)
     return _Interface(reduced, spring, lo, hi, g, theta, label, s, u)
-
-
-def _label(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float, two_l: float,
-           g: _Pair, theta: float) -> _Interface:
-    """The iterative solvers' labeller: the state of a gap theta at its pair g.
-
-    A gap within 1e-11 of a bound is snapped to the bound.  First, though, a gap
-    within 1e-11 of 2l where d == 0, as `_exact` has it, is the breakpoint with no
-    active bound; a bound that would snap such a gap snaps it to 2l.  Any other
-    gap within 1e-11 of 2l and of no bound is the breakpoint too."""
-    near_two_l = abs(theta - two_l) <= 1e-11
-    if lo == hi:
-        theta, label = lo, "rigid"
-    elif near_two_l and _spring_free(reduced)[0] == 0.0:
-        theta = two_l if min(abs(theta - lo), abs(theta - hi)) <= 1e-11 else theta
-        label = "breakpoint"
-    elif abs(theta - lo) <= 1e-11:
-        theta, label = lo, ("contact" if lo == 0.0 else "bound-lower")
-    elif abs(theta - hi) <= 1e-11:
-        theta, label = hi, "bound-upper"
-    else:
-        label = "breakpoint" if near_two_l else "compression" if theta < two_l else "extension"
-    return _record(reduced, spring, lo, hi, g, theta, label)
 
 
 def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
@@ -221,25 +218,12 @@ def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
     Along W.g = t the energy is (t - d)^2/(2C) plus the spring potential of
     2l + t, convex in t alone, so the minimizer is d/(1 + k*C) clamped into
     the gap bounds, k the stiffness on the side d points to.  It is formed
-    from d/2, so it is finite wherever d/2 is.  The clamp's branch is the
-    label, with no tolerance; a clamped gap 2l + t is the bound itself, as each
-    finite bound is 0 or 2l."""
+    from d/2, so it is finite wherever d/2 is."""
     two_l = 2.0 * l
     half, compliance = _spring_free(reduced)
     k = spring.k1 if half < 0.0 else spring.k2
-    free = 2.0 * (half / (1.0 + k * compliance))
-    t = min(max(free, lo - two_l), hi - two_l)
-    if lo == hi:
-        label = "rigid"
-    elif half == 0.0:
-        label = "breakpoint"
-    elif free <= lo - two_l:
-        label = "contact" if lo == 0.0 else "bound-lower"
-    elif free >= hi - two_l:
-        label = "bound-upper"
-    else:
-        label = "compression" if half < 0.0 else "extension"
-    return _record(reduced, spring, lo, hi, _at_gap(reduced, t), two_l + t, label)
+    t, bound = _clamp(2.0 * (half / (1.0 + k * compliance)), lo - two_l, hi - two_l)
+    return _record(reduced, spring, lo, hi, _at_gap(reduced, t), two_l + t, bound)
 
 
 def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
@@ -274,15 +258,24 @@ def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> Equilibr
 # projected gradient
 
 
-def _project_gap(g: _Pair, lo: float, hi: float, two_l: float) -> tuple[_Pair, float]:
-    """(pair, t): the gap change t = g2 - g1 clamped into the gap bounds, and g moved to it
-    keeping g1 + g2.  The clamped t is set, never added, and returned with the pair: at a
-    large |g1 + g2| the moved pair's g2 - g1 rounds it away."""
+def _posed(system: DiscreteSystem, variant: ConstraintVariant, config: SolverConfig | None
+           ) -> tuple[SolverConfig, ReducedSystem, float, float, float]:
+    """(config or the default, condensed system, 2l, lo, hi) of an iterative solve."""
+    _check_type("variant", variant, ConstraintVariant)
+    l = system.mesh.geometry.l
+    return config or SolverConfig(), schur_reduce(system), 2.0 * l, *variant.bounds(l)
+
+
+def _project_gap(g: _Pair, lo: float, hi: float,
+                 two_l: float) -> tuple[_Pair, float, str | None]:
+    """(pair, t, bound): the gap change t = g2 - g1 `_clamp`ed into the gap bounds, and g
+    moved to t keeping g1 + g2.  The clamped t is set, never added, and returned with the
+    pair: at a large |g1 + g2| the moved pair's g2 - g1 rounds it away."""
     g1, g2 = g
-    t = min(max(g2 - g1, lo - two_l), hi - two_l)
+    t, bound = _clamp(g2 - g1, lo - two_l, hi - two_l)
     if t == g2 - g1:
-        return g, t
-    return (0.5 * (g1 + g2 - t), 0.5 * (g1 + g2 + t)), t
+        return g, t, bound
+    return (0.5 * (g1 + g2 - t), 0.5 * (g1 + g2 + t)), t, bound
 
 
 def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
@@ -294,24 +287,21 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
     gradient, so every step descends.  The iteration stops once a step's
     energy norm is at most the tolerance, or unconverged once it is NaN: an
     iterate is then inf or NaN, and no later step makes it finite again.
-    The gap reported is the one the last projection set.
+    The gap reported is the one the last projection set, and its label that clamp's branch.
     A penalized problem is solved with its `effective_spring` over NON_PENETRATION.
     """
-    cfg = config or SolverConfig()
-    reduced = schur_reduce(system)
-    l = system.mesh.geometry.l
-    two_l = 2.0 * l
-    lo, hi = variant.bounds(l)
+    cfg, reduced, two_l, lo, hi = _posed(system, variant, config)
 
     (s1, s2), (r1, r2) = reduced.S, reduced.r
     step = 1.0 / (max(s1, s2) + 2.0 * spring.lipschitz)
-    (g1, g2), t = _project_gap((0.0, 0.0), lo, hi, two_l)
+    (g1, g2), t, bound = _project_gap((0.0, 0.0), lo, hi, two_l)
     iterations = 0
     converged = False
     while iterations < cfg.max_iterations:
         slope = spring.potential_slope(two_l + (g2 - g1))
-        (new1, new2), t = _project_gap((g1 - step * (s1 * g1 - r1 - slope),
-                                        g2 - step * (s2 * g2 - r2 + slope)), lo, hi, two_l)
+        (new1, new2), t, bound = _project_gap((g1 - step * (s1 * g1 - r1 - slope),
+                                               g2 - step * (s2 * g2 - r2 + slope)),
+                                              lo, hi, two_l)
         delta = reduced.interface_vnorm((new1 - g1, new2 - g2))
         g1, g2 = new1, new2
         iterations += 1
@@ -320,7 +310,7 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
             break
         if math.isnan(delta):
             break
-    return _label(reduced, spring, lo, hi, two_l, (g1, g2), two_l + t).solution(
+    return _record(reduced, spring, lo, hi, (g1, g2), two_l + t, bound).solution(
         "projected-gradient", iterations, converged)
 
 
@@ -348,34 +338,31 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     step that is not above the tolerance: converged if it is at most the
     tolerance, unconverged if it is NaN (an iterate overflowed); otherwise
     it ends unconverged after max_iterations steps.  The step ratios are
-    those of consecutive steps whose first step is > 0.
+    those of consecutive steps whose first step is > 0.  The state is the last inner clamp.
     """
-    cfg = config or SolverConfig()
-    reduced = schur_reduce(system)
-    l = system.mesh.geometry.l
-    two_l = 2.0 * l
-    lo, hi = variant.bounds(l)
+    cfg, reduced, two_l, lo, hi = _posed(system, variant, config)
     half, compliance = _spring_free(reduced)
     omega = 1.0 / (1.0 + spring.lipschitz * compliance)
     half_lo, half_hi = 0.5 * (lo - two_l), 0.5 * (hi - two_l)
 
-    def inner(tau: float) -> float:  # half the inner gap change at the gap change 2*tau
+    def inner(tau: float) -> tuple[float, str | None]:  # half the inner gap change at 2*tau
         force = spring.force(two_l + 2.0 * tau)
-        return min(max(half + (0.5 * compliance) * force, half_lo), half_hi)
+        return _clamp(half + (0.5 * compliance) * force, half_lo, half_hi)
 
     tau = 0.0
     g = (0.0, 0.0)
     steps: list[float] = []
     while len(steps) < cfg.max_iterations:
-        tau += omega * (inner(tau) - tau)
+        tau += omega * (inner(tau)[0] - tau)
         new = _at_gap(reduced, 2.0 * tau)
         steps.append(reduced.interface_vnorm((new[0] - g[0], new[1] - g[1])))
         g = new
         if not steps[-1] > cfg.tolerance:
             break
     ratios = tuple(b / a for a, b in zip(steps, steps[1:]) if a > 0.0)
-    t = 2.0 * inner(tau)
-    return _label(reduced, spring, lo, hi, two_l, _at_gap(reduced, t), two_l + t).solution(
+    half_t, bound = inner(tau)
+    t = 2.0 * half_t
+    return _record(reduced, spring, lo, hi, _at_gap(reduced, t), two_l + t, bound).solution(
         "fixed-point", len(steps), steps[-1] <= cfg.tolerance, ratios)
 
 
@@ -399,6 +386,7 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
     finite real arrays of shapes (n1,), (n2,) a ValidationError, and a c or a value not finite
     gives -inf.  `trials` and `seed` are ignored, as nothing is drawn (`certify` passes them).
     """
+    _check_type("variant", variant, ConstraintVariant)
     rods, (n1, n2) = (candidate.rod1, candidate.rod2), (system.mesh.n1, system.mesh.n2)
     got = [r.shape if isinstance(r, np.ndarray) else type(r).__name__ for r in rods]
     if got != [(n1,), (n2,)] or not all(r.dtype.kind in "iuf" for r in rods):
@@ -433,6 +421,9 @@ def solve(problem: ProblemSpec | PenaltyProblem, mesh_sizes: tuple[int, int] = (
     A `PenaltyProblem` is posed on its base's mesh and loads; "fixed-point" refuses it.
     """
     _check_type("problem", problem, ProblemSpec, PenaltyProblem)
+    _check_type("config", config, SolverConfig, type(None))
+    if not (isinstance(mesh_sizes, tuple) and len(mesh_sizes) == 2):
+        raise ValidationError(f"mesh sizes: need a pair of element counts, got {mesh_sizes!r}")
     penalty = problem if isinstance(problem, PenaltyProblem) else None
     base = problem if penalty is None else penalty.base
     mesh = build_mesh(base.geometry, *mesh_sizes)

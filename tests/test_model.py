@@ -83,6 +83,17 @@ class TestMakeProblem:
         with pytest.raises(ValueError):
             BodyForce(math.inf, 0.0)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("geometry", None), ("material", None), ("spring", None), ("forces", None),
+        ("variant", None), ("variant", "non-penetration")])
+    def test_a_field_of_the_wrong_type_is_a_validation_error(self, field, bad):
+        # a variant given by its name was accepted, and analytic_solution and
+        # run_stiffness_sweep then leaked AttributeError; so did a None geometry at once
+        fields = dict(geometry=GEO, material=MAT, spring=SpringLaw(1.0, 1.0, 1.0),
+                      forces=BodyForce(1.0, -1.0), variant=ConstraintVariant.NON_PENETRATION)
+        with pytest.raises(ValidationError, match=f"^{field}: need a "):
+            make_problem(**{**fields, field: bad})
+
 
 class TestSpringLaw:
     def test_zero_at_natural_length(self):

@@ -101,10 +101,14 @@ _DRAWS = dict(l=_positive(0.05, 1.0), L1=_positive(0.2, 2.0), L2=_positive(0.2, 
               n1=st.integers(1, 16), n2=st.integers(1, 16))
 
 
+def _problem(l, L1, L2, E1, E2, k1, k2, f1, f2, variant):
+    return make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
+                        SpringLaw(k1, k2, 2.0 * l), BodyForce(f1, f2), variant)
+
+
 def _states(l, L1, L2, E1, E2, k1, k2, f1, f2, variant, n1, n2):
     """(g1, g2, theta, s, regime) of the exact solve, and of the continuum oracle."""
-    problem = make_problem(Geometry(-l - L1, l + L2, l), Material(E1, E2),
-                           SpringLaw(k1, k2, 2.0 * l), BodyForce(f1, f2), variant)
+    problem = _problem(l, L1, L2, E1, E2, k1, k2, f1, f2, variant)
     sol, ref = solve(problem, (n1, n2)), analytic_solution(problem)
     return ((sol.g1, sol.g2, sol.theta, sol.s, sol.diagnostics.regime),
             (ref.g1, ref.g2, ref.theta, ref.s, ref.regime))
@@ -112,6 +116,13 @@ def _states(l, L1, L2, E1, E2, k1, k2, f1, f2, variant, n1, n2):
 
 def _interface(*spec):
     return _states(*spec)[0][:4]
+
+
+def _iterative_labels(*spec):
+    """The regime labels of the gradient and fixed-point solves of `_states`' problem."""
+    *problem, n1, n2 = spec
+    return [solve(_problem(*problem), (n1, n2), method).diagnostics.regime
+            for method in ("gradient", "fixed-point")]
 
 
 def _assert_close(got, want):
@@ -160,11 +171,15 @@ def test_scaling_lengths_against_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, 
     # c, the stress and the regime stay, bit for bit, in the exact solve and the
     # oracle alike, as neither compares a length with a constant
     c, k_max = 2.0 ** m, (E1 + E2) / (2.0 * max(L1, L2))
-    states = _states(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant, n1, n2)
-    scaled = _states(c * l, c * L1, c * L2, E1, E2, q1 * k_max / c, q2 * k_max / c,
-                     f1 / c, f2 / c, variant, n1, n2)
+    spec = (l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, f1, f2, variant, n1, n2)
+    scaled_spec = (c * l, c * L1, c * L2, E1, E2, q1 * k_max / c, q2 * k_max / c,
+                   f1 / c, f2 / c, variant, n1, n2)
+    states, scaled = _states(*spec), _states(*scaled_spec)
     assert scaled == tuple((c * g1, c * g2, c * theta, s, regime)
                            for g1, g2, theta, s, regime in states)
+    # the iterative solvers' absolute stop rule still moves their bits, but each
+    # labels the branch of its last clamp, with no length tolerance: labels only
+    assert _iterative_labels(*scaled_spec) == _iterative_labels(*spec)
 
 
 @pytest.mark.parametrize("variant, loads, regime", [

@@ -34,25 +34,44 @@ def test_energy_norm_is_a_fem_helper_only():
     assert callable(spring_rods.fem.v_norm)
 
 
-def _solve_exact_by_variant_name(_):
-    problem = spring_rods.make_problem(spring_rods.Geometry(-1.0, 1.0, 0.5),
-                                       spring_rods.Material(1.0, 1.0),
-                                       spring_rods.SpringLaw(0.4, 0.4, 1.0),
-                                       spring_rods.BodyForce(1.0, -1.0))
-    system = spring_rods.assemble(spring_rods.build_mesh(problem.geometry, 4, 4),
-                                  problem.material, problem.forces)
-    return spring_rods.solve_exact(spring_rods.schur_reduce(system), problem.spring,
-                                   "non-penetration", problem.geometry.l)
+_PROBLEM = spring_rods.make_problem(spring_rods.Geometry(-1.0, 1.0, 0.5),
+                                    spring_rods.Material(1.0, 1.0),
+                                    spring_rods.SpringLaw(0.4, 0.4, 1.0),
+                                    spring_rods.BodyForce(1.0, -1.0))
+_MESH = spring_rods.build_mesh(_PROBLEM.geometry, 4, 4)
+_SYSTEM = spring_rods.assemble(_MESH, _PROBLEM.material, _PROBLEM.forces)
+_LAW = spring_rods.PenaltyLaw(spring_rods.PenaltyVariant.EXTENSION_ONLY, 1.0)
 
 
 @pytest.mark.parametrize("call, what", [
     (lambda tmp: spring_rods.export_csv(None, tmp / "out.csv"), "result"),
     (lambda tmp: spring_rods.export_svg(None, tmp / "out.svg", "gap"), "result"),
     (lambda tmp: spring_rods.analytic_solution(None), "problem"),
-    (_solve_exact_by_variant_name, "variant"),
-], ids=["export_csv", "export_svg", "analytic_solution", "solve_exact"])
+    (lambda tmp: spring_rods.solve_exact(spring_rods.schur_reduce(_SYSTEM), _PROBLEM.spring,
+                                         "non-penetration", _PROBLEM.geometry.l), "variant"),
+    (lambda tmp: spring_rods.solve(_PROBLEM, (4,)), "mesh sizes"),
+    (lambda tmp: spring_rods.solve(_PROBLEM, None), "mesh sizes"),
+    (lambda tmp: spring_rods.solve(_PROBLEM, (4, 4), "gradient", "x"), "config"),
+    (lambda tmp: spring_rods.PenaltyProblem(_PROBLEM, None, 0.1), "penalty law"),
+    (lambda tmp: spring_rods.PenaltyProblem(None, _LAW, 0.1), "base problem"),
+    (lambda tmp: spring_rods.solve_projected_gradient(_SYSTEM, _PROBLEM.spring,
+                                                      "non-penetration"), "variant"),
+    (lambda tmp: spring_rods.solve_qvi_fixed_point(_SYSTEM, _PROBLEM.spring,
+                                                   "non-penetration"), "variant"),
+    (lambda tmp: spring_rods.vi_residual(_SYSTEM, _PROBLEM.spring, "non-penetration",
+                                         spring_rods.solve(_PROBLEM).u), "variant"),
+    (lambda tmp: spring_rods.assemble(None, _PROBLEM.material, _PROBLEM.forces), "mesh"),
+    (lambda tmp: spring_rods.assemble(_MESH, None, _PROBLEM.forces), "material"),
+    (lambda tmp: spring_rods.build_mesh(None, 2, 2), "geometry"),
+    (lambda tmp: spring_rods.interface_stress(_MESH, None, _PROBLEM.material,
+                                              _PROBLEM.forces), "field"),
+    (lambda tmp: spring_rods.run_penalty_convergence(_PROBLEM, None), "penalty variant"),
+], ids=["export_csv", "export_svg", "analytic_solution", "solve_exact", "solve-one-count",
+        "solve-no-counts", "solve-config", "PenaltyProblem-law", "PenaltyProblem-base",
+        "solve_projected_gradient", "solve_qvi_fixed_point", "vi_residual", "assemble-mesh",
+        "assemble-material", "build_mesh", "interface_stress", "run_penalty_convergence"])
 def test_an_argument_of_the_wrong_type_is_a_validation_error(call, what, tmp_path):
-    # these leaked TypeError or AttributeError from inside the call
+    # these leaked TypeError, AttributeError or KeyError from inside the call
     with pytest.raises(spring_rods.ValidationError, match=f"^{what}: need a "):
         call(tmp_path)
     assert not list(tmp_path.iterdir())
