@@ -8,8 +8,8 @@ from .experiments import (ConvergenceRecord, ConvergenceStudy, SweepRecord, Swee
                           run_stiffness_sweep)
 from .fem import (DiscreteSystem, DofVector, Mesh, ReducedSystem, assemble, build_mesh,
                   interface_stress, recover_full, schur_reduce)
-from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
-                    PenaltyVariant, ProblemSpec, SpringLaw, make_problem, spring_gap)
+from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyVariant,
+                    ProblemSpec, SpringLaw, make_problem, spring_gap)
 from .oracle import AnalyticSolution, analytic_solution, grid_search_minimizer
 from .solver import (EquilibriumSolution, PenaltyProblem, SolverConfig,
                      SolverDiagnostics, effective_spring, solve, solve_exact,
@@ -23,7 +23,7 @@ __all__ = [
     "ConvergenceRecord", "ConvergenceStudy", "DiscreteSystem", "DofVector",
     "EmptyFeasibleGrid", "EquilibriumSolution", "Geometry", "GeometryError",
     "InfeasibleCandidate", "Material", "Mesh", "NoConsistentRegime",
-    "NonPositiveLambda", "ParseError", "PenaltyLaw", "PenaltyProblem",
+    "NonPositiveLambda", "ParseError", "PenaltyProblem",
     "PenaltyVariant", "ProblemSpec", "ReducedSystem",
     "SmallnessViolation", "SolverConfig", "SolverDiagnostics", "SpringLaw",
     "SpringRodsError", "SweepRecord", "SweepResult", "ValidationError",

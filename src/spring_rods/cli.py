@@ -14,8 +14,8 @@ from .errors import ParseError, SpringRodsError, ValidationError
 from .experiments import (_fmt, export_csv, export_svg, run_penalty_convergence,
                           run_stiffness_sweep)
 from .fem import build_mesh, interface_stress
-from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
-                    PenaltyVariant, ProblemSpec, SpringLaw)
+from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyVariant,
+                    ProblemSpec, SpringLaw)
 from .oracle import analytic_solution
 from .solver import PenaltyProblem, SolverConfig, solve
 
@@ -45,7 +45,7 @@ class RunConfig:
     variant: str = _option("non-penetration", "constraint.variant", "--variant",
                            "gap constraint variant", tuple(v.value for v in ConstraintVariant))
     penalty: str = _option("compression", "penalty.variant", "--penalty",
-                           "penalty law variant", tuple(v.value for v in PenaltyVariant))
+                           "penalty variant", tuple(v.value for v in PenaltyVariant))
     lam: float | None = _option(None, "penalty.lambda", "--lambda",
                                 "penalty parameter for a single penalized solve", kind=float)
     n_max: int = _option(12, "penalty.n_max", "--n-max", "last index of the penalty schedule")
@@ -66,9 +66,6 @@ class RunConfig:
                            SpringLaw(self.k1, self.k2, 2.0 * self.l),
                            BodyForce(self.f1, self.f2),
                            ConstraintVariant(self.variant))
-
-    def penalty_law(self) -> PenaltyLaw:
-        return PenaltyLaw(PenaltyVariant(self.penalty), 2.0 * self.l)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tolerance=self.tol, max_iterations=self.max_iter)
@@ -172,8 +169,8 @@ def _write_study(config: RunConfig, command: str, result, csv_name: str, panels)
 
 def _cmd_solve(config: RunConfig, command: str) -> int:
     problem = config.problem()
-    posed = problem if config.lam is None else PenaltyProblem(problem, config.penalty_law(),
-                                                               config.lam)
+    posed = problem if config.lam is None else PenaltyProblem(
+        problem, PenaltyVariant(config.penalty), config.lam)
     sol = solve(posed, (config.n1, config.n2), config.method, config.solver_config())
     print(f"method = {sol.diagnostics.method}  regime = {sol.diagnostics.regime}")
     print(f"g1 = {_fmt(sol.g1)}")
@@ -215,7 +212,7 @@ def _cmd_converge(config: RunConfig, command: str) -> int:
     if config.n_max < 1:
         raise ValidationError(f"need --n-max of at least 1, got {config.n_max}")
     problem = config.problem()
-    study = run_penalty_convergence(problem, config.penalty_law().variant,
+    study = run_penalty_convergence(problem, PenaltyVariant(config.penalty),
                                     range(1, config.n_max + 1), (config.n1, config.n2))
     _write_study(config, command, study, "convergence.csv", ("error", "gap"))
     last = study.records[-1]

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .errors import NoConsistentRegime, SpringRodsError, ValidationError, ZeroElements
 from .fem import assemble, build_mesh, schur_reduce
-from .model import (BodyForce, ConstraintVariant, PenaltyLaw, PenaltyVariant,
-                    ProblemSpec, SpringLaw, _check_smallness, _check_type)
-from .solver import EquilibriumSolution, PenaltyProblem, _exact, _penalized, solve_exact
+from .model import (BodyForce, ConstraintVariant, PenaltyVariant, ProblemSpec, SpringLaw,
+                    _check_smallness, _check_type)
+from .solver import EquilibriumSolution, _exact, effective_spring, solve_exact
 
 #: Limit problem enforced by each penalty variant as the parameter vanishes.
 LIMIT_VARIANT = {
@@ -117,16 +117,15 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
     The error is the energy norm of the difference between each penalized
     field and the limit-problem field: both share the field pinned at the
     rod ends, so it is `interface_vnorm` of the interface jump.  A
-    non-convergence flag is raised when the error stops decreasing over the
-    last three records (which is expected when the load never activates the
-    penalized side).
+    non-convergence flag is raised when the error stops decreasing, by more
+    than 1e-15 of the largest error, over the last three records (which is
+    expected when the load never activates the penalized side).
     """
+    _check_type("penalty variant", penalty_variant, PenaltyVariant)
     m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, base.forces))
     l = base.geometry.l
-    base_np = base if base.variant is ConstraintVariant.NON_PENETRATION else replace(
-        base, variant=ConstraintVariant.NON_PENETRATION)
-    law = PenaltyLaw(penalty_variant, 2.0 * l)
+    lo, hi = ConstraintVariant.NON_PENETRATION.bounds(l)
     limit_variant = LIMIT_VARIANT[penalty_variant]
     limit = solve_exact(reduced, base.spring, limit_variant, l)
 
@@ -137,14 +136,14 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
         except (OverflowError, TypeError) as exc:
             raise ValidationError(f"n must be a real number with 2**(3 - n) finite, "
                                   f"got {n!r}") from exc
-        state = _exact(reduced, *_penalized(PenaltyProblem(base_np, law, lam)))
+        state = _exact(reduced, effective_spring(base.spring, penalty_variant, lam), lo, hi, l)
         (g1, g2), theta = state.g, state.theta
         err = reduced.interface_vnorm((g1 - limit.g1, g2 - limit.g2))
         records.append(ConvergenceRecord(n, lam, theta, g1, g2, err))
 
     errs = [r.error for r in records]
-    stalled = len(errs) >= 3 and not any(
-        b <= a - 1e-15 for a, b in zip(errs[-3:], errs[-2:]))
+    tol = 1e-15 * max(errs, default=0.0)  # scales with the loads; 0 keeps zero errors stalled
+    stalled = len(errs) >= 3 and not any(b < a - tol for a, b in zip(errs[-3:], errs[-2:]))
     return ConvergenceStudy(tuple(records), limit_variant, limit, stalled)
 
 

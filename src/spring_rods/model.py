@@ -130,7 +130,11 @@ class SpringLaw:
 
 
 class PenaltyVariant(Enum):
-    """Which side of the natural length the penalty term stiffens."""
+    """Which side of the natural length 2l the penalty term stiffens.
+
+    The penalty potential is (gap - 2l)^2/2 on its side(s) and 0 on the other,
+    so 1/lam of it adds 1/lam to that side's spring stiffness (`effective_spring`).
+    """
 
     COMPRESSION_ONLY = "compression"
     EXTENSION_ONLY = "extension"
@@ -141,41 +145,6 @@ class PenaltyVariant(Enum):
         """Whether the penalty acts (below the natural length, at or above it)."""
         return (self is not PenaltyVariant.EXTENSION_ONLY,
                 self is not PenaltyVariant.COMPRESSION_ONLY)
-
-
-@dataclass(frozen=True)
-class PenaltyLaw:
-    """Unit-stiffness penalty response used to enforce rigid limits.
-
-    All variants are non-increasing with Lipschitz constant 1, non-negative
-    below the natural length and non-positive above it.  They differ in
-    where they vanish: COMPRESSION_ONLY on lengths >= natural,
-    EXTENSION_ONLY on lengths <= natural, TWO_SIDED only at the natural
-    length.
-    """
-
-    variant: PenaltyVariant
-    natural_length: float
-
-    def __post_init__(self):
-        _check_type("penalty variant", self.variant, PenaltyVariant)
-        _set_real(self, "natural_length", "natural length", 0.0, math.inf)
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
-    def _acts(self, length: float) -> bool:
-        below, above = self.variant.sides
-        return below if length < self.natural_length else above
-
-    def force(self, length: float) -> float:
-        return self.natural_length - length if self._acts(length) else 0.0
-
-    def potential(self, length: float) -> float:
-        """Convex antiderivative with slope equal to minus the force."""
-        d = length - self.natural_length
-        return 0.5 * d * d if self._acts(length) else 0.0
 
 
 @dataclass(frozen=True)
@@ -215,10 +184,11 @@ class ConstraintVariant(Enum):
         return (n, n)
 
 
-def _check_natural_length(name: str, length: float, geometry: Geometry) -> None:
-    """Raise GeometryError unless `length` is the geometric gap 2l (to 1e-12)."""
-    if not math.isclose(length, geometry.natural_length, rel_tol=0.0, abs_tol=1e-12):
-        raise GeometryError(f"{name} natural length {length} does not match "
+def _check_natural_length(spring: SpringLaw, geometry: Geometry) -> None:
+    """Raise GeometryError unless the spring's natural length is the mesh's gap 2l exactly:
+    the solvers put their gap bounds and branch labels at 2l, so no other breakpoint is posed."""
+    if spring.natural_length != geometry.natural_length:
+        raise GeometryError(f"spring natural length {spring.natural_length} does not match "
                             f"the geometric gap {geometry.natural_length}")
 
 
@@ -258,7 +228,7 @@ class ProblemSpec:
         for name, kind in (("geometry", Geometry), ("material", Material), ("spring", SpringLaw),
                            ("forces", BodyForce), ("variant", ConstraintVariant)):
             _check_type(name, getattr(self, name), kind)
-        _check_natural_length("spring", self.spring.natural_length, self.geometry)
+        _check_natural_length(self.spring, self.geometry)
         m, alpha = _check_smallness(self.geometry, self.material, self.spring)
         object.__setattr__(self, "stiffness_sum", m)
         object.__setattr__(self, "coupling_bound", alpha)

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InfeasibleCandidate, NoConsistentRegime, NonPositiveLambda, ValidationError
 from .fem import (DiscreteSystem, DofVector, ReducedSystem, build_mesh, assemble,
                   recover_full, schur_reduce)
-from .model import (ConstraintVariant, PenaltyLaw, ProblemSpec, SpringLaw,
+from .model import (ConstraintVariant, PenaltyVariant, ProblemSpec, SpringLaw,
                     _check_natural_length, _check_type, _real, spring_gap)
 
 _Pair = tuple[float, float]
@@ -79,33 +79,33 @@ class EquilibriumSolution:
 
 @dataclass(frozen=True)
 class PenaltyProblem:
-    """A base non-penetration problem stiffened by (1/lam) times a penalty law.
+    """A base non-penetration problem stiffened by (1/lam) times the penalty of a variant.
 
     lam must be positive and finite: an infinite lam would drop the penalty.
-    The law must act around the spring's natural length 2l.
     """
 
     base: ProblemSpec
-    law: PenaltyLaw
+    variant: PenaltyVariant
     lam: float
 
     def __post_init__(self):
         _check_type("base problem", self.base, ProblemSpec)
-        _check_type("penalty law", self.law, PenaltyLaw)
+        _check_type("penalty variant", self.variant, PenaltyVariant)
         _real("penalty parameter", self.lam, 0.0, math.inf, NonPositiveLambda)
         if self.base.variant is not ConstraintVariant.NON_PENETRATION:
             raise ValidationError("penalized problems are posed over the non-penetration set")
-        _check_natural_length("penalty law", self.law.natural_length, self.base.geometry)
 
 
-def effective_spring(spring: SpringLaw, law: PenaltyLaw, lam: float) -> SpringLaw:
+def effective_spring(spring: SpringLaw, variant: PenaltyVariant, lam: float) -> SpringLaw:
     """Spring law whose potential equals the original plus the scaled penalty.
 
     The penalty potential is quadratic on the side(s) it acts on, so adding
     (1/lam) of it just raises the corresponding stiffness coefficient.
     """
+    _check_type("spring", spring, SpringLaw)
+    _check_type("penalty variant", variant, PenaltyVariant)
     dk = 1.0 / _real("penalty parameter", lam, 0.0, math.inf, NonPositiveLambda)
-    below, above = law.variant.sides
+    below, above = variant.sides
     return SpringLaw(spring.k1 + (dk if below else 0.0), spring.k2 + (dk if above else 0.0),
                      spring.natural_length)
 
@@ -229,7 +229,7 @@ def _exact(reduced: ReducedSystem, spring: SpringLaw, lo: float, hi: float,
 def _penalized(penalty: PenaltyProblem) -> tuple[SpringLaw, float, float, float]:
     """(effective spring, lo, hi, l) of a penalized problem, as `_exact` takes them."""
     l = penalty.base.geometry.l
-    return (effective_spring(penalty.base.spring, penalty.law, penalty.lam),
+    return (effective_spring(penalty.base.spring, penalty.variant, penalty.lam),
             *ConstraintVariant.NON_PENETRATION.bounds(l), l)
 
 
@@ -237,8 +237,10 @@ def solve_exact(reduced: ReducedSystem, spring: SpringLaw, variant: ConstraintVa
                 l: float) -> EquilibriumSolution:
     """Global minimizer of the reduced convex energy at its mesh's half-gap l: the clamped gap."""
     _check_type("variant", variant, ConstraintVariant)
-    if l != (mesh_l := reduced.system.mesh.geometry.l):
-        raise ValidationError(f"half-gap {l!r} is not the mesh's {mesh_l!r}")
+    geometry = reduced.system.mesh.geometry
+    if l != geometry.l:
+        raise ValidationError(f"half-gap {l!r} is not the mesh's {geometry.l!r}")
+    _check_natural_length(spring, geometry)
     return _exact(reduced, spring, *variant.bounds(l), l).solution("exact")
 
 
@@ -249,8 +251,9 @@ def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> Equilibr
     potential of the gap, minimized over the non-penetration set; its
     stationarity reproduces the penalized inequality because the penalty
     potential has slope equal to minus the penalty force.  `reduced` is the
-    condensed system of `penalty.base`.
+    condensed system of `penalty.base`, or of a mesh with its gap 2l.
     """
+    _check_natural_length(penalty.base.spring, reduced.system.mesh.geometry)
     return _exact(reduced, *_penalized(penalty)).solution("penalized")
 
 
@@ -258,11 +261,12 @@ def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> Equilibr
 # projected gradient
 
 
-def _posed(system: DiscreteSystem, variant: ConstraintVariant, config: SolverConfig | None
-           ) -> tuple[SolverConfig, ReducedSystem, float, float, float]:
+def _posed(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVariant,
+           config: SolverConfig | None) -> tuple[SolverConfig, ReducedSystem, float, float, float]:
     """(config or the default, condensed system, 2l, lo, hi) of an iterative solve."""
     _check_type("variant", variant, ConstraintVariant)
-    l = system.mesh.geometry.l
+    _check_natural_length(spring, geometry := system.mesh.geometry)
+    l = geometry.l
     return config or SolverConfig(), schur_reduce(system), 2.0 * l, *variant.bounds(l)
 
 
@@ -290,7 +294,7 @@ def solve_projected_gradient(system: DiscreteSystem, spring: SpringLaw,
     The gap reported is the one the last projection set, and its label that clamp's branch.
     A penalized problem is solved with its `effective_spring` over NON_PENETRATION.
     """
-    cfg, reduced, two_l, lo, hi = _posed(system, variant, config)
+    cfg, reduced, two_l, lo, hi = _posed(system, spring, variant, config)
 
     (s1, s2), (r1, r2) = reduced.S, reduced.r
     step = 1.0 / (max(s1, s2) + 2.0 * spring.lipschitz)
@@ -340,7 +344,7 @@ def solve_qvi_fixed_point(system: DiscreteSystem, spring: SpringLaw,
     it ends unconverged after max_iterations steps.  The step ratios are
     those of consecutive steps whose first step is > 0.  The state is the last inner clamp.
     """
-    cfg, reduced, two_l, lo, hi = _posed(system, variant, config)
+    cfg, reduced, two_l, lo, hi = _posed(system, spring, variant, config)
     half, compliance = _spring_free(reduced)
     omega = 1.0 / (1.0 + spring.lipschitz * compliance)
     half_lo, half_hi = 0.5 * (lo - two_l), 0.5 * (hi - two_l)
@@ -387,6 +391,7 @@ def vi_residual(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVa
     gives -inf.  `trials` and `seed` are ignored, as nothing is drawn (`certify` passes them).
     """
     _check_type("variant", variant, ConstraintVariant)
+    _check_natural_length(spring, system.mesh.geometry)
     rods, (n1, n2) = (candidate.rod1, candidate.rod2), (system.mesh.n1, system.mesh.n2)
     got = [r.shape if isinstance(r, np.ndarray) else type(r).__name__ for r in rods]
     if got != [(n1,), (n2,)] or not all(r.dtype.kind in "iuf" for r in rods):

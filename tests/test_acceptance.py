@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material,
-                         PenaltyLaw, PenaltyProblem, PenaltyVariant, SolverConfig,
+                         PenaltyProblem, PenaltyVariant, SolverConfig,
                          SpringLaw, analytic_solution, assemble, build_mesh,
                          grid_search_minimizer, make_problem, run_penalty_convergence,
                          run_stiffness_sweep, schur_reduce, solve_exact,
@@ -78,12 +78,12 @@ def test_criterion_4_penalty_convergence():
     mesh, _, red = reduced_for(1.0, -1.0)
     spring = SpringLaw(1.0, 1.0, 1.0)
     base = make_problem(GEO, MAT, spring, BodyForce(1.0, -1.0), NP_)
-    law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
+    penalty = PenaltyVariant.COMPRESSION_ONLY
     limit = solve_exact(red, spring, ConstraintVariant.RIGID_COMPRESSION, GEO.l)
     ok = abs(limit.g1) <= 1e-10 and abs(limit.g2) <= 1e-10
     errors = []
     for n in range(1, 13):
-        sol = solve_penalized(red, PenaltyProblem(base, law, 2.0 ** (3 - n)))
+        sol = solve_penalized(red, PenaltyProblem(base, penalty, 2.0 ** (3 - n)))
         K = 1.0 + 2.0 ** (n - 3)
         ok = ok and abs(sol.theta - (0.75 + K) / (1.0 + K)) <= 1e-9
         errors.append(v_norm(mesh, sol.u - limit.u))

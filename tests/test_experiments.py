@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
-                         Material, NoConsistentRegime, NonPositiveLambda, PenaltyLaw,
+                         Material, NoConsistentRegime, NonPositiveLambda,
                          PenaltyProblem, PenaltyVariant, SmallnessViolation, SpringLaw,
                          SweepResult, ValidationError, ZeroElements,
                          assemble, build_mesh, export_csv, export_svg, make_problem,
@@ -214,11 +214,11 @@ class TestInterfaceOnlyStudies:
         base = make_problem(GEO, Material(0.03, 0.03), SpringLaw(0.01, 0.01, 1.0),
                             BodyForce(1e308, -1e308), ConstraintVariant.NON_PENETRATION)
         reduced = schur_reduce(assemble(build_mesh(GEO, 4, 4), base.material, base.forces))
-        law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
-        study = run_penalty_convergence(base, PenaltyVariant.COMPRESSION_ONLY)
+        penalty = PenaltyVariant.COMPRESSION_ONLY
+        study = run_penalty_convergence(base, penalty)
         assert len(study.records) == 12
         for record in study.records:
-            sol = solve_penalized(reduced, PenaltyProblem(base, law, record.lam))
+            sol = solve_penalized(reduced, PenaltyProblem(base, penalty, record.lam))
             assert not reduced.field_surely_finite(sol.g1, sol.g2)
             assert _bits(record.theta, record.g1, record.g2) == _bits(sol.theta, sol.g1, sol.g2)
 
@@ -254,10 +254,9 @@ class TestInterfaceOnlyStudies:
             limit = solve_exact(reduced, base.spring, LIMIT_VARIANT[penalty], l)
             assert _bits(study.limit.g1, study.limit.g2, study.limit.theta, study.limit.s) == \
                 _bits(limit.g1, limit.g2, limit.theta, limit.s)
-            law = PenaltyLaw(penalty, 2.0 * l)
             np_base = replace(base, variant=ConstraintVariant.NON_PENETRATION)
             for record in study.records:
-                sol = solve_penalized(reduced, PenaltyProblem(np_base, law, record.lam))
+                sol = solve_penalized(reduced, PenaltyProblem(np_base, penalty, record.lam))
                 error = reduced.interface_vnorm((sol.g1 - limit.g1, sol.g2 - limit.g2))
                 assert _bits(record.theta, record.g1, record.g2, record.error) == \
                     _bits(sol.theta, sol.g1, sol.g2, error)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometry,
-                         GeometryError, Material, PenaltyLaw, PenaltyProblem,
+                         GeometryError, Material, PenaltyProblem,
                          NonPositiveLambda, PenaltyVariant, SmallnessViolation, SolverConfig,
                          SpringLaw, SpringRodsError, SweepResult, ValidationError,
                          ZeroElements, assemble, build_mesh,
@@ -79,6 +79,13 @@ class TestMakeProblem:
             make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 0.8), BodyForce(0.0, 0.0),
                          ConstraintVariant.NON_PENETRATION)
 
+    @pytest.mark.parametrize("shift", [5e-13, -5e-13, math.ulp(1.0)])
+    def test_spring_length_is_the_gap_exactly(self, shift):
+        # a 1e-12 slack once let the spring bend 2.5e-13 off the gap 2l: exact and
+        # the oracle put the gap at 2l, the iterative solvers at 2l + 2.5e-13
+        with pytest.raises(GeometryError, match="natural length"):
+            make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0 + shift), BodyForce(0.0, 0.0))
+
     def test_nonfinite_force_rejected(self):
         with pytest.raises(ValueError):
             BodyForce(math.inf, 0.0)
@@ -145,50 +152,6 @@ class TestSpringLaw:
             assert slope == pytest.approx(-law.force(r), rel=1e-6, abs=1e-9)
 
 
-class TestPenaltyLaw:
-    def test_compression_only_values(self):
-        law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
-        assert law.force(1.0) == 0.0
-        assert law.potential(1.0) == 0.0
-        assert law.force(0.5) == 0.5
-        assert law.potential(0.5) == 0.125
-
-    def test_extension_only_values(self):
-        law = PenaltyLaw(PenaltyVariant.EXTENSION_ONLY, 1.0)
-        assert law.force(1.5) == -0.5
-        assert law.potential(1.5) == 0.125
-        assert law.force(0.5) == 0.0
-
-    def test_zero_sets(self):
-        comp = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
-        ext = PenaltyLaw(PenaltyVariant.EXTENSION_ONLY, 1.0)
-        both = PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0)
-        r = np.linspace(-1.0, 3.0, 801)
-        for x in r:
-            assert (comp.force(x) == 0.0) == (x >= 1.0)
-            assert (ext.force(x) == 0.0) == (x <= 1.0)
-            assert (both.force(x) == 0.0) == (x == 1.0)
-
-    def test_sign_monotone_lipschitz(self):
-        rng = np.random.default_rng(2)
-        r = np.sort(rng.uniform(-2.0, 4.0, 1000))
-        for variant in PenaltyVariant:
-            law = PenaltyLaw(variant, 1.0)
-            f = np.array([law.force(x) for x in r])
-            assert np.all(np.diff(f) <= 1e-15)
-            assert np.all(f[r <= 1.0] >= 0.0)
-            assert np.all(f[r >= 1.0] <= 0.0)
-            assert np.all(np.abs(np.diff(f)) <= law.lipschitz * np.diff(r) + 1e-14)
-
-    def test_potential_slope_matches_force(self):
-        h = 1e-5
-        for variant in PenaltyVariant:
-            law = PenaltyLaw(variant, 1.0)
-            for r in np.linspace(-0.9, 2.9, 40):  # grid avoids the kink
-                slope = (law.potential(r + h) - law.potential(r - h)) / (2 * h)
-                assert slope == pytest.approx(-law.force(r), rel=1e-6, abs=1e-9)
-
-
 class TestSpringGap:
     def test_reference_configuration(self):
         assert spring_gap(0.5, 0.0, 0.0) == 1.0
@@ -232,14 +195,12 @@ class TestNonFiniteInputs:
         (lambda x: SpringLaw(x, 1.0, 1.0), ValueError),
         (lambda x: SpringLaw(1.0, x, 1.0), ValueError),
         (lambda x: SpringLaw(1.0, 1.0, x), ValueError),
-        (lambda x: PenaltyLaw(PenaltyVariant.TWO_SIDED, x), ValueError),
         (lambda x: Geometry(x, 1.0, 0.5), GeometryError),
         (lambda x: Geometry(-1.0, x, 0.5), GeometryError),
         (lambda x: Geometry(-1.0, 1.0, x), GeometryError),
         (lambda x: BodyForce(x, 1.0), ValueError),
         (lambda x: SolverConfig(tolerance=x), ValueError),
-    ], ids=("E1", "E2", "k1", "k2", "spring-length", "penalty-length", "a", "b", "l", "f1",
-            "tolerance"))
+    ], ids=("E1", "E2", "k1", "k2", "spring-length", "a", "b", "l", "f1", "tolerance"))
     def test_rejected_at_construction(self, build, error, bad):
         with pytest.raises(error, match="finite"):
             build(bad)
@@ -251,8 +212,7 @@ class TestNonFiniteInputs:
     lambda x: SpringLaw(1.0, x, 1.0),
     lambda x: Geometry(-1.0, x, 0.5),
     lambda x: BodyForce(x, 0.0),
-    lambda x: PenaltyLaw(PenaltyVariant.TWO_SIDED, x),
-], ids=("Material", "SpringLaw", "Geometry", "BodyForce", "PenaltyLaw"))
+], ids=("Material", "SpringLaw", "Geometry", "BodyForce"))
 def test_non_numbers_raise_the_package_error(build, bad):
     # these used to leak TypeError from a comparison or from math.isfinite
     with pytest.raises(SpringRodsError, match="real number"):
@@ -263,11 +223,9 @@ def test_non_numbers_raise_the_package_error(build, bad):
                          ids=("float64", "int64", "int"))
 def test_model_values_store_python_floats(value):
     for stored in (Geometry(-value - 1, value + 1, value), Material(value, value),
-                   SpringLaw(value, value, value), BodyForce(value, -value),
-                   PenaltyLaw(PenaltyVariant.TWO_SIDED, value)):
+                   SpringLaw(value, value, value), BodyForce(value, -value)):
         for name in stored.__dataclass_fields__:
-            if name != "variant":
-                assert type(getattr(stored, name)) is float, (stored, name)
+            assert type(getattr(stored, name)) is float, (stored, name)
 
 
 @pytest.mark.filterwarnings("error")
@@ -287,19 +245,18 @@ def _system(n1, n2):
 
 _NP = ConstraintVariant.NON_PENETRATION
 _EMPTY_SWEEP = SweepResult((), _NP, BodyForce(1.0, -1.0))
-_PENALTY = PenaltyProblem(benchmark_problem(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 1.0)
+_PENALTY = PenaltyProblem(benchmark_problem(), PenaltyVariant.TWO_SIDED, 1.0)
 
 #: Every place a bad value is rejected with ValidationError, by module.
 _VALIDATION_SITES = {
     "model-modulus": lambda path: Material(-1.0, 1.0),
     "model-stiffness": lambda path: SpringLaw(1.0, 0.0, 1.0),
     "model-spring-length": lambda path: SpringLaw(1.0, 1.0, -1.0),
-    "model-penalty-length": lambda path: PenaltyLaw(PenaltyVariant.TWO_SIDED, 0.0),
     "model-force": lambda path: BodyForce(math.nan, 0.0),
     "solver-tolerance": lambda path: SolverConfig(tolerance=0.0),
     "solver-iterations": lambda path: SolverConfig(max_iterations=0),
     "solver-penalty-variant": lambda path: PenaltyProblem(
-        benchmark_problem(variant=ConstraintVariant.FULLY_RIGID), _PENALTY.law, 1.0),
+        benchmark_problem(variant=ConstraintVariant.FULLY_RIGID), _PENALTY.variant, 1.0),
     "solver-fixed-point-penalty": lambda path: solve(_PENALTY, (2, 2), "fixed-point"),
     "solver-method": lambda path: solve(benchmark_problem(), (2, 2), "newton"),
     "solver-problem": lambda path: solve("x", (2, 2)),
@@ -334,7 +291,7 @@ _SPECIFIC_REJECTIONS = {
     SmallnessViolation: lambda: benchmark_problem(k1=2.5),
     ZeroElements: lambda: build_mesh(GEO, 0, 4),
     NonPositiveLambda: lambda: PenaltyProblem(
-        benchmark_problem(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 0.0),
+        benchmark_problem(), PenaltyVariant.TWO_SIDED, 0.0),
 }
 
 

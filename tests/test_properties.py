@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyLaw,
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material,
                          PenaltyProblem, PenaltyVariant, ProblemSpec, SolverConfig,
-                         SpringLaw, SpringRodsError, analytic_solution, make_problem, solve)
+                         SpringLaw, SpringRodsError, analytic_solution, make_problem,
+                         run_penalty_convergence, solve)
 
 
 def _positive(lo, hi):
@@ -182,6 +183,25 @@ def test_scaling_lengths_against_stiffness_and_loads(l, L1, L2, E1, E2, q1, q2, 
     assert _iterative_labels(*scaled_spec) == _iterative_labels(*spec)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(m=st.integers(-60, 0), penalty=st.sampled_from(list(PenaltyVariant)),
+       **{**_DRAWS, "f1": _positive(-1.0, 1.0), "f2": _positive(-1.0, 1.0)})
+def test_stall_flag_does_not_depend_on_the_load_scale(l, L1, L2, E1, E2, q1, q2, f1, f2,
+                                                      variant, n1, n2, m, penalty):
+    # off the contact bound every error is linear in the loads, so loads times
+    # 2**m scale each error exactly; whether the study stalled cannot change
+    k_max = (E1 + E2) / (2.0 * max(L1, L2))
+
+    def study(c):
+        problem = _problem(l, L1, L2, E1, E2, q1 * k_max, q2 * k_max, c * f1, c * f2, variant)
+        return run_penalty_convergence(problem, penalty, range(1, 13), (n1, n2))
+
+    base, scaled = study(1.0), study(2.0 ** m)
+    assume(all(r.theta > 0.0 for r in base.records))
+    assert [r.error for r in scaled.records] == [math.ldexp(r.error, m) for r in base.records]
+    assert scaled.non_convergence == base.non_convergence
+
+
 @pytest.mark.parametrize("variant, loads, regime", [
     (ConstraintVariant.RIGID_COMPRESSION, (1.0, -1.0), "bound-lower"),
     (ConstraintVariant.RIGID_EXTENSION, (-1.0, 1.0), "bound-upper")])
@@ -208,10 +228,9 @@ def test_interface_state_is_mesh_invariant(l, L1, L2, E1, E2, q1, q2, f1, f2, va
     _assert_close(_interface(*spec, n1 + m1, n2 + m2), _interface(*spec, n1, n2))
 
 
-#: Every input of one solve with its valid value; None lengths follow 2l.
+#: Every input of one solve with its valid value; a None spring length follows 2l.
 _FUZZ_BASE = dict(a=-1.3, b=0.9, l=0.4, E1=1.7, E2=0.6, k1=0.3, k2=0.5, spring_length=None,
-                  f1=2.5, f2=-1.5, penalty_length=None, lam=0.5, tolerance=1e-8,
-                  max_iterations=200, n1=4, n2=4)
+                  f1=2.5, f2=-1.5, lam=0.5, tolerance=1e-8, max_iterations=200, n1=4, n2=4)
 _FUZZ_CHANGES = [(name, value) for name in _FUZZ_BASE
                  for value in (math.inf, -math.inf, math.nan, 1e308, -1e308, 1e-308, 0, -0.0,
                                "1", None, True, 1.5)]
@@ -220,15 +239,14 @@ _FUZZ_CHANGES = [(name, value) for name in _FUZZ_BASE
 def _solve_fuzzed(v, constraint, method):
     """Solve with the inputs v; a PenaltyVariant constraint penalizes non-penetration."""
     two_l = 2.0 * v["l"] if type(v["l"]) is float else 0.8
-    spring_length, penalty_length = (two_l if v[key] is None else v[key]
-                                     for key in ("spring_length", "penalty_length"))
+    spring_length = two_l if v["spring_length"] is None else v["spring_length"]
     penalized = isinstance(constraint, PenaltyVariant)
     problem = ProblemSpec(Geometry(v["a"], v["b"], v["l"]), Material(v["E1"], v["E2"]),
                           SpringLaw(v["k1"], v["k2"], spring_length),
                           BodyForce(v["f1"], v["f2"]),
                           ConstraintVariant.NON_PENETRATION if penalized else constraint)
     if penalized:
-        problem = PenaltyProblem(problem, PenaltyLaw(constraint, penalty_length), v["lam"])
+        problem = PenaltyProblem(problem, constraint, v["lam"])
     config = SolverConfig(v["tolerance"], v["max_iterations"])
     return solve(problem, (v["n1"], v["n2"]), method, config)
 

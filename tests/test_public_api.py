@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import spring_rods
@@ -9,7 +14,7 @@ PUBLIC_NAMES = [
     "ConvergenceStudy", "DiscreteSystem", "DofVector",
     "EmptyFeasibleGrid", "EquilibriumSolution", "Geometry", "GeometryError",
     "InfeasibleCandidate", "Material", "Mesh", "NoConsistentRegime",
-    "NonPositiveLambda", "ParseError", "PenaltyLaw", "PenaltyProblem",
+    "NonPositiveLambda", "ParseError", "PenaltyProblem",
     "PenaltyVariant", "ProblemSpec", "ReducedSystem", "SmallnessViolation",
     "SolverConfig", "SolverDiagnostics", "SpringLaw", "SpringRodsError",
     "SweepRecord", "SweepResult", "ValidationError", "ZeroElements",
@@ -22,7 +27,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 50
     assert sorted(spring_rods.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spring_rods, name) is not None
@@ -40,7 +45,7 @@ _PROBLEM = spring_rods.make_problem(spring_rods.Geometry(-1.0, 1.0, 0.5),
                                     spring_rods.BodyForce(1.0, -1.0))
 _MESH = spring_rods.build_mesh(_PROBLEM.geometry, 4, 4)
 _SYSTEM = spring_rods.assemble(_MESH, _PROBLEM.material, _PROBLEM.forces)
-_LAW = spring_rods.PenaltyLaw(spring_rods.PenaltyVariant.EXTENSION_ONLY, 1.0)
+_PENALTY = spring_rods.PenaltyVariant.EXTENSION_ONLY
 
 
 @pytest.mark.parametrize("call, what", [
@@ -52,8 +57,12 @@ _LAW = spring_rods.PenaltyLaw(spring_rods.PenaltyVariant.EXTENSION_ONLY, 1.0)
     (lambda tmp: spring_rods.solve(_PROBLEM, (4,)), "mesh sizes"),
     (lambda tmp: spring_rods.solve(_PROBLEM, None), "mesh sizes"),
     (lambda tmp: spring_rods.solve(_PROBLEM, (4, 4), "gradient", "x"), "config"),
-    (lambda tmp: spring_rods.PenaltyProblem(_PROBLEM, None, 0.1), "penalty law"),
-    (lambda tmp: spring_rods.PenaltyProblem(None, _LAW, 0.1), "base problem"),
+    (lambda tmp: spring_rods.PenaltyProblem(_PROBLEM, None, 0.1), "penalty variant"),
+    (lambda tmp: spring_rods.PenaltyProblem(None, _PENALTY, 0.1), "base problem"),
+    (lambda tmp: spring_rods.effective_spring(None, _PENALTY, 0.5), "spring"),
+    (lambda tmp: spring_rods.effective_spring(_PROBLEM.spring, None, 0.5), "penalty variant"),
+    (lambda tmp: spring_rods.effective_spring(_PROBLEM.spring, "extension", 0.5),
+     "penalty variant"),
     (lambda tmp: spring_rods.solve_projected_gradient(_SYSTEM, _PROBLEM.spring,
                                                       "non-penetration"), "variant"),
     (lambda tmp: spring_rods.solve_qvi_fixed_point(_SYSTEM, _PROBLEM.spring,
@@ -67,7 +76,8 @@ _LAW = spring_rods.PenaltyLaw(spring_rods.PenaltyVariant.EXTENSION_ONLY, 1.0)
                                               _PROBLEM.forces), "field"),
     (lambda tmp: spring_rods.run_penalty_convergence(_PROBLEM, None), "penalty variant"),
 ], ids=["export_csv", "export_svg", "analytic_solution", "solve_exact", "solve-one-count",
-        "solve-no-counts", "solve-config", "PenaltyProblem-law", "PenaltyProblem-base",
+        "solve-no-counts", "solve-config", "PenaltyProblem-variant", "PenaltyProblem-base",
+        "effective_spring-spring", "effective_spring-None", "effective_spring-str",
         "solve_projected_gradient", "solve_qvi_fixed_point", "vi_residual", "assemble-mesh",
         "assemble-material", "build_mesh", "interface_stress", "run_penalty_convergence"])
 def test_an_argument_of_the_wrong_type_is_a_validation_error(call, what, tmp_path):
@@ -75,3 +85,15 @@ def test_an_argument_of_the_wrong_type_is_a_validation_error(call, what, tmp_pat
     with pytest.raises(spring_rods.ValidationError, match=f"^{what}: need a "):
         call(tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+def test_the_cli_imports_only_the_standard_library_and_numpy():
+    # every console-script run pays for these imports before it solves anything
+    src = str(Path(spring_rods.__file__).resolve().parents[1])
+    code = ("import sys; before = set(sys.modules); import spring_rods.cli; "
+            "print(*sorted({m.partition('.')[0] for m in set(sys.modules) - before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    new = set(proc.stdout.split())
+    assert {"numpy", "spring_rods"} <= new
+    assert new - set(sys.stdlib_module_names) <= {"numpy", "spring_rods"}

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from spring_rods import (BodyForce, ConstraintVariant, Geometry,
                          GeometryError, InfeasibleCandidate, Material, NoConsistentRegime,
-                         NonPositiveLambda, PenaltyLaw,
+                         NonPositiveLambda,
                          PenaltyProblem, PenaltyVariant, SolverConfig, SpringLaw, ValidationError,
                          analytic_solution, assemble, build_mesh, effective_spring,
                          interface_stress, make_problem, recover_full, schur_reduce,
@@ -104,6 +104,31 @@ class TestSolveExact:
         assert b.s == 2.0 * a.s
 
 
+#: Each entry point that meets a spring with a mesh, called on the unloaded 4+4 system;
+#: the penalty's base problem is posed on the spring's own gap.
+_SPRING_ON_MESH = {
+    "solve_exact": lambda system, spring: solve_exact(schur_reduce(system), spring, NP_, GEO.l),
+    "solve_penalized": lambda system, spring: solve_penalized(schur_reduce(system), PenaltyProblem(
+        make_problem(Geometry(-1.0, 1.0, 0.5 * spring.natural_length), MAT, spring,
+                     BodyForce(0.0, 0.0)), PenaltyVariant.TWO_SIDED, 1.0)),
+    "solve_projected_gradient": lambda system, spring: solve_projected_gradient(
+        system, spring, NP_),
+    "solve_qvi_fixed_point": lambda system, spring: solve_qvi_fixed_point(system, spring, NP_),
+    "vi_residual": lambda system, spring: vi_residual(
+        system, spring, NP_, DofVector(np.zeros(4), np.zeros(4))),
+}
+
+
+@pytest.mark.parametrize("shift", [5e-13, math.ulp(1.0), -0.2])
+@pytest.mark.parametrize("call", sorted(_SPRING_ON_MESH))
+def test_a_spring_off_the_mesh_gap_is_refused(call, shift):
+    # the gap bounds and every branch label sit at the mesh's 2l = 1, so a
+    # spring bent elsewhere, even by a rounding, would pose a second problem
+    _, system, _, _ = setup_case()
+    with pytest.raises(GeometryError, match="natural length"):
+        _SPRING_ON_MESH[call](system, SpringLaw(1.0, 1.0, 1.0 + shift))
+
+
 class TestSolvePenalized:
     def base(self, k=1.0, f=(1.0, -1.0)):
         return make_problem(GEO, MAT, SpringLaw(k, k, 1.0), BodyForce(*f), NP_)
@@ -111,7 +136,7 @@ class TestSolvePenalized:
     def test_unit_parameter_adds_unit_stiffness(self):
         prob = self.base()
         _, _, red, spring = setup_case(1.0, (1.0, -1.0))
-        pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 1.0)
+        pen = PenaltyProblem(prob, PenaltyVariant.COMPRESSION_ONLY, 1.0)
         sol = solve_penalized(red, pen)
         assert sol.s == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert sol.theta == pytest.approx(11.0 / 12.0, abs=1e-12)
@@ -122,7 +147,7 @@ class TestSolvePenalized:
         _, _, red, spring = setup_case(1.0, (1.0, -1.0))
         base_sol = solve_exact(red, spring, NP_, GEO.l)
         for variant in PenaltyVariant:
-            pen = PenaltyProblem(prob, PenaltyLaw(variant, 1.0), 1e6)
+            pen = PenaltyProblem(prob, variant, 1e6)
             sol = solve_penalized(red, pen)
             assert sol.g1 == pytest.approx(base_sol.g1, abs=1e-5)
             assert sol.g2 == pytest.approx(base_sol.g2, abs=1e-5)
@@ -130,9 +155,9 @@ class TestSolvePenalized:
     def test_schedule_tail(self):
         prob = self.base()
         mesh, _, red, spring = setup_case(1.0, (1.0, -1.0))
-        law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
+        penalty = PenaltyVariant.COMPRESSION_ONLY
         limit = solve_exact(red, spring, ConstraintVariant.RIGID_COMPRESSION, GEO.l)
-        sol = solve_penalized(red, PenaltyProblem(prob, law, 2.0 ** (3 - 12)))
+        sol = solve_penalized(red, PenaltyProblem(prob, penalty, 2.0 ** (3 - 12)))
         assert abs(sol.theta - 1.0) <= 2e-3
         assert v_norm(mesh, sol.u - limit.u) <= 5e-3
 
@@ -140,11 +165,11 @@ class TestSolvePenalized:
         # frozen closed form: theta_n = (0.75 + K)/(1 + K), K = 1 + 2**(n-3)
         prob = self.base()
         mesh, _, red, spring = setup_case(1.0, (1.0, -1.0))
-        law = PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0)
+        penalty = PenaltyVariant.COMPRESSION_ONLY
         limit = solve_exact(red, spring, ConstraintVariant.RIGID_COMPRESSION, GEO.l)
         errors = []
         for n in range(1, 13):
-            sol = solve_penalized(red, PenaltyProblem(prob, law, 2.0 ** (3 - n)))
+            sol = solve_penalized(red, PenaltyProblem(prob, penalty, 2.0 ** (3 - n)))
             K = 1.0 + 2.0 ** (n - 3)
             assert sol.theta == pytest.approx((0.75 + K) / (1.0 + K), abs=1e-9)
             errors.append(v_norm(mesh, sol.u - limit.u))
@@ -164,7 +189,7 @@ class TestSolvePenalized:
         for variant, f, ok in cases:
             prob = self.base(f=f)
             _, _, red, spring = setup_case(1.0, f)
-            sol = solve_penalized(red, PenaltyProblem(prob, PenaltyLaw(variant, 1.0),
+            sol = solve_penalized(red, PenaltyProblem(prob, variant,
                                                       2.0 ** (3 - 12)))
             assert ok(sol.theta), (variant, sol.theta)
 
@@ -172,42 +197,33 @@ class TestSolvePenalized:
         # penalized problems keep the non-penetration bound
         prob = self.base(k=0.1, f=(6.0, -6.0))
         _, _, red, spring = setup_case(0.1, (6.0, -6.0))
-        pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.EXTENSION_ONLY, 1.0), 0.5)
+        pen = PenaltyProblem(prob, PenaltyVariant.EXTENSION_ONLY, 0.5)
         sol = solve_penalized(red, pen)
         assert sol.theta == 0.0
         assert sol.contact
 
     def test_nonpositive_lambda(self):
         # effective_spring takes the same check: a zero lam leaked ZeroDivisionError
-        law = PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0)
+        penalty = PenaltyVariant.TWO_SIDED
         for lam in (0.0, -1.0, math.inf, math.nan, "x"):
             with pytest.raises(NonPositiveLambda):
-                PenaltyProblem(self.base(), law, lam)
+                PenaltyProblem(self.base(), penalty, lam)
             with pytest.raises(NonPositiveLambda):
-                effective_spring(SpringLaw(1.0, 0.5, 1.0), law, lam)
+                effective_spring(SpringLaw(1.0, 0.5, 1.0), penalty, lam)
 
     def test_base_must_be_non_penetration(self):
         rigid = make_problem(GEO, MAT, SpringLaw(1.0, 1.0, 1.0), BodyForce(0.0, 0.0),
                              ConstraintVariant.FULLY_RIGID)
         with pytest.raises(ValueError):
-            PenaltyProblem(rigid, PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 1.0)
-
-    @pytest.mark.parametrize("natural_length", [0.3, 1.0 + 1e-9, 7.0])
-    def test_law_must_act_around_the_spring_length(self, natural_length):
-        # effective_spring reads only the variant, so a law centred elsewhere
-        # would be solved as if it were centred at 2l = 1
-        law = PenaltyLaw(PenaltyVariant.TWO_SIDED, natural_length)
-        with pytest.raises(GeometryError, match="natural length"):
-            PenaltyProblem(self.base(), law, 1.0)
-        PenaltyProblem(self.base(), PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0 + 1e-13), 1.0)
+            PenaltyProblem(rigid, PenaltyVariant.TWO_SIDED, 1.0)
 
     def test_effective_spring_sides(self):
         spring = SpringLaw(1.0, 0.5, 1.0)
-        comp = effective_spring(spring, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 0.25)
+        comp = effective_spring(spring, PenaltyVariant.COMPRESSION_ONLY, 0.25)
         assert (comp.k1, comp.k2) == (5.0, 0.5)
-        ext = effective_spring(spring, PenaltyLaw(PenaltyVariant.EXTENSION_ONLY, 1.0), 0.25)
+        ext = effective_spring(spring, PenaltyVariant.EXTENSION_ONLY, 0.25)
         assert (ext.k1, ext.k2) == (1.0, 4.5)
-        both = effective_spring(spring, PenaltyLaw(PenaltyVariant.TWO_SIDED, 1.0), 0.25)
+        both = effective_spring(spring, PenaltyVariant.TWO_SIDED, 0.25)
         assert (both.k1, both.k2) == (5.0, 4.5)
 
 
@@ -255,11 +271,11 @@ class TestProjectedGradient:
         geo = Geometry(-1.3, 0.9, 0.4)
         prob = make_problem(geo, Material(1.7, 0.6), SpringLaw(1.0, 1.0, 0.8), BodyForce(*f),
                             NP_)
-        pen = PenaltyProblem(prob, PenaltyLaw(variant, 0.8), 1.0)
+        pen = PenaltyProblem(prob, variant, 1.0)
         system = assemble(build_mesh(geo, 4, 4), prob.material, prob.forces)
         direct = solve_penalized(schur_reduce(system), pen)
         cfg = SolverConfig(tolerance=1e-11)
-        sol = solve_projected_gradient(system, effective_spring(prob.spring, pen.law, pen.lam),
+        sol = solve_projected_gradient(system, effective_spring(prob.spring, pen.variant, pen.lam),
                                        NP_, cfg)
         assert sol.theta == pytest.approx(direct.theta, abs=1e-8)
         exact, gradient = solve(pen, (4, 4), "exact"), solve(pen, (4, 4), "gradient", cfg)
@@ -713,7 +729,7 @@ class TestSolveFrontEnd:
         for method in ("exact", "gradient", "fixed-point"):
             sol = solve(prob, (4, 4), method)
             assert sol.theta == pytest.approx(0.875, abs=1e-7)
-        pen = PenaltyProblem(prob, PenaltyLaw(PenaltyVariant.COMPRESSION_ONLY, 1.0), 1.0)
+        pen = PenaltyProblem(prob, PenaltyVariant.COMPRESSION_ONLY, 1.0)
         sol = solve(pen, (4, 4), "exact")
         assert sol.theta == pytest.approx(11.0 / 12.0, abs=1e-12)
         with pytest.raises(ValueError):
@@ -998,7 +1014,7 @@ def test_pinned_results(name):
     variant, loads, mesh_sizes, method, penalty = PIN_CASES[name]
     prob = make_problem(PIN_GEO, PIN_MAT, PIN_SPRING, BodyForce(*loads), variant)
     if penalty is not None:
-        prob = PenaltyProblem(prob, PenaltyLaw(penalty[0], 0.8), penalty[1])
+        prob = PenaltyProblem(prob, penalty[0], penalty[1])
     sol = solve(prob, mesh_sizes, method)
     regime, iterations, *values = PINNED[name]
     assert (sol.diagnostics.regime, sol.diagnostics.iterations) == (regime, iterations)
