@@ -9,7 +9,7 @@ from .experiments import (ConvergenceRecord, ConvergenceStudy, SweepRecord, Swee
 from .fem import (DiscreteSystem, DofVector, Mesh, ReducedSystem, assemble, build_mesh,
                   interface_stress, recover_full, schur_reduce)
 from .model import (BodyForce, ConstraintVariant, Geometry, Material, PenaltyVariant,
-                    ProblemSpec, SpringLaw, make_problem, spring_gap)
+                    ProblemSpec, SpringLaw, make_problem)
 from .oracle import AnalyticSolution, analytic_solution, grid_search_minimizer
 from .solver import (EquilibriumSolution, PenaltyProblem, SolverConfig,
                      SolverDiagnostics, effective_spring, solve, solve_exact,
@@ -31,5 +31,5 @@ __all__ = [
     "export_csv", "export_svg", "grid_search_minimizer", "interface_stress",
     "make_problem", "recover_full", "run_penalty_convergence", "run_stiffness_sweep",
     "schur_reduce", "solve", "solve_exact", "solve_penalized",
-    "solve_projected_gradient", "solve_qvi_fixed_point", "spring_gap", "vi_residual",
+    "solve_projected_gradient", "solve_qvi_fixed_point", "vi_residual",
 ]

@@ -11,7 +11,7 @@ from .errors import NoConsistentRegime, SpringRodsError, ValidationError, ZeroEl
 from .fem import assemble, build_mesh, schur_reduce
 from .model import (BodyForce, ConstraintVariant, PenaltyVariant, ProblemSpec, SpringLaw,
                     _check_smallness, _check_type)
-from .solver import EquilibriumSolution, _exact, effective_spring, solve_exact
+from .solver import EquilibriumSolution, _bounds, _exact, effective_spring, solve_exact
 
 #: Limit problem enforced by each penalty variant as the parameter vanishes.
 LIMIT_VARIANT = {
@@ -81,13 +81,14 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
     as a failure, not fatal; any other exception propagates, ZeroElements
     too: arrays that do not fit in memory fail alike at every k.
     """
+    _check_type("base problem", base, ProblemSpec)
     ks = list(grid)
     if any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValidationError("stiffness grid must be strictly increasing")
     m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, forces))
     l = base.geometry.l
-    lo, hi = base.variant.bounds(l)
+    lo, hi = _bounds(base.variant, l)
 
     records: list[SweepRecord] = []
     failures: list[tuple[float, str]] = []
@@ -95,9 +96,9 @@ def run_stiffness_sweep(base: ProblemSpec, forces: BodyForce, grid: Sequence[flo
         try:
             spring = SpringLaw(k, k, 2.0 * l)
             _check_smallness(base.geometry, base.material, spring)
-            state = _exact(reduced, spring, lo, hi, l)
+            state = _exact(reduced, spring, lo, hi)
             (g1, g2), theta = state.g, state.theta
-            energy = reduced.energy((g1, g2)) + spring.potential(theta)
+            energy = reduced.energy((g1, g2)) + spring.potential(state.t)
             if not math.isfinite(energy):
                 raise NoConsistentRegime(f"energy overflows: {energy} at g1={g1}, g2={g2}")
         except ZeroElements:
@@ -121,11 +122,12 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
     than 1e-15 of the largest error, over the last three records (which is
     expected when the load never activates the penalized side).
     """
+    _check_type("base problem", base, ProblemSpec)
     _check_type("penalty variant", penalty_variant, PenaltyVariant)
     m = build_mesh(base.geometry, *mesh)
     reduced = schur_reduce(assemble(m, base.material, base.forces))
     l = base.geometry.l
-    lo, hi = ConstraintVariant.NON_PENETRATION.bounds(l)
+    lo, hi = _bounds(ConstraintVariant.NON_PENETRATION, l)
     limit_variant = LIMIT_VARIANT[penalty_variant]
     limit = solve_exact(reduced, base.spring, limit_variant, l)
 
@@ -136,7 +138,7 @@ def run_penalty_convergence(base: ProblemSpec, penalty_variant: PenaltyVariant,
         except (OverflowError, TypeError) as exc:
             raise ValidationError(f"n must be a real number with 2**(3 - n) finite, "
                                   f"got {n!r}") from exc
-        state = _exact(reduced, effective_spring(base.spring, penalty_variant, lam), lo, hi, l)
+        state = _exact(reduced, effective_spring(base.spring, penalty_variant, lam), lo, hi)
         (g1, g2), theta = state.g, state.theta
         err = reduced.interface_vnorm((g1 - limit.g1, g2 - limit.g2))
         records.append(ConvergenceRecord(n, lam, theta, g1, g2, err))

@@ -55,12 +55,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 class Mesh:
     """Uniform meshes of [a, -l] (n1 elements) and [l, b] (n2 elements).
 
-    The node coordinates are built on first access.
+    A count that is not a whole number (a bool is not) from 1 to `_MAX_ELEMENTS`, the most
+    an np.intp index can address, raises ZeroElements.  Nodes are built on first access.
     """
 
     geometry: Geometry
     n1: int
     n2: int
+
+    def __post_init__(self):
+        _check_type("geometry", self.geometry, Geometry)
+        n1, n2 = self.n1, self.n2
+        whole = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2))
+        if whole and max(n1, n2) > _MAX_ELEMENTS:
+            # a count past the float range may be too long to print
+            got = ("a count past the float range" if max(n1, n2) > sys.float_info.max
+                   else f"n1={n1}, n2={n2}")
+            raise ZeroElements(f"need at most {_MAX_ELEMENTS} elements per rod, the most whose "
+                               f"node arrays numpy can address, got {got}")
+        if not (whole and min(n1, n2) >= 1):
+            raise ZeroElements(f"need a whole number of at least one element per rod, "
+                               f"got n1={n1}, n2={n2}")
 
     @cached_property
     def nodes1(self) -> np.ndarray:
@@ -80,22 +95,7 @@ class Mesh:
 
 
 def build_mesh(geometry: Geometry, n1: int, n2: int) -> Mesh:
-    """Partition both rods uniformly.
-
-    Raises ZeroElements for a non-integer or empty count, or one above
-    `_MAX_ELEMENTS`, whose arrays no np.intp index can address; a bool is not
-    a count.
-    """
-    _check_type("geometry", geometry, Geometry)
-    whole = all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in (n1, n2))
-    if whole and max(n1, n2) > _MAX_ELEMENTS:
-        got = ("a count past the float range" if max(n1, n2) > sys.float_info.max
-               else f"n1={n1}, n2={n2}")  # a count past the float range may be too long to print
-        raise ZeroElements(f"need at most {_MAX_ELEMENTS} elements per rod, the most whose "
-                           f"node arrays numpy can address, got {got}")
-    if not (whole and min(n1, n2) >= 1):
-        raise ZeroElements(f"need a whole number of at least one element per rod, "
-                           f"got n1={n1}, n2={n2}")
+    """Partition both rods uniformly: the checked `Mesh(geometry, n1, n2)`."""
     return Mesh(geometry, n1, n2)
 
 
@@ -200,12 +200,7 @@ def _rod_matvec(k: float, u: np.ndarray, interface: int) -> np.ndarray:
 
 
 def assemble(mesh: Mesh, material: Material, forces: BodyForce) -> DiscreteSystem:
-    """Build the rod stiffnesses and the consistent loads of a BodyForce.
-
-    The constant densities are integrated exactly; the system keeps the force
-    and builds the load vectors on first read.  Any other load raises
-    ValidationError.
-    """
+    """The checked `DiscreteSystem(mesh, material, forces)`."""
     return DiscreteSystem(mesh, material, forces)
 
 
@@ -339,6 +334,7 @@ def schur_reduce(system: DiscreteSystem) -> ReducedSystem:
 
     The ramp dot of each rod's consistent load is exactly f*L/2, rounded once here.
     """
+    _check_type("system", system, DiscreteSystem)
     mat, forces, geo = system.material, system.forces, system.mesh.geometry
     r = ((0.5 * forces.f1) * geo.L1, (0.5 * forces.f2) * geo.L2)
     if not all(map(math.isfinite, r)):
@@ -354,6 +350,7 @@ def recover_full(reduced: ReducedSystem, g1: float, g2: float) -> DofVector:
     the ramp, so the load vectors are not read.  Arrays that do not fit in
     memory raise ZeroElements.
     """
+    _check_type("reduced system", reduced, ReducedSystem)
     mesh, mat, forces = reduced.system.mesh, reduced.system.material, reduced.system.forces
     n1, n2 = mesh.n1, mesh.n2
     try:
@@ -383,6 +380,7 @@ def interface_stress(mesh: Mesh, dof: DofVector, material: Material,
     offset, so the traces are exact for the constant loads of a BodyForce, the only loads
     taken.  A one-element rod's outer neighbour is the clamp, 0.
     """
+    _check_type("mesh", mesh, Mesh)
     _check_type("field", dof, DofVector)
     _check_type("loads", forces, BodyForce)
     u1_prev = float(dof.rod1[-2]) if mesh.n1 > 1 else 0.0

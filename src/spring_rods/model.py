@@ -3,7 +3,8 @@
 Two linear-elastic rods occupy [a, -l] and [l, b], fixed at the outer ends
 and attached to a nonlinear spring of natural length 2l at the inner ends.
 The spring pushes when compressed, pulls when extended, and the rod ends may
-come into contact but never interpenetrate.
+come into contact but never interpenetrate.  The spring's length is 2l - g1 + g2 for
+inner-end displacements g1, g2, and its law acts on the gap change t = g2 - g1 alone.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class Geometry:
     def L(self) -> float:
         return max(self.L1, self.L2)
 
-    @property
-    def natural_length(self) -> float:
-        return 2.0 * self.l
-
 
 @dataclass(frozen=True)
 class Material:
@@ -92,12 +89,12 @@ class Material:
 
 @dataclass(frozen=True)
 class SpringLaw:
-    """Piecewise-linear spring response around the natural length.
+    """Piecewise-linear spring response to the gap change t = length - natural_length.
 
-    The force is -k1*(length - natural) in compression and -k2*(length -
-    natural) in extension: positive (pushing) for short springs, negative
-    (pulling) for long ones, zero at the natural length.  The Lipschitz
-    constant of the response is max(k1, k2).
+    The force is -k1*t in compression (t < 0) and -k2*t in extension: positive
+    (pushing) for short springs, negative (pulling) for long ones, zero at
+    t = 0.  The Lipschitz constant of the response is max(k1, k2).  A problem
+    holds the spring at the natural length 2l of its geometry.
     """
 
     k1: float
@@ -113,26 +110,23 @@ class SpringLaw:
     def lipschitz(self) -> float:
         return max(self.k1, self.k2)
 
-    def force(self, length: float) -> float:
-        """Spring force at the given current length."""
-        k = self.k1 if length < self.natural_length else self.k2
-        return -k * (length - self.natural_length)
+    def force(self, t: float) -> float:
+        """Spring force at the gap change t."""
+        return -(self.k1 if t < 0.0 else self.k2) * t
 
-    def potential(self, length: float) -> float:
+    def potential(self, t: float) -> float:
         """Convex stored energy; derivative equals minus the force; inf if it overflows."""
-        k = self.k1 if length < self.natural_length else self.k2
-        d = length - self.natural_length
-        return 0.5 * k * (d * d)
+        return 0.5 * (self.k1 if t < 0.0 else self.k2) * (t * t)
 
-    def potential_slope(self, length: float) -> float:
-        """Derivative of the stored energy (continuous across the natural length)."""
-        return -self.force(length)
+    def potential_slope(self, t: float) -> float:
+        """Derivative of the stored energy (continuous at t = 0)."""
+        return -self.force(t)
 
 
 class PenaltyVariant(Enum):
     """Which side of the natural length 2l the penalty term stiffens.
 
-    The penalty potential is (gap - 2l)^2/2 on its side(s) and 0 on the other,
+    The penalty potential is t^2/2 of the gap change t on its side(s) and 0 on the other,
     so 1/lam of it adds 1/lam to that side's spring stiffness (`effective_spring`).
     """
 
@@ -186,15 +180,10 @@ class ConstraintVariant(Enum):
 
 def _check_natural_length(spring: SpringLaw, geometry: Geometry) -> None:
     """Raise GeometryError unless the spring's natural length is the mesh's gap 2l exactly:
-    the solvers put their gap bounds and branch labels at 2l, so no other breakpoint is posed."""
-    if spring.natural_length != geometry.natural_length:
+    the solvers put the spring's breakpoint at t = 0, the gap 2l, so no other one is posed."""
+    if spring.natural_length != 2.0 * geometry.l:
         raise GeometryError(f"spring natural length {spring.natural_length} does not match "
-                            f"the geometric gap {geometry.natural_length}")
-
-
-def spring_gap(l: float, g1: float, g2: float) -> float:
-    """Current spring length 2l - g1 + g2 for inner-end displacements g1, g2."""
-    return 2.0 * l - g1 + g2
+                            f"the geometric gap {2.0 * geometry.l}")
 
 
 def _check_smallness(geometry: Geometry, material: Material,

@@ -4,7 +4,8 @@ Each rod integrates in closed form: the stress is affine with slope equal
 to minus the force density, the displacement quadratic.  Expressing both
 inner-end displacements through the interface force s leaves a scalar
 piecewise-linear equation in s, closed per regime exactly like the discrete
-enumeration but in continuum quantities.  A brute-force grid minimizer over
+enumeration but in continuum quantities, and in the gap change t = theta - 2l,
+with its own conversion of the gap bounds.  A brute-force grid minimizer over
 tiny discrete instances provides a second, completely independent check;
 it is a best-first branch and bound over tiles of the grid (Land & Doig,
 Econometrica 28, 1960) that returns the dense search's point bit for bit.
@@ -76,31 +77,31 @@ class AnalyticSolution:
                          np.asarray(self.u2(mesh.nodes2[:-1])))
 
 
-def _scalar_regime(theta_free: float, compliance: float, spring: SpringLaw,
-                   lo: float, hi: float, two_l: float) -> tuple[float, float, str]:
+def _scalar_regime(t_free: float, compliance: float, spring: SpringLaw,
+                   lo: float, hi: float) -> tuple[float, float, str]:
     """Select the consistent regime of the scalar interface equation.
 
-    The gap responds to the interface force as theta = theta_free -
-    compliance * s.  The regime is named by its branch, with no tolerance, as
+    The gap change responds to the interface force as t = t_free - compliance*s
+    in [lo, hi].  The regime is named by its branch, with no tolerance, as
     `solve_exact` names its clamp: rigid if lo == hi, the breakpoint if
-    theta_free == 2l, else the bound on theta_free's side of 2l if the free
-    branch's gap reaches it, else that side.  Returns (s, theta, regime).
+    t_free == 0, else the bound on t_free's side of 0 if the free branch's t
+    reaches it, else that side.  Returns (s, t, regime).
     """
     if lo == hi:
-        return (theta_free - lo) / compliance, lo, "rigid"
-    if theta_free == two_l:
-        return 0.0, two_l, "breakpoint"
-    below = theta_free < two_l
+        return (t_free - lo) / compliance, lo, "rigid"
+    if t_free == 0.0:
+        return 0.0, 0.0, "breakpoint"
+    below = t_free < 0.0
     k = spring.k1 if below else spring.k2
-    s = k * (theta_free - two_l) / (1.0 + k * compliance)
-    theta = theta_free - compliance * s
-    # exactly, theta lies strictly between theta_free and 2l: the branch reaches only
-    # the bound on its side of 2l, and a theta rounded past 2l reads as 2l
-    if below and min(theta, two_l) <= lo:
-        return (theta_free - lo) / compliance, lo, "contact" if lo == 0.0 else "bound-lower"
-    if not below and max(theta, two_l) >= hi:
-        return (theta_free - hi) / compliance, hi, "bound-upper"
-    return s, theta, "compression" if below else "extension"
+    s = k * t_free / (1.0 + k * compliance)
+    t = t_free - compliance * s
+    # exactly, t lies strictly between t_free and 0: the branch reaches only the
+    # bound on its side of 0, and a t rounded past 0 reads as 0
+    if below and min(t, 0.0) <= lo:
+        return (t_free - lo) / compliance, lo, "contact" if lo < 0.0 else "bound-lower"
+    if not below and max(t, 0.0) >= hi:
+        return (t_free - hi) / compliance, hi, "bound-upper"
+    return s, t, "compression" if below else "extension"
 
 
 def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
@@ -113,23 +114,22 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
     f1, f2 = problem.forces.f1, problem.forces.f2
     l = geo.l
     L1, L2 = geo.L1, geo.L2
-    two_l = 2.0 * l
-    lo, hi = problem.gap_bounds()
+    lo, hi = (bound - 2.0 * l for bound in problem.gap_bounds())  # -2l, 0 or inf
 
     compliance = L1 / mat.E1 + L2 / mat.E2
-    theta_free = two_l - f1 * (L1 * L1) / (2.0 * mat.E1) + f2 * (L2 * L2) / (2.0 * mat.E2)
-    if not (0.0 < compliance < math.inf and math.isfinite(theta_free)):  # s divides by it
+    t_free = f2 * (L2 * L2) / (2.0 * mat.E2) - f1 * (L1 * L1) / (2.0 * mat.E1)
+    if not (0.0 < compliance < math.inf and math.isfinite(t_free)):  # s divides by it
         raise NoConsistentRegime(f"closed form overflows: compliance {compliance}, "
-                                 f"free gap {theta_free}")
+                                 f"free gap change {t_free}")
 
-    s, theta, regime = _scalar_regime(theta_free, compliance, spring, lo, hi, two_l)
+    s, t, regime = _scalar_regime(t_free, compliance, spring, lo, hi)
 
     # The rod balances (E1/L1)*g1 = s + f1*L1/2 and (E2/L2)*g2 = -s + f2*L2/2
     # sum to an equation free of s, whose large terms would cancel; with
-    # g2 - g1 = theta - 2l it fixes g1.
+    # g2 - g1 = t it fixes g1.
     S1, S2 = mat.E1 / L1, mat.E2 / L2
-    g1 = (0.5 * (f1 * L1 + f2 * L2) - S2 * (theta - two_l)) / (S1 + S2)
-    g2 = g1 + (theta - two_l)
+    g1 = (0.5 * (f1 * L1 + f2 * L2) - S2 * t) / (S1 + S2)
+    g2 = g1 + t
 
     # u1(x) = g1 + (s*(x + l) - f1*(x + l)^2/2)/E1 and
     # u2(x) = g2 + (s*(x - l) - f2*(x - l)^2/2)/E2, expanded about x = 0
@@ -141,7 +141,7 @@ def analytic_solution(problem: ProblemSpec) -> AnalyticSolution:
                  -f2 / (2.0 * mat.E2))
     if not all(map(math.isfinite, (s, g1, g2, *u1_coeffs, *u2_coeffs))):
         raise NoConsistentRegime(f"closed form overflows: s={s}, g1={g1}, g2={g2}")
-    return AnalyticSolution(problem, u1_coeffs, u2_coeffs, g1, g2, theta, s, regime)
+    return AnalyticSolution(problem, u1_coeffs, u2_coeffs, g1, g2, 2.0 * l + t, s, regime)
 
 
 def _grid_axes(bounds, step: float, ndof: int) -> list[np.ndarray]:
@@ -227,7 +227,7 @@ class _Grid:
         # coupled pairs; the gap's zero coupling would add zeros
         self.pairs = [i for i in range(ndof - 1) if i != n1 - 1]
         # the energy's per-axis factors, by the operations a point's energy uses
-        self.outer = 2.0 * l - axes[n1 - 1]  # the gap is outer + axes[n1], as in spring_gap
+        self.outer = 2.0 * l - axes[n1 - 1]  # the gap 2l - g1 + g2 is outer + axes[n1]
         self.terms = [(0.5 * diag[i] * axis - b[i]) * axis for i, axis in enumerate(axes)]
         self.gap_diag, self.gap_load = diag[n1 - 1:n1 + 1], b[n1 - 1:n1 + 1]
         # at least the largest magnitude of each DOF and pair term over the box
@@ -467,6 +467,7 @@ def grid_search_minimizer(system: DiscreteSystem, spring: SpringLaw,
     the result lies within one grid step of the true minimizer in every
     coordinate.
     """
+    _check_type("system", system, DiscreteSystem)
     grid = _Grid(system, spring, variant, bounds, step)
     bound = grid.tile_bounds(grid.multiplier())
     bound[np.isnan(bound)] = -np.inf  # evaluated first, never skipped

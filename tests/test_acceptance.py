@@ -145,7 +145,7 @@ def test_criterion_6_complementarity_and_vi():
             solve_qvi_fixed_point(system, spring, NP_, cfg),
         ]
         for sol in sols:
-            excess = sol.s + spring.force(sol.theta)
+            excess = sol.s + spring.force(sol.theta - 1.0)
             ok = ok and sol.theta >= -1e-10 and excess <= 1e-8
             ok = ok and abs(excess * sol.theta) <= 1e-8
         residual = vi_residual(system, spring, NP_, sols[0].u, trials=1000, seed=i)

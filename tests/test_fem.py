@@ -11,9 +11,9 @@ import pytest
 from numpy.polynomial import Polynomial
 from scipy.linalg import cholesky_banded, solveh_banded
 
-from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material,
+from spring_rods import (BodyForce, ConstraintVariant, Geometry, Material, Mesh,
                          SpringLaw, ValidationError, ZeroElements, assemble, build_mesh,
-                         interface_stress, recover_full, schur_reduce, solve_exact, spring_gap)
+                         interface_stress, recover_full, schur_reduce, solve_exact)
 from spring_rods import analytic_solution, make_problem, solve
 from spring_rods.fem import DiscreteSystem, DofVector, v_norm
 
@@ -52,6 +52,17 @@ class TestBuildMesh:
     def test_non_integer_count(self):
         with pytest.raises(ZeroElements, match="whole number"):
             build_mesh(GEO, 2.5, 3)
+
+    @pytest.mark.parametrize("args, error", [
+        ((GEO, 0, 4), ZeroElements), ((GEO, -3, 4), ZeroElements),
+        ((GEO, 2.5, 4), ZeroElements), ((None, 1, 1), ValidationError),
+    ], ids=["zero", "negative", "fraction", "no-geometry"])
+    def test_a_mesh_checks_its_own_counts(self, args, error):
+        # built directly, a mesh once checked nothing: these leaked ZeroDivisionError,
+        # ValueError and TypeError from the solve, and AttributeError
+        with pytest.raises(ValidationError) as info:
+            Mesh(*args)
+        assert type(info.value) is error
 
     def test_bool_count(self):
         # True is an Integral; accepted, it leaked a TypeError from assembly
@@ -179,9 +190,9 @@ class TestAssemble:
 class TestThetaAndNorm:
     def test_theta_reads_interface(self):
         dof = DofVector(np.zeros(3), np.zeros(3))
-        assert spring_gap(GEO.l, dof.g1, dof.g2) == 1.0
+        assert 2.0 * GEO.l - dof.g1 + dof.g2 == 1.0
         dof = DofVector(np.array([0.0, 0.0, 0.5]), np.array([-0.5, 0.0, 0.0]))
-        assert spring_gap(GEO.l, dof.g1, dof.g2) == 0.0
+        assert 2.0 * GEO.l - dof.g1 + dof.g2 == 0.0
 
     def test_vnorm_zero(self):
         mesh, _ = make_system(4, 4)

@@ -9,7 +9,7 @@ from spring_rods import (BodyForce, ConstraintVariant, ConvergenceStudy, Geometr
                          SpringLaw, SpringRodsError, SweepResult, ValidationError,
                          ZeroElements, assemble, build_mesh,
                          export_csv, export_svg, grid_search_minimizer, make_problem,
-                         run_stiffness_sweep, solve, spring_gap)
+                         run_stiffness_sweep, solve)
 
 GEO = Geometry(-1.0, 1.0, 0.5)
 MAT = Material(1.0, 1.0)
@@ -25,7 +25,7 @@ class TestGeometry:
         assert GEO.L1 == 0.5
         assert GEO.L2 == 0.5
         assert GEO.L == 0.5
-        assert GEO.natural_length == 1.0
+        assert 2.0 * GEO.l == 1.0
 
     def test_asymmetric_lengths(self):
         geo = Geometry(-2.0, 1.5, 0.5)
@@ -103,25 +103,26 @@ class TestMakeProblem:
 
 
 class TestSpringLaw:
+    # the law acts on the gap change t = length - 1 of a spring of natural length 1
     def test_zero_at_natural_length(self):
-        assert SpringLaw(1.0, 1.0, 1.0).force(1.0) == 0.0
+        assert SpringLaw(1.0, 1.0, 1.0).force(0.0) == 0.0
 
     def test_compression_pushes(self):
-        assert SpringLaw(1.0, 2.0, 1.0).force(0.5) == 0.5
+        assert SpringLaw(1.0, 2.0, 1.0).force(-0.5) == 0.5
 
     def test_extension_pulls(self):
-        assert SpringLaw(1.0, 2.0, 1.0).force(1.25) == -0.5
+        assert SpringLaw(1.0, 2.0, 1.0).force(0.25) == -0.5
 
     def test_potential_values(self):
         law = SpringLaw(1.0, 4.0, 1.0)
-        assert law.potential(1.0) == 0.0
-        assert law.potential(0.0) == 0.5
-        assert law.potential(2.0) == 2.0
+        assert law.potential(0.0) == 0.0
+        assert law.potential(-1.0) == 0.5
+        assert law.potential(1.0) == 2.0
 
     def test_potential_overflows_to_inf(self):
         # a float power raises OverflowError where the product rounds to inf
-        assert SpringLaw(1.0, 1.0, 1.0).potential(1e200) == math.inf
-        assert SpringLaw(1.0, 1.0, 1.0).potential(-1e200) == math.inf
+        assert SpringLaw(1.0, 1.0, 1.0).potential(1e200 - 1.0) == math.inf
+        assert SpringLaw(1.0, 1.0, 1.0).potential(-1e200 - 1.0) == math.inf
 
     def test_sign_and_monotonicity(self):
         rng = np.random.default_rng(0)
@@ -129,7 +130,7 @@ class TestSpringLaw:
             k1, k2 = rng.uniform(0.1, 3.0, 2)
             law = SpringLaw(k1, k2, 1.0)
             r = rng.uniform(-2.0, 4.0, 1000)
-            f = np.array([law.force(x) for x in r])
+            f = np.array([law.force(x - 1.0) for x in r])
             assert np.all(np.sign(f) == np.sign(1.0 - r))
             order = np.argsort(r)
             assert np.all(np.diff(f[order]) <= 1e-15)
@@ -139,35 +140,18 @@ class TestSpringLaw:
         law = SpringLaw(0.7, 1.9, 1.0)
         r = rng.uniform(-2.0, 4.0, 500)
         for a, b in zip(r[:-1], r[1:]):
-            assert abs(law.force(a) - law.force(b)) <= law.lipschitz * abs(a - b) + 1e-14
+            step = abs(law.force(a - 1.0) - law.force(b - 1.0))
+            assert step <= law.lipschitz * abs(a - b) + 1e-14
 
     def test_potential_convex_and_consistent(self):
         law = SpringLaw(0.4, 1.6, 1.0)
         grid = np.linspace(-1.0, 3.0, 401)
-        vals = np.array([law.potential(r) for r in grid])
+        vals = np.array([law.potential(r - 1.0) for r in grid])
         assert np.all(np.diff(vals, 2) >= -1e-12)
         h = 1e-5
         for r in np.linspace(-0.9, 2.9, 40):  # grid avoids the curvature kink
-            slope = (law.potential(r + h) - law.potential(r - h)) / (2 * h)
-            assert slope == pytest.approx(-law.force(r), rel=1e-6, abs=1e-9)
-
-
-class TestSpringGap:
-    def test_reference_configuration(self):
-        assert spring_gap(0.5, 0.0, 0.0) == 1.0
-
-    def test_full_compression(self):
-        assert spring_gap(0.5, 0.5, -0.5) == 0.0
-
-    def test_extension_case(self):
-        assert spring_gap(0.5, -0.0625, 0.0625) == 1.125
-
-    def test_rigid_translation_invariance(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            g1, g2, delta = rng.uniform(-5.0, 5.0, 3)
-            assert spring_gap(0.5, g1 + delta, g2 + delta) == pytest.approx(
-                spring_gap(0.5, g1, g2), abs=1e-12)
+            slope = (law.potential(r + h - 1.0) - law.potential(r - h - 1.0)) / (2 * h)
+            assert slope == pytest.approx(-law.force(r - 1.0), rel=1e-6, abs=1e-9)
 
 
 class TestConstraintVariant:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from spring_rods import (BodyForce, ConstraintVariant, EmptyFeasibleGrid, Geometry,
                          Material, NoConsistentRegime, SpringLaw, ValidationError,
                          analytic_solution, assemble, build_mesh, grid_search_minimizer,
-                         make_problem, schur_reduce, solve, solve_exact, spring_gap)
+                         make_problem, schur_reduce, solve, solve_exact)
 from spring_rods import oracle
 from spring_rods.fem import DofVector
 
@@ -73,7 +73,7 @@ class TestAnalyticSolution:
                 sol = analytic_solution(problem(k, f))
                 spring = SpringLaw(k, k, 1.0)
                 assert sol.theta >= -1e-12
-                excess = sol.s + spring.force(sol.theta)
+                excess = sol.s + spring.force(sol.theta - 1.0)
                 assert excess <= 1e-12
                 assert abs(excess * sol.theta) <= 1e-12
                 assert sol.theta == pytest.approx(1.0 - sol.g1 + sol.g2, abs=1e-12)
@@ -238,7 +238,7 @@ class TestGridSearch:
                                     ConstraintVariant.NON_PENETRATION, (-0.16, 0.16), 1e-2)
         assert np.max(np.abs(dof.rod1 - sol.u.rod1)) <= 1e-2
         assert np.max(np.abs(dof.rod2 - sol.u.rod2)) <= 1e-2
-        assert spring_gap(GEO.l, dof.g1, dof.g2) >= -1e-12
+        assert 2.0 * GEO.l - dof.g1 + dof.g2 >= -1e-12
 
     def test_empty_feasible_grid(self):
         system = assemble(self.mesh, MAT, BodyForce(0.0, 0.0))
@@ -290,10 +290,10 @@ def _loop_energy(system, spring, variant, point):
     dof = DofVector(np.array(point[:n1]), np.array(point[n1:]))
     l = system.mesh.geometry.l
     lo, hi = variant.bounds(l)
-    theta = spring_gap(l, dof.g1, dof.g2)
+    theta = 2.0 * l - dof.g1 + dof.g2
     if not lo - 1e-12 <= theta <= hi + 1e-12:
         return math.inf
-    return system.energy(dof) + spring.potential(theta)
+    return system.energy(dof) + spring.potential(theta - spring.natural_length)
 
 
 class TestGridSearchMatchesLoop:
@@ -507,7 +507,7 @@ def _dense_grid_search(system, spring, variant, bounds, step, block=2 ** 15):
             energy = energy_buf[:math.prod(shape)].reshape(shape)
             theta, d, mask = (buf[:math.prod(gap_shape)].reshape(gap_shape)
                               for buf in (theta_buf, d_buf, mask_buf))
-            np.add(2.0 * l - x[n1 - 1], x[n1], out=theta)  # spring_gap, in place
+            np.add(2.0 * l - x[n1 - 1], x[n1], out=theta)  # the gap 2l - g1 + g2, in place
             np.subtract(theta, spring.natural_length, out=d)
             # ((0.5*k)*d)*d with k1 below the natural length, k2 from it on
             np.multiply(d, half_k2, out=energy)

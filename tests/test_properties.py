@@ -42,6 +42,7 @@ def test_exact_solve_matches_continuum_oracle(l, L1, L2, E1, E2, q1, q2, f1, f2,
                          (ref.g1, ref.g2, ref.theta, ref.s)):
         assert abs(got - want) <= 1e-8 * max(scale, abs(want))
     assert sol.diagnostics.residual <= 1e-8 * scale
+    assert sol.diagnostics.regime == ref.regime
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -140,7 +141,8 @@ def test_mirror_symmetry(l, L1, L2, E1, E2, q1, q2, f1, f2, variant, n1, n2):
     mirrored = _states(l, L2, L1, E2, E1, q1 * k_max, q2 * k_max, -f2, -f1, variant, n2, n1)
     g1, g2, theta, s, _ = states[0]
     _assert_close(mirrored[0][:4], (-g2, -g1, theta, s))
-    # the exact solve and the oracle name the same regime on both sides
+    # the exact solve and the oracle name the same regime, on both sides
+    assert states[0][4] == states[1][4]
     assert [m[4] for m in mirrored] == [x[4] for x in states]
 
 

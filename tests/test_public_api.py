@@ -22,12 +22,12 @@ PUBLIC_NAMES = [
     "export_csv", "export_svg", "grid_search_minimizer", "interface_stress",
     "make_problem", "recover_full", "run_penalty_convergence", "run_stiffness_sweep",
     "schur_reduce", "solve", "solve_exact", "solve_penalized",
-    "solve_projected_gradient", "solve_qvi_fixed_point", "spring_gap", "vi_residual",
+    "solve_projected_gradient", "solve_qvi_fixed_point", "vi_residual",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 49
     assert sorted(spring_rods.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(spring_rods, name) is not None
@@ -75,13 +75,34 @@ _PENALTY = spring_rods.PenaltyVariant.EXTENSION_ONLY
     (lambda tmp: spring_rods.interface_stress(_MESH, None, _PROBLEM.material,
                                               _PROBLEM.forces), "field"),
     (lambda tmp: spring_rods.run_penalty_convergence(_PROBLEM, None), "penalty variant"),
+    (lambda tmp: spring_rods.solve_exact(None, _PROBLEM.spring, _PROBLEM.variant,
+                                         _PROBLEM.geometry.l), "reduced system"),
+    (lambda tmp: spring_rods.vi_residual(None, _PROBLEM.spring, _PROBLEM.variant,
+                                         spring_rods.solve(_PROBLEM).u), "system"),
+    (lambda tmp: spring_rods.solve_penalized(None, spring_rods.PenaltyProblem(
+        _PROBLEM, _PENALTY, 0.1)), "reduced system"),
+    (lambda tmp: spring_rods.solve_penalized(spring_rods.schur_reduce(_SYSTEM), None),
+     "penalty problem"),
+    (lambda tmp: spring_rods.grid_search_minimizer(None, _PROBLEM.spring, _PROBLEM.variant,
+                                                   (-1.0, 1.0), 0.5), "system"),
+    (lambda tmp: spring_rods.run_stiffness_sweep(None, _PROBLEM.forces, [0.5]), "base problem"),
+    (lambda tmp: spring_rods.run_penalty_convergence(None, _PENALTY), "base problem"),
+    (lambda tmp: spring_rods.schur_reduce(None), "system"),
+    (lambda tmp: spring_rods.recover_full(None, 0.0, 0.0), "reduced system"),
+    (lambda tmp: spring_rods.interface_stress(None, spring_rods.solve(_PROBLEM).u,
+                                              _PROBLEM.material, _PROBLEM.forces), "mesh"),
 ], ids=["export_csv", "export_svg", "analytic_solution", "solve_exact", "solve-one-count",
         "solve-no-counts", "solve-config", "PenaltyProblem-variant", "PenaltyProblem-base",
         "effective_spring-spring", "effective_spring-None", "effective_spring-str",
         "solve_projected_gradient", "solve_qvi_fixed_point", "vi_residual", "assemble-mesh",
-        "assemble-material", "build_mesh", "interface_stress", "run_penalty_convergence"])
+        "assemble-material", "build_mesh", "interface_stress", "run_penalty_convergence",
+        "solve_exact-reduced", "vi_residual-system", "solve_penalized-reduced",
+        "solve_penalized-penalty", "grid_search_minimizer", "run_stiffness_sweep",
+        "run_penalty_convergence-base", "schur_reduce", "recover_full",
+        "interface_stress-mesh"])
 def test_an_argument_of_the_wrong_type_is_a_validation_error(call, what, tmp_path):
-    # these leaked TypeError, AttributeError or KeyError from inside the call
+    # these leaked TypeError, AttributeError or KeyError from inside the call; a None
+    # first argument, AttributeError
     with pytest.raises(spring_rods.ValidationError, match=f"^{what}: need a "):
         call(tmp_path)
     assert not list(tmp_path.iterdir())

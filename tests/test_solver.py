@@ -13,7 +13,7 @@ from spring_rods import (BodyForce, ConstraintVariant, Geometry,
                          analytic_solution, assemble, build_mesh, effective_spring,
                          interface_stress, make_problem, recover_full, schur_reduce,
                          solve, solve_exact, solve_penalized, solve_projected_gradient,
-                         solve_qvi_fixed_point, spring_gap, vi_residual)
+                         solve_qvi_fixed_point, vi_residual)
 import spring_rods.fem as fem_module
 import spring_rods.solver as solver_module
 from spring_rods import run_stiffness_sweep
@@ -472,7 +472,7 @@ class TestViResidual:
     def test_infeasible_candidate(self):
         mesh, system, _, spring = setup_case(1.0, (0.0, 0.0))
         bad = DofVector(np.array([0.0, 0.0, 0.0, 1.0]), np.array([-1.0, 0.0, 0.0, 0.0]))
-        assert spring_gap(GEO.l, bad.g1, bad.g2) < 0.0
+        assert 2.0 * GEO.l - bad.g1 + bad.g2 < 0.0
         with pytest.raises(InfeasibleCandidate):
             vi_residual(system, spring, NP_, bad)
 
@@ -643,6 +643,74 @@ class TestViResidualNonFinite:
             assert vi_residual(system, spring, NP_, big) <= -1e306
 
 
+def _apart(l):
+    """Rods of length 1 each side of a spring of half-length l: the answer is the same at
+    every l, g1 = 1.7857e-9 in compression."""
+    return make_problem(Geometry(-l - 1.0, l + 1.0, l), MAT, SpringLaw(0.9, 0.9, 2.0 * l),
+                        BodyForce(1e-8, -1e-8))
+
+
+@pytest.mark.parametrize("l", [0.5, 1e3, 1e6, 1e8])
+def test_a_long_spring_keeps_its_gap_change(l):
+    # the iterative solvers, the oracle and the certificate once formed the length 2l + t,
+    # which kept only the bits of t above the ulp of 2l: at l = 1e8 the iterative solvers
+    # returned the spring-free g1 = 5e-9 and the oracle called it the breakpoint
+    problem = _apart(l)
+    exact = solve(problem, (4, 4))
+    assert exact.diagnostics.regime == "compression"
+    assert exact.g1 == pytest.approx(1.0 / 560.0 * 1e-6, rel=1e-15)
+    config = SolverConfig(tolerance=1e-20)
+    iterative = [solve(problem, (4, 4), method, config) for method in ("gradient", "fixed-point")]
+    ref = analytic_solution(problem)
+    for g1, label in [(ref.g1, ref.regime), *((s.g1, s.diagnostics.regime) for s in iterative)]:
+        assert abs(g1 - exact.g1) <= 1e-15 * abs(exact.g1)
+        assert label == "compression"
+    system = assemble(build_mesh(problem.geometry, 4, 4), MAT, problem.forces)
+    assert vi_residual(system, problem.spring, NP_, exact.u) >= -1e-20
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(i=st.integers(1, 64), j1=st.integers(13, 128), j2=st.integers(13, 128),
+       m=st.integers(0, 40), log_E1=st.floats(math.log(0.5), math.log(5.0)),
+       log_E2=st.floats(math.log(0.5), math.log(5.0)),
+       q1=st.floats(0.01, 0.99), q2=st.floats(0.01, 0.99),
+       f1=st.floats(-10.0, 10.0), f2=st.floats(-10.0, 10.0),
+       variant=st.sampled_from(list(ConstraintVariant)),
+       n1=st.integers(1, 16), n2=st.integers(1, 16))
+def test_moving_the_rods_apart_keeps_every_state_off_contact(i, j1, j2, m, log_E1, log_E2,
+                                                             q1, q2, f1, f2, variant, n1, n2):
+    # l, L1 and L2 on a 1/64 grid: l + 2**m keeps L1 and L2 exact, and with them every
+    # quantity of the problem but the contact bound t = -2l; off contact the exact solve
+    # and the oracle keep their bits, and each iterative solver its label
+    l, L1, L2 = i / 64, j1 / 64, j2 / 64
+    E1, E2 = math.exp(log_E1), math.exp(log_E2)
+    k_max = (E1 + E2) / (2.0 * max(L1, L2))
+
+    def posed(l):
+        geometry = Geometry(-l - L1, l + L2, l)
+        assert (geometry.L1, geometry.L2) == (L1, L2)
+        return make_problem(geometry, Material(E1, E2), SpringLaw(q1 * k_max, q2 * k_max,
+                                                                  2.0 * l),
+                            BodyForce(f1, f2), variant)
+
+    problems = [posed(l), posed(l + 2.0 ** m)]
+    exact = [solve(p, (n1, n2)) for p in problems]
+    refs = [analytic_solution(p) for p in problems]
+    if "contact" in [s.diagnostics.regime for s in exact] + [r.regime for r in refs]:
+        return
+    assert [(s.g1, s.g2, s.s, s.diagnostics.regime) for s in exact[1:]] == \
+        [(s.g1, s.g2, s.s, s.diagnostics.regime) for s in exact[:1]]
+    assert [(r.g1, r.g2, r.s, r.regime) for r in refs[1:]] == \
+        [(r.g1, r.g2, r.s, r.regime) for r in refs[:1]]
+    for method in ("gradient", "fixed-point"):
+        labels = {solve(p, (n1, n2), method).diagnostics.regime for p in problems}
+        assert len(labels) == 1, (method, labels)
+    far = problems[1]
+    system = assemble(build_mesh(far.geometry, n1, n2), far.material, far.forces)
+    rounding, _ = _rounding_scale(far.geometry, far.forces, (n1, n2))
+    assert vi_residual(system, far.spring, variant, exact[1].u) >= -rounding
+
+
 class TestSolverTriad:
     def test_agreement_with_oracle(self):
         rng = np.random.default_rng(42)
@@ -703,23 +771,23 @@ class TestSolverTriad:
             _, system, red, spring = setup_case(k, f)
             sol = solve_exact(red, spring, NP_, GEO.l)
             assert sol.theta >= -1e-10
-            excess = sol.s + spring.force(sol.theta)
+            excess = sol.s + spring.force(sol.theta - 1.0)
             assert excess <= 1e-8
             assert abs(excess * sol.theta) <= 1e-8
 
     def test_energy_optimality(self):
         mesh, system, red, spring = setup_case(1.0, (1.0, -1.0))
         sol = solve_exact(red, spring, NP_, GEO.l)
-        best = system.energy(sol.u) + spring.potential(sol.theta)
+        best = system.energy(sol.u) + spring.potential(sol.theta - 1.0)
         rng = np.random.default_rng(23)
         for _ in range(1000):
             dof = DofVector(rng.normal(0.0, 0.4, mesh.n1), rng.normal(0.0, 0.4, mesh.n2))
-            t = spring_gap(GEO.l, dof.g1, dof.g2)
-            if t < 0.0:
+            theta = 2.0 * GEO.l - dof.g1 + dof.g2
+            if theta < 0.0:
                 rod2 = dof.rod2.copy()
-                rod2[0] -= t
+                rod2[0] -= theta
                 dof = DofVector(dof.rod1, rod2)
-            value = system.energy(dof) + spring.potential(spring_gap(GEO.l, dof.g1, dof.g2))
+            value = system.energy(dof) + spring.potential(2.0 * GEO.l - dof.g1 + dof.g2 - 1.0)
             assert best <= value + 1e-10
 
 
