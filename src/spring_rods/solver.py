@@ -275,10 +275,10 @@ def solve_penalized(reduced: ReducedSystem, penalty: PenaltyProblem) -> Equilibr
 def _posed(system: DiscreteSystem, spring: SpringLaw, variant: ConstraintVariant,
            config: SolverConfig | None) -> tuple[SolverConfig, ReducedSystem, float, float]:
     """(config or the default, condensed system, lo, hi of t) of an iterative solve."""
+    _check_type("system", system, DiscreteSystem)
     _check_type("variant", variant, ConstraintVariant)
-    reduced = schur_reduce(system)
     _check_natural_length(spring, geometry := system.mesh.geometry)
-    return config or SolverConfig(), reduced, *_bounds(variant, geometry.l)
+    return config or SolverConfig(), schur_reduce(system), *_bounds(variant, geometry.l)
 
 
 def _project_gap(g: _Pair, lo: float, hi: float) -> tuple[_Pair, float, str | None]:

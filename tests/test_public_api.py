@@ -88,6 +88,10 @@ _PENALTY = spring_rods.PenaltyVariant.EXTENSION_ONLY
     (lambda tmp: spring_rods.run_stiffness_sweep(None, _PROBLEM.forces, [0.5]), "base problem"),
     (lambda tmp: spring_rods.run_penalty_convergence(None, _PENALTY), "base problem"),
     (lambda tmp: spring_rods.schur_reduce(None), "system"),
+    (lambda tmp: spring_rods.solve_projected_gradient(None, _PROBLEM.spring,
+                                                      _PROBLEM.variant), "system"),
+    (lambda tmp: spring_rods.solve_qvi_fixed_point(None, _PROBLEM.spring,
+                                                   _PROBLEM.variant), "system"),
     (lambda tmp: spring_rods.recover_full(None, 0.0, 0.0), "reduced system"),
     (lambda tmp: spring_rods.interface_stress(None, spring_rods.solve(_PROBLEM).u,
                                               _PROBLEM.material, _PROBLEM.forces), "mesh"),
@@ -98,8 +102,8 @@ _PENALTY = spring_rods.PenaltyVariant.EXTENSION_ONLY
         "assemble-material", "build_mesh", "interface_stress", "run_penalty_convergence",
         "solve_exact-reduced", "vi_residual-system", "solve_penalized-reduced",
         "solve_penalized-penalty", "grid_search_minimizer", "run_stiffness_sweep",
-        "run_penalty_convergence-base", "schur_reduce", "recover_full",
-        "interface_stress-mesh"])
+        "run_penalty_convergence-base", "schur_reduce", "solve_projected_gradient-system",
+        "solve_qvi_fixed_point-system", "recover_full", "interface_stress-mesh"])
 def test_an_argument_of_the_wrong_type_is_a_validation_error(call, what, tmp_path):
     # these leaked TypeError, AttributeError or KeyError from inside the call; a None
     # first argument, AttributeError
